@@ -50,9 +50,8 @@ from .terms import (
     Substitution,
     Term,
     Variable,
-    positions,
     replace_at,
-    subterm_at,
+    subterms,
     term_size,
 )
 
@@ -142,6 +141,7 @@ def find_loops(
     found: list[LoopCertificate] = []
     seen = set()
     for t0 in starts:
+        root = t0.symbol if isinstance(t0, Application) else None
         frontier: list[tuple[Term, tuple]] = [(t0, ())]
         visited = {t0}
         for _ in range(depth):
@@ -154,8 +154,10 @@ def find_loops(
                     visited.add(s2)
                     path2 = path + ((q, ri),)
                     nxt.append((s2, path2))
-                    for p in positions(s2):
-                        mu = match_pattern(t0, subterm_at(s2, p))
+                    for p, sub in subterms(s2):
+                        if root is not None and getattr(sub, "symbol", None) != root:
+                            continue
+                        mu = match_pattern(t0, sub)
                         if mu is None:
                             continue
                         cert = LoopCertificate(
@@ -182,6 +184,17 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _count(text: str) -> int:
+    """A nonnegative integer option value."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(prog="loopcert", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -190,10 +203,10 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--trs", required=True, help="rewrite system file")
     check.add_argument("--loop", required=True, help="loop certificate JSON file")
     check.add_argument("--strategy", required=True, help="strategy name or encoding")
-    check.add_argument("--bound", type=int, default=64, help="solver exponent bound")
+    check.add_argument("--bound", type=_count, default=64, help="solver exponent bound")
     check.add_argument(
         "--unroll",
-        type=int,
+        type=_count,
         default=None,
         help="cap for the concrete-violation search (default: witness-derived)",
     )
@@ -202,8 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     find = sub.add_parser("find", help="search a system for loop certificates")
     find.add_argument("--trs", required=True, help="rewrite system file")
-    find.add_argument("--depth", type=int, default=5, help="search depth in steps")
-    find.add_argument("--max-size", type=int, default=80, help="largest term explored")
+    find.add_argument("--depth", type=_count, default=5, help="search depth in steps")
+    find.add_argument("--max-size", type=_count, default=80, help="largest term explored")
     find.add_argument("--start", default=None, help="start term (default: each lhs)")
     find.add_argument("--format", choices=["json"], default="json")
     find.set_defaults(func=cmd_find)

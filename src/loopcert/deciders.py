@@ -26,7 +26,6 @@ position separately and add the maximal-parallel families when required.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Iterable, Union
@@ -68,13 +67,13 @@ from .terms import (
     Term,
     Variable,
     apply_context_substitution,
-    apply_substitution,
     is_left_of,
     is_strict_prefix,
     are_parallel,
     format_position,
     positions,
     subterm_at,
+    subterms,
     variable_closure,
 )
 
@@ -136,91 +135,95 @@ class ProblemInstance:
 
 
 def _dedup(instances: Iterable[ProblemInstance]) -> tuple[ProblemInstance, ...]:
-    seen = set()
-    out = []
+    """The first instance of each distinct problem, in order."""
+    first: dict[Problem, ProblemInstance] = {}
     for inst in instances:
-        if inst.problem not in seen:
-            seen.add(inst.problem)
-            out.append(inst)
-    return tuple(out)
+        first.setdefault(inst.problem, inst)
+    return tuple(first.values())
 
 
-def _subterms_preorder(t: Term) -> list[Term]:
-    return [subterm_at(t, p) for p in positions(t)]
+class _Shared:
+    """What problem generation needs of the closing pair (C, mu), built once
+    per decision and shared by every step, strategy component and pattern."""
+
+    def __init__(self, c: Context, mu: Substitution):
+        self.c = c
+        self.mu = mu
+        self.cs = ContextSubstitution(c, mu)
+        self.c_mu = c.substitute(mu)
+        # C restricted to each strict prefix of its hole position, shortest first.
+        self.subcontexts = [c.subcontext(c.hole_pos[:cut]) for cut in range(len(c.hole_pos))]
+        self._towers: dict[Term, list[Term]] = {}
+        self._images: dict[Term, list[Term]] = {}
+
+    def tower(self, t: Term, n: int) -> Term:
+        """t(C, mu)^n; each level is built once."""
+        row = self._towers.setdefault(t, [t])
+        while len(row) <= n:
+            row.append(apply_context_substitution(row[-1], self.cs, 1))
+        return row[n]
+
+    def images(self, u: Term) -> list[Term]:
+        """Subterms of x mu in preorder, for x over u's variable closure by name."""
+        out = self._images.get(u)
+        if out is None:
+            out = self._images[u] = [
+                s
+                for x in sorted(variable_closure(u, self.mu))
+                for _, s in subterms(self.mu.apply(Variable(x)))
+            ]
+        return out
 
 
 def leftmost_problems(
     t: Term, q: Position, c: Context, mu: Substitution, trs: Trs
 ) -> tuple[ProblemInstance, ...]:
     """Problems solvable iff some unrolling has a redex left of the step."""
-    term_side = lambda q2: is_left_of(q2, q)
-    ctx_side = lambda p2: is_left_of(p2, c.hole_pos)
-    return _split_families(t, c, mu, trs, term_side, ctx_side, "left")
+    return _dedup(_leftmost(_Shared(c, mu), 0, t, q, trs))
 
 
 def max_parallel_problems(
     t: Term, qs: Iterable[Position], c: Context, mu: Substitution, trs: Trs
 ) -> tuple[ProblemInstance, ...]:
     """Problems solvable iff some unrolling leaves a parallel redex uncontracted."""
+    return _dedup(_max_parallel(_Shared(c, mu), 0, t, qs, trs))
+
+
+def _leftmost(sh: _Shared, step: int, t: Term, q: Position, trs: Trs):
+    hole = sh.c.hole_pos
+    term_side = lambda q2: is_left_of(q2, q)
+    ctx_side = lambda p2: is_left_of(p2, hole)
+    return _split_families(sh, step, t, trs, term_side, ctx_side, "left")
+
+
+def _max_parallel(sh: _Shared, step: int, t: Term, qs: Iterable[Position], trs: Trs):
     qs = tuple(sorted(set(qs)))
+    hole = sh.c.hole_pos
     term_side = lambda q2: all(are_parallel(q2, q) for q in qs)
-    ctx_side = lambda p2: are_parallel(p2, c.hole_pos)
-    return _split_families(t, c, mu, trs, term_side, ctx_side, "parallel")
+    ctx_side = lambda p2: are_parallel(p2, hole)
+    return _split_families(sh, step, t, trs, term_side, ctx_side, "parallel")
 
 
 def _split_families(
-    t: Term, c: Context, mu: Substitution, trs: Trs, term_side, ctx_side, prefix: str
-) -> tuple[ProblemInstance, ...]:
+    sh: _Shared, step: int, t: Term, trs: Trs, term_side, ctx_side, prefix: str
+) -> list[ProblemInstance]:
+    # Per side: the subterms themselves, then the pumped images below them.
     out: list[ProblemInstance] = []
-    term_positions = [q2 for q2 in positions(t) if term_side(q2)]
-    for q2 in term_positions:
-        u = subterm_at(t, q2)
-        for ri, rule in enumerate(trs.rules):
-            out.append(
-                ProblemInstance(
-                    MatchingProblem(((u, rule.lhs),), mu),
-                    f"{prefix}-term",
-                    position=q2,
-                    rule_index=ri,
-                )
-            )
-    for q2 in term_positions:
-        for x in sorted(variable_closure(subterm_at(t, q2), mu)):
-            for u in _subterms_preorder(apply_substitution(Variable(x), mu, 1)):
-                for ri, rule in enumerate(trs.rules):
-                    out.append(
-                        ProblemInstance(
-                            MatchingProblem(((u, rule.lhs),), mu),
-                            f"{prefix}-image",
-                            position=q2,
-                            rule_index=ri,
+    for body, side, families in (
+        (t, term_side, (f"{prefix}-term", f"{prefix}-image")),
+        (sh.c.body, ctx_side, (f"{prefix}-context", f"{prefix}-context-image")),
+    ):
+        spots = [(p, u) for p, u in subterms(body) if side(p)]
+        for family, subjects_of in zip(families, (lambda u: (u,), sh.images)):
+            for p, u in spots:
+                for v in subjects_of(u):
+                    for ri, rule in enumerate(trs.rules):
+                        out.append(
+                            ProblemInstance(
+                                MatchingProblem(((v, rule.lhs),), sh.mu), family, step, p, ri
+                            )
                         )
-                    )
-    ctx_positions = [p2 for p2 in positions(c.body) if ctx_side(p2)]
-    for p2 in ctx_positions:
-        u = subterm_at(c.body, p2)
-        for ri, rule in enumerate(trs.rules):
-            out.append(
-                ProblemInstance(
-                    MatchingProblem(((u, rule.lhs),), mu),
-                    f"{prefix}-context",
-                    position=p2,
-                    rule_index=ri,
-                )
-            )
-    for p2 in ctx_positions:
-        for x in sorted(variable_closure(subterm_at(c.body, p2), mu)):
-            for u in _subterms_preorder(apply_substitution(Variable(x), mu, 1)):
-                for ri, rule in enumerate(trs.rules):
-                    out.append(
-                        ProblemInstance(
-                            MatchingProblem(((u, rule.lhs),), mu),
-                            f"{prefix}-context-image",
-                            position=p2,
-                            rule_index=ri,
-                        )
-                    )
-    return _dedup(out)
+    return out
 
 
 def solve_position_equation(
@@ -232,10 +235,7 @@ def solve_position_equation(
     base case describes them all.  None means no unrolling lines the pattern
     position up with the contracted position.
     """
-    if not p:
-        n0 = 0
-    else:
-        n0 = max(0, math.ceil(max(0, len(o) - len(q)) / len(p)))
+    n0 = _least_n0(p, q, o)
     full = p * n0 + q
     if len(full) < len(o) or full[len(full) - len(o):] != o:
         return None
@@ -249,140 +249,122 @@ def _least_n0(p: Position, q: Position, o: Position) -> int:
     return max(0, math.ceil(max(0, len(o) - len(q)) / len(p)))
 
 
+# A frame is the pattern-independent part of one pattern family at one step
+# position: (family, n0, o0', subject, D) per problem, with D the subcontext
+# of an extended problem and None for a matching problem.  Crossing a frame
+# with a pattern's left-hand side gives the problems.
+
+
+def _here_frame(sh: _Shared, t: Term, q: Position, o: Position, family="pattern-here"):
+    sol = solve_position_equation(sh.c.hole_pos, q, o)
+    if sol is None:
+        return []
+    n0, o0prime = sol
+    return [(family, n0, o0prime, subterm_at(sh.tower(t, n0), o0prime), None)]
+
+
+def _above_frame(sh: _Shared, t: Term, q: Position, o: Position):
+    redex = subterm_at(t, q)
+    if isinstance(redex, Variable):
+        raise VariableRedex(f"subterm at {format_position(q)} of {t} is a variable")
+    p = sh.c.hole_pos
+    n0 = _least_n0(p, q, o)
+    base = sh.tower(t, n0)
+    redex_pos = p * n0 + q
+    anchors: set[Position] = set()
+    for q2 in positions(redex):
+        tip = redex_pos + q2
+        for cut in range(len(tip) + 1):
+            o2 = tip[:cut]
+            if is_strict_prefix(redex_pos, o2 + o):
+                anchors.add(o2)
+    frame = [
+        ("pattern-above-term", n0, o2, subterm_at(base, o2), None) for o2 in sorted(anchors)
+    ]
+    frame += [("pattern-above-image", n0, None, u, None) for u in sh.images(redex)]
+    return frame
+
+
+def _below_frame(sh: _Shared, t: Term, q: Position, o: Position):
+    # Anchors weakly above the contracted position reduce to here-problems at
+    # the step's own prefixes; anchors crossing the hole spine into outer
+    # context copies become extended problems that pump the context too.
+    frame = []
+    for cut in range(len(q)):
+        frame += _here_frame(sh, t, q[:cut], o, "pattern-below-prefix")
+    p = sh.c.hole_pos
+    for d in sh.subcontexts:
+        p2 = d.hole_pos
+        n0 = 0
+        while len(p2) + n0 * len(p) <= len(o):
+            n0 += 1
+        if is_strict_prefix(o, p2 + p * n0):
+            subject = sh.mu.apply(sh.tower(t, n0))
+            frame.append(("pattern-below-context", n0, None, subject, d))
+    return frame
+
+
+_FRAMES = {
+    PatternKind.HERE: _here_frame,
+    PatternKind.ABOVE: _above_frame,
+    PatternKind.BELOW: _below_frame,
+}
+
+
+def _cross(
+    sh: _Shared, step: int, q: Position, pattern: ForbiddenPattern, frame
+) -> list[ProblemInstance]:
+    mu, lhs = sh.mu, pattern.lhs
+    return [
+        ProblemInstance(
+            MatchingProblem(((u, lhs),), mu)
+            if d is None
+            else ExtendedMatchingProblem(d, lhs, sh.c_mu, u, mu),
+            family, step, q, None, pattern, n0, o0prime,
+        )
+        for family, n0, o0prime, u, d in frame
+    ]
+
+
+def _pattern_problems(
+    sh: _Shared, step: int, t: Term, q: Position, patterns: Iterable[ForbiddenPattern]
+) -> list[ProblemInstance]:
+    frames: dict = {}
+    out: list[ProblemInstance] = []
+    for pat in patterns:
+        key = (pat.kind, pat.pos)
+        if key not in frames:
+            frames[key] = _FRAMES[pat.kind](sh, t, q, pat.pos)
+        out += _cross(sh, step, q, pat, frames[key])
+    return out
+
+
 def h_problems(
-    t: Term,
-    q: Position,
-    c: Context,
-    mu: Substitution,
-    pattern: ForbiddenPattern,
+    t: Term, q: Position, c: Context, mu: Substitution, pattern: ForbiddenPattern
 ) -> tuple[ProblemInstance, ...]:
     """Step forbidden at the designated position itself: zero or one problem."""
-    sol = solve_position_equation(c.hole_pos, q, pattern.pos)
-    if sol is None:
-        return ()
-    n0, o0prime = sol
-    cs_term = apply_context_substitution(
-        t, _closing(c, mu), n0
-    )
-    subject = subterm_at(cs_term, o0prime)
-    return (
-        ProblemInstance(
-            MatchingProblem(((subject, pattern.lhs),), mu),
-            "pattern-here",
-            position=q,
-            pattern=pattern,
-            n0=n0,
-            o0prime=o0prime,
-        ),
-    )
+    sh = _Shared(c, mu)
+    return tuple(_cross(sh, 0, q, pattern, _here_frame(sh, t, q, pattern.pos)))
 
 
 def a_problems(
-    t: Term,
-    q: Position,
-    c: Context,
-    mu: Substitution,
-    pattern: ForbiddenPattern,
+    t: Term, q: Position, c: Context, mu: Substitution, pattern: ForbiddenPattern
 ) -> tuple[ProblemInstance, ...]:
     """Step forbidden strictly above the designated position.
 
     The pattern can anchor inside the contracted subterm (first family) or
     inside a pumped substitution image below it (second family).
     """
-    if isinstance(subterm_at(t, q), Variable):
-        raise VariableRedex(f"subterm at {format_position(q)} of {t} is a variable")
-    p = c.hole_pos
-    o = pattern.pos
-    n0 = _least_n0(p, q, o)
-    base = apply_context_substitution(t, _closing(c, mu), n0)
-    redex_pos = p * n0 + q
-    out: list[ProblemInstance] = []
-    sub_positions = [q2 for q2 in positions(subterm_at(t, q))]
-    anchors: set[Position] = set()
-    for q2 in sub_positions:
-        tip = redex_pos + q2
-        for cut in range(len(tip) + 1):
-            o2 = tip[:cut]
-            if is_strict_prefix(redex_pos, o2 + o):
-                anchors.add(o2)
-    for o2 in sorted(anchors):
-        subject = subterm_at(base, o2)
-        out.append(
-            ProblemInstance(
-                MatchingProblem(((subject, pattern.lhs),), mu),
-                "pattern-above-term",
-                position=q,
-                pattern=pattern,
-                n0=n0,
-                o0prime=o2,
-            )
-        )
-    for x in sorted(variable_closure(subterm_at(t, q), mu)):
-        for u in _subterms_preorder(apply_substitution(Variable(x), mu, 1)):
-            out.append(
-                ProblemInstance(
-                    MatchingProblem(((u, pattern.lhs),), mu),
-                    "pattern-above-image",
-                    position=q,
-                    pattern=pattern,
-                    n0=n0,
-                )
-            )
-    return _dedup(out)
+    sh = _Shared(c, mu)
+    return _dedup(_cross(sh, 0, q, pattern, _above_frame(sh, t, q, pattern.pos)))
 
 
 def b_problems(
-    t: Term,
-    q: Position,
-    c: Context,
-    mu: Substitution,
-    pattern: ForbiddenPattern,
+    t: Term, q: Position, c: Context, mu: Substitution, pattern: ForbiddenPattern
 ) -> tuple[ProblemInstance, ...]:
-    """Step forbidden strictly below the designated position.
-
-    Anchors weakly above the contracted position reduce to here-problems at
-    the step's own prefixes; anchors crossing the hole spine into outer
-    context copies become extended problems that pump the context too.
-    """
-    p = c.hole_pos
-    o = pattern.pos
-    out: list[ProblemInstance] = []
-    for cut in range(len(q)):
-        qbar = q[:cut]
-        for inst in h_problems(t, qbar, c, mu, pattern):
-            out.append(
-                dataclasses.replace(
-                    inst, family="pattern-below-prefix", position=q
-                )
-            )
-    for cut in range(len(p)):
-        p3 = p[:cut]
-        d = c.subcontext(p3)
-        p2 = d.hole_pos
-        n0 = 0
-        while len(p2) + n0 * len(p) <= len(o):
-            n0 += 1
-        if not is_strict_prefix(o, p2 + p * n0):
-            continue
-        subject = apply_substitution(
-            apply_context_substitution(t, _closing(c, mu), n0), mu, 1
-        )
-        out.append(
-            ProblemInstance(
-                ExtendedMatchingProblem(
-                    d, pattern.lhs, c.substitute(mu), subject, mu
-                ),
-                "pattern-below-context",
-                position=q,
-                pattern=pattern,
-                n0=n0,
-            )
-        )
-    return _dedup(out)
-
-
-def _closing(c: Context, mu: Substitution) -> ContextSubstitution:
-    return ContextSubstitution(c, mu)
+    """Step forbidden strictly below the designated position."""
+    sh = _Shared(c, mu)
+    return _dedup(_cross(sh, 0, q, pattern, _below_frame(sh, t, q, pattern.pos)))
 
 
 def step_problems(
@@ -390,70 +372,43 @@ def step_problems(
     trs: Trs,
     spec: StrategySpec,
 ) -> tuple[ProblemInstance, ...]:
-    """All problem instances for the loop under the strategy, in report order."""
+    """All problem instances for the loop under the strategy, in report order.
+
+    Equal problems within one step are reported once; across steps they
+    repeat, and each repeat counts as an instance.
+    """
     cert = loop.certificate
-    c = cert.context
-    mu = cert.subst
     if spec.name in SEQUENTIAL_STRATEGIES and not cert.is_sequential():
         raise ShapeMismatch(
             f"strategy {spec.label} applies to single-redex steps only"
         )
+    name = spec.name
+    sh = _Shared(cert.context, cert.subst)
+    inner = builtin_patterns(InnermostEncoding(), trs) if "innermost" in name else ()
+    outer = builtin_patterns(OutermostEncoding(), trs) if "outermost" in name else ()
     out: list[ProblemInstance] = []
     for i, step in enumerate(cert.steps, start=1):
         t = loop.terms[i - 1]
         qs = [q for q, _ in step]
-        for inst in _step_problems_one(t, qs, c, mu, trs, spec):
-            out.append(dataclasses.replace(inst, step=i))
+        found: list[ProblemInstance] = []
+        if name in ("leftmost", "leftmost-innermost", "leftmost-outermost"):
+            found += _leftmost(sh, i, t, qs[0], trs)
+        if name in ("innermost", "leftmost-innermost"):
+            found += _pattern_problems(sh, i, t, qs[0], inner)
+        if name in ("outermost", "leftmost-outermost"):
+            found += _pattern_problems(sh, i, t, qs[0], outer)
+        if name == "forbidden":
+            found += _pattern_problems(sh, i, t, qs[0], spec.patterns)
+        if name in ("max-parallel", "max-parallel-innermost", "max-parallel-outermost"):
+            found += _max_parallel(sh, i, t, qs, trs)
+        if name in ("parallel-innermost", "max-parallel-innermost"):
+            for q in qs:
+                found += _pattern_problems(sh, i, t, q, inner)
+        if name in ("parallel-outermost", "max-parallel-outermost"):
+            for q in qs:
+                found += _pattern_problems(sh, i, t, q, outer)
+        out += _dedup(found)
     return tuple(out)
-
-
-def _step_problems_one(
-    t: Term,
-    qs: list[Position],
-    c: Context,
-    mu: Substitution,
-    trs: Trs,
-    spec: StrategySpec,
-) -> tuple[ProblemInstance, ...]:
-    name = spec.name
-    out: list[ProblemInstance] = []
-    if name in ("leftmost", "leftmost-innermost", "leftmost-outermost"):
-        out.extend(leftmost_problems(t, qs[0], c, mu, trs))
-    if name in ("innermost", "leftmost-innermost"):
-        out.extend(_pattern_problems(t, qs[0], c, mu, builtin_patterns(InnermostEncoding(), trs)))
-    if name in ("outermost", "leftmost-outermost"):
-        out.extend(_pattern_problems(t, qs[0], c, mu, builtin_patterns(OutermostEncoding(), trs)))
-    if name == "forbidden":
-        out.extend(_pattern_problems(t, qs[0], c, mu, spec.patterns))
-    if name in ("max-parallel", "max-parallel-innermost", "max-parallel-outermost"):
-        out.extend(max_parallel_problems(t, qs, c, mu, trs))
-    if name in ("parallel-innermost", "max-parallel-innermost"):
-        pats = builtin_patterns(InnermostEncoding(), trs)
-        for q in qs:
-            out.extend(_pattern_problems(t, q, c, mu, pats))
-    if name in ("parallel-outermost", "max-parallel-outermost"):
-        pats = builtin_patterns(OutermostEncoding(), trs)
-        for q in qs:
-            out.extend(_pattern_problems(t, q, c, mu, pats))
-    return _dedup(out)
-
-
-def _pattern_problems(
-    t: Term,
-    q: Position,
-    c: Context,
-    mu: Substitution,
-    patterns: Iterable[ForbiddenPattern],
-) -> list[ProblemInstance]:
-    out: list[ProblemInstance] = []
-    for pat in patterns:
-        if pat.kind is PatternKind.HERE:
-            out.extend(h_problems(t, q, c, mu, pat))
-        elif pat.kind is PatternKind.ABOVE:
-            out.extend(a_problems(t, q, c, mu, pat))
-        else:
-            out.extend(b_problems(t, q, c, mu, pat))
-    return out
 
 
 @dataclass(frozen=True)
@@ -526,9 +481,14 @@ def decide_loop(
 ) -> Verdict:
     instances = step_problems(loop, trs, spec)
     solver_config = SolverConfig(bound=config.bound, max_term_size=config.max_term_size)
-    results: list[tuple[ProblemInstance, SolverResult]] = [
-        (inst, solve_problem(inst.problem, solver_config)) for inst in instances
-    ]
+    # Steps repeat problems; each distinct one is solved once per decision.
+    solved: dict[Problem, SolverResult] = {}
+    results: list[tuple[ProblemInstance, SolverResult]] = []
+    for inst in instances:
+        res = solved.get(inst.problem)
+        if res is None:
+            res = solved[inst.problem] = solve_problem(inst.problem, solver_config)
+        results.append((inst, res))
     solvable = [(i, r) for i, r in results if isinstance(r, Solvable)]
     unknown = [(i, r) for i, r in results if isinstance(r, Unknown)]
     n_unsolvable = sum(1 for _, r in results if isinstance(r, Unsolvable))

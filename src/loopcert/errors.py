@@ -5,6 +5,10 @@ class LoopcertError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InternalError(RuntimeError):
+    """A result failed an internal consistency check: a bug, never bad input."""
+
+
 class PositionOutOfTerm(LoopcertError):
     """A position does not exist in the term it was used on."""
 

@@ -332,7 +332,10 @@ def parse_loop_certificate(text: str, trs: Trs) -> LoopCertificate:
                 not isinstance(redex, dict)
                 or set(redex) != {"pos", "rule"}
                 or not isinstance(redex["pos"], list)
-                or not all(isinstance(i, int) and i >= 1 for i in redex["pos"])
+                or not all(
+                    isinstance(i, int) and not isinstance(i, bool) and i >= 1
+                    for i in redex["pos"]
+                )
                 or not isinstance(redex["rule"], int)
                 or isinstance(redex["rule"], bool)
             ):

@@ -23,6 +23,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Union
 
+from .errors import InternalError
 from .terms import (
     Application,
     Context,
@@ -144,12 +145,6 @@ def orbit_root(name: str, mu: Substitution) -> str | None:
         seen.add(name)
 
 
-def _term_key(t: Term):
-    if isinstance(t, Variable):
-        return ("V", t.name)
-    return ("A", t.symbol, tuple(_term_key(a) for a in t.args))
-
-
 @dataclass
 class _State:
     # (u, l): subject u must still match the application pattern l.
@@ -169,12 +164,12 @@ class _State:
         return total
 
     def canonical(self):
-        entries = {("M", _term_key(u), _term_key(l)) for u, l in self.match}
-        entries |= {("B", x, _term_key(u)) for x, u in self.bindings.items()}
-        entries |= {
-            ("I",) + tuple(sorted((_term_key(a), _term_key(b)))) for a, b in self.ident
-        }
-        return tuple(sorted(entries))
+        # Order-free: the constraint sets, with identities as unordered pairs.
+        return (
+            frozenset(self.match),
+            frozenset(self.bindings.items()),
+            frozenset(frozenset(pair) for pair in self.ident),
+        )
 
     def step(self, mu: Substitution) -> "_State":
         return _State(
@@ -255,11 +250,13 @@ def _recheck_matching(problem: MatchingProblem, n: int) -> Substitution:
         (l, apply_substitution(u, problem.mu, n)) for u, l in problem.pairs
     ]
     sigma = match_many(pairs)
-    assert sigma is not None, f"witness n={n} failed recheck on {problem}"
+    if sigma is None:
+        raise InternalError(f"witness n={n} failed recheck on {problem}")
     for a, b in problem.identities:
         lhs = apply_substitution(a, problem.mu, n)
         rhs = apply_substitution(b, problem.mu, n)
-        assert lhs == rhs, f"witness n={n} failed identity recheck on {problem}"
+        if lhs != rhs:
+            raise InternalError(f"witness n={n} failed identity recheck on {problem}")
     return sigma
 
 

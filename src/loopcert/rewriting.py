@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Union
 
 from .errors import (
@@ -35,9 +36,9 @@ from .terms import (
     format_position,
     is_strict_prefix,
     position_relation,
-    positions,
     replace_at,
     subterm_at,
+    subterms,
     variables_of,
 )
 
@@ -95,6 +96,14 @@ class Trs:
     def lhss(self) -> tuple[Term, ...]:
         return tuple(r.lhs for r in self.rules)
 
+    @cached_property
+    def rules_by_root(self) -> dict[str, tuple[tuple[int, Rule], ...]]:
+        """(index, rule) pairs per root symbol of the left-hand side, in rule order."""
+        out: dict[str, list[tuple[int, Rule]]] = {}
+        for i, rule in enumerate(self.rules):
+            out.setdefault(rule.lhs.symbol, []).append((i, rule))
+        return {f: tuple(rules) for f, rules in out.items()}
+
 
 def _collect_signature(t: Term, variables: frozenset[str], arities: dict[str, int]):
     if isinstance(t, Variable):
@@ -146,12 +155,13 @@ def _match_into(pattern: Term, subject: Term, env: dict[str, Term]) -> bool:
 
 def redex_positions(t: Term, trs: Trs) -> tuple[tuple[Position, int], ...]:
     """All (position, rule index) pairs where a rule matches, in preorder."""
+    by_root = trs.rules_by_root
     out = []
-    for p in positions(t):
-        sub = subterm_at(t, p)
-        for i, rule in enumerate(trs.rules):
-            if match_pattern(rule.lhs, sub) is not None:
-                out.append((p, i))
+    for p, sub in subterms(t):
+        if isinstance(sub, Application):
+            for i, rule in by_root.get(sub.symbol, ()):
+                if _match_into(rule.lhs, sub, {}):
+                    out.append((p, i))
     return tuple(out)
 
 
@@ -293,8 +303,8 @@ def strategy_allows(
             return False
         q = qs[0]
         for pat in strategy.patterns:
-            for oprime in positions(t):
-                if match_pattern(pat.lhs, subterm_at(t, oprime)) is None:
+            for oprime, sub in subterms(t):
+                if match_pattern(pat.lhs, sub) is None:
                     continue
                 anchor = oprime + pat.pos
                 if pat.kind is PatternKind.HERE and q == anchor:

@@ -24,18 +24,63 @@ from .errors import MalformedContext, PositionOutOfTerm
 HOLE_SYMBOL = "[]"
 
 
-@dataclass(frozen=True)
 class Variable:
-    name: str
+    """A variable.  Terms are immutable once built: never assign to one."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __eq__(self, other):
+        if other.__class__ is not Variable:
+            return NotImplemented
+        return self.name == other.name
+
+    def __hash__(self) -> int:
+        return hash(self.name)
+
+    def __repr__(self) -> str:
+        return f"Variable(name={self.name!r})"
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
 class Application:
-    symbol: str
-    args: tuple["Term", ...] = ()
+    """A function symbol applied to argument terms.
+
+    Equality is structural.  The hash and the node count are computed on
+    first use and cached on the node, so hashing a term built from hashed
+    subterms, or comparing two terms whose hashes differ, costs O(arity).
+    """
+
+    __slots__ = ("symbol", "args", "_hash", "_size")
+
+    def __init__(self, symbol: str, args: tuple["Term", ...] = ()):
+        self.symbol = symbol
+        self.args = args
+        self._hash = None
+        self._size = 0
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not Application:
+            return NotImplemented
+        h, g = self._hash, other._hash
+        if h is not None and g is not None and h != g:
+            return False
+        return self.symbol == other.symbol and self.args == other.args
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.symbol, self.args))
+        return h
+
+    def __repr__(self) -> str:
+        return f"Application(symbol={self.symbol!r}, args={self.args!r})"
 
     def __str__(self) -> str:
         if not self.args:
@@ -100,13 +145,20 @@ def is_strict_prefix(p: Position, q: Position) -> bool:
     return len(p) < len(q) and q[: len(p)] == p
 
 
+def subterms(t: Term) -> Iterator[tuple[Position, Term]]:
+    """(position, subterm) pairs of t in preorder, left to right."""
+    stack = [(EPSILON, t)]
+    while stack:
+        p, u = stack.pop()
+        yield p, u
+        if isinstance(u, Application):
+            for i in range(len(u.args), 0, -1):
+                stack.append((p + (i,), u.args[i - 1]))
+
+
 def positions(t: Term) -> Iterator[Position]:
     """All positions of t in preorder, left to right."""
-    yield EPSILON
-    if isinstance(t, Application):
-        for i, a in enumerate(t.args, start=1):
-            for q in positions(a):
-                yield (i,) + q
+    return (p for p, _ in subterms(t))
 
 
 def subterm_at(t: Term, p: Position) -> Term:
@@ -143,9 +195,13 @@ def variables_of(t: Term) -> frozenset[str]:
 
 
 def term_size(t: Term) -> int:
+    """Node count; cached on the term, so O(1) after the first call."""
     if isinstance(t, Variable):
         return 1
-    return 1 + sum(term_size(a) for a in t.args)
+    n = t._size
+    if not n:
+        n = t._size = 1 + sum(term_size(a) for a in t.args)
+    return n
 
 
 def contains_hole(t: Term) -> bool:
@@ -183,11 +239,17 @@ class Substitution:
         return self.bindings
 
     def apply(self, t: Term) -> Term:
+        """t with every variable replaced by its image; t itself when no
+        variable of t is bound, so untouched subterms keep their cached facts."""
         if isinstance(t, Variable):
             return self._map.get(t.name, t)
         if not t.args:
             return t
-        return Application(t.symbol, tuple(self.apply(a) for a in t.args))
+        args = tuple([self.apply(a) for a in t.args])
+        for a, b in zip(args, t.args):
+            if a is not b:
+                return Application(t.symbol, args)
+        return t
 
     def __str__(self) -> str:
         inner = ", ".join(f"{x}/{u}" for x, u in self.bindings)
@@ -249,8 +311,8 @@ class Context:
 
     @staticmethod
     def from_term(body: Term) -> "Context":
-        for p in positions(body):
-            if subterm_at(body, p) == HOLE:
+        for p, u in subterms(body):
+            if u == HOLE:
                 return Context(body, p)
         raise MalformedContext(f"context must contain exactly one hole: {body}")
 

@@ -114,6 +114,26 @@ def test_bound_flag_reaches_the_solver(capsys, data_dir):
     assert json.loads(out)["evidence"]["witness"] == {"n": 9}
 
 
+def test_negative_numeric_options_exit_three(capsys, data_dir, tmp_path):
+    for flag in ("--bound", "--unroll"):
+        code, out, err = check(
+            capsys, data_dir, "shift.trs", "shift_loop.json", "leftmost", flag, "-5"
+        )
+        assert (code, out) == (EXIT_INVALID, "")
+        assert err == f"error: argument {flag}: must be nonnegative, got -5\n"
+    for flag in ("--depth", "--max-size"):
+        code, out, err = run(
+            capsys, "find", "--trs", str(data_dir / "shift.trs"), flag, "-2"
+        )
+        assert (code, out) == (EXIT_INVALID, "")
+        assert err == f"error: argument {flag}: must be nonnegative, got -2\n"
+    code, _, err = check(
+        capsys, data_dir, "shift.trs", "shift_loop.json", "leftmost", "--bound", "x"
+    )
+    assert code == EXIT_INVALID
+    assert "invalid int value: 'x'" in err
+
+
 def test_forbidden_pattern_strategy_from_file(capsys, data_dir):
     code, out, _ = check(
         capsys, data_dir, "stream.trs", "stream_loop.json",

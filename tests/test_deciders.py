@@ -12,6 +12,7 @@ from collections import Counter
 import pytest
 
 import genlib
+from loopcert import deciders
 from loopcert import (
     Application,
     ContextSubstitution,
@@ -372,3 +373,25 @@ def test_decider_is_deterministic(factorial, factorial_inner_loop):
     first = decide_loop(factorial, factorial_inner_loop, StrategySpec("outermost"))
     second = decide_loop(factorial, factorial_inner_loop, StrategySpec("outermost"))
     assert verdict_to_document(first) == verdict_to_document(second)
+
+
+def test_each_distinct_problem_is_solved_once_per_decision(
+    monkeypatch, factorial, factorial_loop
+):
+    spec = StrategySpec("max-parallel")
+    instances = step_problems(factorial_loop, factorial, spec)
+    distinct = {inst.problem for inst in instances}
+    assert len(distinct) < len(instances)  # steps repeat problems here
+
+    solved = []
+    solve = deciders.solve_problem
+
+    def counting(problem, config):
+        solved.append(problem)
+        return solve(problem, config)
+
+    monkeypatch.setattr(deciders, "solve_problem", counting)
+    verdict = decide_loop(factorial, factorial_loop, spec)
+    assert len(solved) == len(distinct) and set(solved) == distinct
+    assert verdict.total == len(instances)
+    assert verdict.unsolvable + verdict.solvable + verdict.unknown == len(instances)

@@ -225,6 +225,9 @@ def test_certificate_rejects_malformed_redexes(factorial, data_dir):
     doc["steps"][0][0]["pos"] = [0]
     with pytest.raises(ParseError, match="redex"):
         parse_loop_certificate(json.dumps(doc), factorial)
+    doc["steps"][0][0]["pos"] = [True]
+    with pytest.raises(ParseError, match="redex"):
+        parse_loop_certificate(json.dumps(doc), factorial)
 
 
 # ---------------------------------------------------------------------------

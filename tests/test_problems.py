@@ -11,6 +11,8 @@ import random
 import pytest
 
 import genlib
+from loopcert import problems
+from loopcert.errors import InternalError, LoopcertError
 from loopcert import (
     Application,
     Context,
@@ -138,6 +140,15 @@ def test_solve_matching_witness_reverifies(swap_problem, rotate_problem):
             assert apply_substitution(subject, problem.mu, w.n) == w.sigma.apply(
                 pattern
             )
+
+
+def test_failed_witness_recheck_is_an_internal_error(monkeypatch, swap_problem):
+    # The recheck must survive python -O, and a failure is a bug in the
+    # solver, never reported as bad input.
+    monkeypatch.setattr(problems, "match_many", lambda pairs: None)
+    with pytest.raises(InternalError, match="failed recheck") as caught:
+        solve_matching(swap_problem)
+    assert not isinstance(caught.value, LoopcertError)
 
 
 def test_root_clash_certificate(factorial):

@@ -263,3 +263,89 @@ def test_wrapping_identities_randomized():
     checked, failures = genlib.wrap_identity_failures(rng, 12)
     assert failures == []
     assert checked >= 300
+
+
+# ---------------------------------------------------------------------------
+# Term identity: structural equality over cached hashes and sizes
+
+
+def shape(t):
+    """Structural key of a term, independent of the term classes."""
+    if isinstance(t, Variable):
+        return ("V", t.name)
+    return ("A", t.symbol, tuple(shape(a) for a in t.args))
+
+
+def copy_of(t):
+    """A structurally equal term that shares no node with t."""
+    if isinstance(t, Variable):
+        return Variable(t.name)
+    return Application(t.symbol, tuple(copy_of(a) for a in t.args))
+
+
+def count_nodes(t) -> int:
+    if isinstance(t, Variable):
+        return 1
+    return 1 + sum(count_nodes(a) for a in t.args)
+
+
+# "c" is both a variable name and a symbol, so equal names of different kinds meet.
+term_st = st.recursive(
+    st.one_of(
+        st.sampled_from(["x", "y", "c"]).map(Variable),
+        st.sampled_from(["a", "c"]).map(Application),
+    ),
+    lambda kids: st.builds(
+        lambda f, args: Application(f, tuple(args)),
+        st.sampled_from(["f", "g", "c"]),
+        st.lists(kids, min_size=1, max_size=3),
+    ),
+    max_leaves=10,
+)
+
+
+@given(term_st, term_st, st.booleans(), st.booleans())
+def test_equality_is_structural_whatever_is_cached(t, u, hash_t, hash_u):
+    for a, b in ((t, u), (t, copy_of(t)), (copy_of(u), u)):
+        if hash_t:
+            hash(a)
+        if hash_u:
+            hash(b)
+        assert (a == b) == (shape(a) == shape(b))
+        assert (a != b) == (shape(a) != shape(b))
+        if a == b:
+            assert hash(a) == hash(b)
+
+
+@given(term_st)
+def test_term_size_counts_nodes(t):
+    assert term_size(t) == count_nodes(t)
+    assert term_size(copy_of(t)) == term_size(t)  # fresh nodes, no cache yet
+
+
+@given(term_st, st.dictionaries(st.sampled_from(["x", "y", "z", "w"]), term_st, max_size=3))
+def test_substitution_returns_untouched_terms_themselves(t, mapping):
+    mu = Substitution(mapping)
+    image = mu.apply(t)
+    if not variables_of(t) & mu.domain():
+        assert image is t
+    expected = Substitution({x: copy_of(u) for x, u in mapping.items()}).apply(copy_of(t))
+    assert shape(image) == shape(expected)
+
+
+@given(st.lists(term_st, max_size=8))
+def test_terms_work_as_dict_and_set_keys(ts):
+    index = {}
+    for i, t in enumerate(ts):
+        index.setdefault(t, i)
+    for t in ts:
+        assert index[copy_of(t)] == index[t]
+        assert copy_of(t) in set(ts)
+    assert len(index) == len({shape(t) for t in ts})
+
+
+def test_a_variable_never_equals_a_constant_of_the_same_name():
+    assert Variable("c") != Application("c")
+    assert Application("c") != Variable("c")
+    assert not Variable("c") == Application("c")
+    assert len({Variable("c"), Application("c")}) == 2
