@@ -215,8 +215,13 @@ def _split_families(
     ):
         spots = [(p, u) for p, u in subterms(body) if side(p)]
         for family, subjects_of in zip(families, (lambda u: (u,), sh.images)):
+            seen: set[Term] = set()
             for p, u in spots:
                 for v in subjects_of(u):
+                    # A repeated subject only repeats problems posed above.
+                    if v in seen:
+                        continue
+                    seen.add(v)
                     for ri, rule in enumerate(trs.rules):
                         out.append(
                             ProblemInstance(
