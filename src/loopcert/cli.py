@@ -6,6 +6,7 @@
 check exits 0 when the certificate is a loop under the strategy, 1 when it
 is refuted, 2 when undecided at the bound, 3 on invalid input.  find exits
 0 when it discovers at least one loop, 1 when none, 3 on invalid input.
+Both exit 4 on an internal error, with the traceback on stderr.
 """
 
 from __future__ import annotations
@@ -13,15 +14,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from pathlib import Path
 from typing import Iterable
 
-from .deciders import (
-    STRATEGY_NAMES,
-    DeciderConfig,
-    StrategySpec,
-    decide_loop,
-)
+from .deciders import STRATEGIES, DeciderConfig, StrategySpec, decide_loop
 from .errors import LoopcertError
 from .formats import (
     certificate_to_document,
@@ -33,12 +30,10 @@ from .formats import (
     render_verdict,
 )
 from .loops import LoopCertificate, validate_loop
-from .problems import Solvable  # noqa: F401  (re-exported for scripting)
 from .rewriting import (
-    ContextSensitive,
-    QRestricted,
     Trs,
-    builtin_patterns,
+    context_sensitive_patterns,
+    innermost_patterns,
     match_pattern,
     redex_positions,
     rewrite_at,
@@ -57,30 +52,30 @@ from .terms import (
 
 EXIT_BY_ANSWER = {"yes": 0, "no": 1, "unknown": 2}
 EXIT_INVALID = 3
+EXIT_INTERNAL = 4
+
+# --strategy prefix -> forbidden patterns from the named file's text.
+_PATTERN_SOURCES = {
+    "forbidden:": parse_patterns,
+    "context-sensitive:": lambda text, trs: context_sensitive_patterns(
+        parse_replacement_map(text, trs), trs
+    ),
+    "q-restricted:": lambda text, trs: innermost_patterns(parse_trs(text).lhss()),
+}
 
 
 def resolve_strategy(text: str, trs: Trs) -> StrategySpec:
     """Turn a --strategy argument into a decidable strategy."""
-    if text in STRATEGY_NAMES - {"forbidden"}:
+    if text in STRATEGIES and text != "forbidden":
         return StrategySpec(text)
-    if text.startswith("forbidden:"):
-        path = text[len("forbidden:"):]
-        patterns = parse_patterns(Path(path).read_text(), trs)
-        return StrategySpec("forbidden", patterns, label=text)
-    if text.startswith("context-sensitive:"):
-        path = text[len("context-sensitive:"):]
-        mapping = parse_replacement_map(Path(path).read_text(), trs)
-        patterns = builtin_patterns(ContextSensitive.from_map(mapping), trs)
-        return StrategySpec("forbidden", patterns, label=text)
-    if text.startswith("q-restricted:"):
-        path = text[len("q-restricted:"):]
-        qtrs = parse_trs(Path(path).read_text())
-        patterns = builtin_patterns(QRestricted(qtrs.lhss()), trs)
-        return StrategySpec("forbidden", patterns, label=text)
-    names = ", ".join(sorted(STRATEGY_NAMES - {"forbidden"}))
+    for prefix, patterns_from in _PATTERN_SOURCES.items():
+        if text.startswith(prefix):
+            patterns = patterns_from(Path(text[len(prefix):]).read_text(), trs)
+            return StrategySpec("forbidden", patterns, label=text)
+    names = ", ".join(sorted(set(STRATEGIES) - {"forbidden"}))
+    files = ", ".join(f"{prefix}<file>" for prefix in _PATTERN_SOURCES)
     raise LoopcertError(
-        f"unknown strategy {text!r}; expected one of {names}, or"
-        " forbidden:<file>, context-sensitive:<file>, q-restricted:<file>"
+        f"unknown strategy {text!r}; expected one of {names}, or {files}"
     )
 
 
@@ -256,6 +251,16 @@ def main(argv: Iterable[str] | None = None) -> int:
     except (LoopcertError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
+    except UnicodeDecodeError as e:
+        print(f"error: input is not UTF-8 text: {e}", file=sys.stderr)
+        return EXIT_INVALID
+    except RecursionError:
+        print("error: input nests too deeply to process", file=sys.stderr)
+        return EXIT_INVALID
+    except Exception:
+        # A crash must never read as an answer: exit 1 means "refuted".
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

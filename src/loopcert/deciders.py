@@ -22,13 +22,14 @@ Problem families by strategy:
 Innermost and outermost are the forbidden-pattern encodings over the
 system's own left-hand sides; the parallel variants check each contracted
 position separately and add the maximal-parallel families when required.
+STRATEGIES below says which of these components each named strategy uses.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable
 
 from .errors import ShapeMismatch, VariableRedex
 from .loops import ValidatedLoop, unroll_loop
@@ -44,19 +45,11 @@ from .problems import (
     solve_problem,
 )
 from .rewriting import (
-    ConcreteStrategy,
-    Forbidden,
     ForbiddenPattern,
-    Full,
-    Innermost,
-    InnermostEncoding,
-    Leftmost,
-    MaxParallel,
-    Outermost,
-    OutermostEncoding,
     PatternKind,
     Trs,
-    builtin_patterns,
+    innermost_patterns,
+    outermost_patterns,
     strategy_allows,
 )
 from .terms import (
@@ -77,30 +70,27 @@ from .terms import (
     variable_closure,
 )
 
-SEQUENTIAL_STRATEGIES = frozenset(
-    {
-        "full",
-        "leftmost",
-        "innermost",
-        "outermost",
-        "leftmost-innermost",
-        "leftmost-outermost",
-        "forbidden",
-    }
-)
-
-PARALLEL_STRATEGIES = frozenset(
-    {
-        "parallel",
-        "parallel-innermost",
-        "parallel-outermost",
-        "max-parallel",
-        "max-parallel-innermost",
-        "max-parallel-outermost",
-    }
-)
-
-STRATEGY_NAMES = SEQUENTIAL_STRATEGIES | PARALLEL_STRATEGIES
+# What each strategy means: whether it applies to single-redex certificates
+# only, and its components in report order.  A component is a problem source
+# and a replay check at once: leftmost and max-parallel have their own
+# families; innermost, outermost and forbidden are forbidden-pattern sets,
+# posed at every contracted position of a step.  Full and parallel rewriting
+# have no components, so every loop is a loop under them.
+STRATEGIES: dict[str, tuple[bool, tuple[str, ...]]] = {
+    "full": (True, ()),
+    "leftmost": (True, ("leftmost",)),
+    "innermost": (True, ("innermost",)),
+    "outermost": (True, ("outermost",)),
+    "leftmost-innermost": (True, ("leftmost", "innermost")),
+    "leftmost-outermost": (True, ("leftmost", "outermost")),
+    "forbidden": (True, ("forbidden",)),
+    "parallel": (False, ()),
+    "parallel-innermost": (False, ("innermost",)),
+    "parallel-outermost": (False, ("outermost",)),
+    "max-parallel": (False, ("max-parallel",)),
+    "max-parallel-innermost": (False, ("max-parallel", "innermost")),
+    "max-parallel-outermost": (False, ("max-parallel", "outermost")),
+}
 
 
 @dataclass(frozen=True)
@@ -112,9 +102,9 @@ class StrategySpec:
     label: str | None = None  # how the user spelled it, for reports
 
     def __post_init__(self):
-        if self.name not in STRATEGY_NAMES:
+        if self.name not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.name!r}")
-        if self.patterns and self.name != "forbidden":
+        if self.patterns and "forbidden" not in STRATEGIES[self.name][1]:
             raise ValueError("only the forbidden strategy carries patterns")
         if self.label is None:
             object.__setattr__(self, "label", self.name)
@@ -383,35 +373,28 @@ def step_problems(
     repeat, and each repeat counts as an instance.
     """
     cert = loop.certificate
-    if spec.name in SEQUENTIAL_STRATEGIES and not cert.is_sequential():
+    sequential, components = STRATEGIES[spec.name]
+    if sequential and not cert.is_sequential():
         raise ShapeMismatch(
             f"strategy {spec.label} applies to single-redex steps only"
         )
-    name = spec.name
     sh = _Shared(cert.context, cert.subst)
-    inner = builtin_patterns(InnermostEncoding(), trs) if "innermost" in name else ()
-    outer = builtin_patterns(OutermostEncoding(), trs) if "outermost" in name else ()
+    builtin = {"innermost": innermost_patterns, "outermost": outermost_patterns}
+    patterns = {c: builtin[c](trs.lhss()) for c in components if c in builtin}
+    patterns["forbidden"] = spec.patterns
     out: list[ProblemInstance] = []
     for i, step in enumerate(cert.steps, start=1):
         t = loop.terms[i - 1]
         qs = [q for q, _ in step]
         found: list[ProblemInstance] = []
-        if name in ("leftmost", "leftmost-innermost", "leftmost-outermost"):
-            found += _leftmost(sh, i, t, qs[0], trs)
-        if name in ("innermost", "leftmost-innermost"):
-            found += _pattern_problems(sh, i, t, qs[0], inner)
-        if name in ("outermost", "leftmost-outermost"):
-            found += _pattern_problems(sh, i, t, qs[0], outer)
-        if name == "forbidden":
-            found += _pattern_problems(sh, i, t, qs[0], spec.patterns)
-        if name in ("max-parallel", "max-parallel-innermost", "max-parallel-outermost"):
-            found += _max_parallel(sh, i, t, qs, trs)
-        if name in ("parallel-innermost", "max-parallel-innermost"):
-            for q in qs:
-                found += _pattern_problems(sh, i, t, q, inner)
-        if name in ("parallel-outermost", "max-parallel-outermost"):
-            for q in qs:
-                found += _pattern_problems(sh, i, t, q, outer)
+        for component in components:
+            if component == "leftmost":
+                found += _leftmost(sh, i, t, qs[0], trs)
+            elif component == "max-parallel":
+                found += _max_parallel(sh, i, t, qs, trs)
+            else:
+                for q in qs:
+                    found += _pattern_problems(sh, i, t, q, patterns[component])
         out += _dedup(found)
     return tuple(out)
 
@@ -444,23 +427,10 @@ class DeciderConfig:
     max_term_size: int = 100_000
 
 
-def concrete_checks(spec: StrategySpec, trs: Trs) -> tuple[ConcreteStrategy, ...]:
-    """Step predicates whose conjunction is the strategy, for replay checks."""
-    name = spec.name
-    checks: list[ConcreteStrategy] = []
-    if name in ("leftmost", "leftmost-innermost", "leftmost-outermost"):
-        checks.append(Leftmost())
-    if name in ("innermost", "leftmost-innermost", "parallel-innermost", "max-parallel-innermost"):
-        checks.append(Innermost())
-    if name in ("outermost", "leftmost-outermost", "parallel-outermost", "max-parallel-outermost"):
-        checks.append(Outermost())
-    if name in ("max-parallel", "max-parallel-innermost", "max-parallel-outermost"):
-        checks.append(MaxParallel())
-    if name == "forbidden":
-        checks.append(Forbidden(spec.patterns))
-    if name == "full":
-        checks.append(Full())
-    return tuple(checks)
+def concrete_checks(spec: StrategySpec, trs: Trs) -> tuple[str, ...]:
+    """strategy_allows components whose conjunction is the strategy, for
+    replay checks; no component means every step is allowed."""
+    return STRATEGIES[spec.name][1]
 
 
 def _confirm_violation(
@@ -472,7 +442,8 @@ def _confirm_violation(
         for j, step in enumerate(unrolled.steps):
             qs = [q for q, _ in step]
             if not all(
-                strategy_allows(unrolled.terms[j], qs, trs, chk) for chk in checks
+                strategy_allows(unrolled.terms[j], qs, trs, chk, spec.patterns)
+                for chk in checks
             ):
                 return n, j + 1
     return None

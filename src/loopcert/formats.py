@@ -417,10 +417,6 @@ def _problem_to_document(problem: Problem) -> dict:
     }
 
 
-def _problem_to_text(problem: Problem) -> str:
-    return str(problem)
-
-
 def _instance_to_document(inst: ProblemInstance) -> dict:
     return {
         "step": inst.step,
@@ -511,7 +507,7 @@ def render_verdict(v: Verdict, fmt: str = "text") -> str:
             f"NO: not a loop under strategy {v.strategy}",
             f"  {stats}",
             f"  evidence at {_instance_to_text(ev.instance)}",
-            f"  problem: {_problem_to_text(ev.instance.problem)}",
+            f"  problem: {ev.instance.problem}",
             f"  witness: {witness}",
         ]
         if ev.level is not None:
@@ -523,5 +519,5 @@ def render_verdict(v: Verdict, fmt: str = "text") -> str:
     lines = [f"UNKNOWN: undecided for strategy {v.strategy}", f"  {stats}"]
     for inst in v.open_problems:
         lines.append(f"  open at {_instance_to_text(inst)}")
-        lines.append(f"    problem: {_problem_to_text(inst.problem)}")
+        lines.append(f"    problem: {inst.problem}")
     return "\n".join(lines) + "\n"

@@ -56,10 +56,6 @@ class ValidatedLoop:
     terms: tuple[Term, ...]
     p: Position
 
-    @property
-    def trs_steps(self) -> tuple[Step, ...]:
-        return self.certificate.steps
-
 
 def validate_loop(trs: Trs, cert: LoopCertificate) -> ValidatedLoop:
     """Replay the certificate and check the closing equation."""

@@ -108,7 +108,6 @@ class Solvable:
 @dataclass(frozen=True)
 class Unsolvable:
     reason: UnsolvableReason
-    detail: str = ""
 
 
 @dataclass(frozen=True)
@@ -200,17 +199,12 @@ def _simplify(
             continue
         if isinstance(u, Application):
             if u.symbol != l.symbol or len(u.args) != len(l.args):
-                return Unsolvable(
-                    UnsolvableReason.ROOT_CLASH, f"{u} can never match {l}"
-                )
+                return Unsolvable(UnsolvableReason.ROOT_CLASH)
             match_work.extend(zip(u.args, l.args))
             continue
         # Subject is a variable facing an application pattern.
         if orbit_root(u.name, mu) is None:
-            return Unsolvable(
-                UnsolvableReason.VARIABLE_ORBIT,
-                f"{u} stays a variable under {mu}, never matching {l}",
-            )
+            return Unsolvable(UnsolvableReason.VARIABLE_ORBIT)
         out.match.append((u, l))
     while ident_work:
         a, b = ident_work.pop()
@@ -218,22 +212,16 @@ def _simplify(
             continue
         if isinstance(a, Application) and isinstance(b, Application):
             if a.symbol != b.symbol or len(a.args) != len(b.args):
-                return Unsolvable(
-                    UnsolvableReason.ROOT_CLASH, f"{a} can never equal {b}"
-                )
+                return Unsolvable(UnsolvableReason.ROOT_CLASH)
             ident_work.extend(zip(a.args, b.args))
             continue
         if isinstance(a, Variable) and isinstance(b, Variable):
             out.ident.append((a, b))
             continue
         x = a if isinstance(a, Variable) else b
-        w = b if isinstance(a, Variable) else a
         if orbit_root(x.name, mu) is None:
-            # x stays a variable while w's root never changes.
-            return Unsolvable(
-                UnsolvableReason.VARIABLE_ORBIT,
-                f"{x} stays a variable under {mu}, never equal to {w}",
-            )
+            # x stays a variable while the other side's root never changes.
+            return Unsolvable(UnsolvableReason.VARIABLE_ORBIT)
         out.ident.append((a, b))
     # A binding whose pattern variable is gone from every remaining pattern
     # side can never conflict again; dropping it keeps states comparable.
@@ -275,10 +263,7 @@ def solve_matching(
             return Solvable(Witness(n=offset, sigma=_recheck_matching(problem, offset)))
         key = state.canonical()
         if key in seen:
-            return Unsolvable(
-                UnsolvableReason.CYCLE,
-                f"state at exponent {offset} was already visited",
-            )
+            return Unsolvable(UnsolvableReason.CYCLE)
         seen.add(key)
         covered = offset
         if offset >= config.bound or state.size() > config.max_term_size:
@@ -346,39 +331,32 @@ def _tower_roots(problem: ExtendedMatchingProblem) -> frozenset[str]:
 
 def _extended_scan(
     dn: Term, ln: Term, problem: ExtendedMatchingProblem, config: SolverConfig
-) -> str | None:
-    """Walk D against the pattern; report a refuting clash or None.
+) -> bool:
+    """Walk D against the pattern; whether a refuting clash exists.
 
     Only necessary conditions are checked: rigid symbols of D must agree with
     the pattern, the hole can only expose tower roots, and a substituted
     variable of D must be matchable on its own.
     """
     if isinstance(ln, Variable):
-        return None
+        return False
     if dn == HOLE:
-        if ln.symbol not in _tower_roots(problem):
-            return f"hole can never expose root {ln.symbol!r}"
-        return None
+        return ln.symbol not in _tower_roots(problem)
     if isinstance(dn, Application):
         if dn.symbol != ln.symbol or len(dn.args) != len(ln.args):
-            return f"{dn.symbol!r} clashes with {ln.symbol!r}"
-        for da, la in zip(dn.args, ln.args):
-            bad = _extended_scan(da, la, problem, config)
-            if bad is not None:
-                return bad
-        return None
+            return True
+        return any(
+            _extended_scan(da, la, problem, config) for da, la in zip(dn.args, ln.args)
+        )
     sub = solve_matching(MatchingProblem(((dn, ln),), problem.mu), config)
-    if isinstance(sub, Unsolvable):
-        return f"{dn} can never match {ln}: {sub.detail}"
-    return None
+    return isinstance(sub, Unsolvable)
 
 
 def solve_extended(
     problem: ExtendedMatchingProblem, config: SolverConfig = DEFAULT_CONFIG
 ) -> SolverResult:
-    bad = _extended_scan(problem.d.body, problem.lhs, problem, config)
-    if bad is not None:
-        return Unsolvable(UnsolvableReason.ROOT_CLASH, bad)
+    if _extended_scan(problem.d.body, problem.lhs, problem, config):
+        return Unsolvable(UnsolvableReason.ROOT_CLASH)
     cs = ContextSubstitution(problem.c, problem.mu)
     towers = [problem.t]
     # rows[m] = (next k to try, current D[t(C,mu)^m] mu^k)

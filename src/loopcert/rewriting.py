@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
 from .errors import (
     ArityMismatch,
@@ -28,14 +28,13 @@ from .terms import (
     Application,
     HOLE_SYMBOL,
     Position,
-    PositionRelation,
     Substitution,
     Term,
     Variable,
     are_parallel,
     format_position,
+    is_left_of,
     is_strict_prefix,
-    position_relation,
     replace_at,
     subterm_at,
     subterms,
@@ -221,46 +220,17 @@ class ForbiddenPattern:
         return f"{self.lhs} @ {format_position(self.pos)} : {self.kind.value}"
 
 
-@dataclass(frozen=True)
-class Full:
-    pass
-
-
-@dataclass(frozen=True)
-class Leftmost:
-    pass
-
-
-@dataclass(frozen=True)
-class Innermost:
-    pass
-
-
-@dataclass(frozen=True)
-class Outermost:
-    pass
-
-
-@dataclass(frozen=True)
-class MaxParallel:
-    pass
-
-
-@dataclass(frozen=True)
-class Forbidden:
-    patterns: tuple[ForbiddenPattern, ...]
-
-
-ConcreteStrategy = Union[Full, Leftmost, Innermost, Outermost, MaxParallel, Forbidden]
-
-
 def strategy_allows(
     t: Term,
     step_positions: Iterable[Position],
     trs: Trs,
-    strategy: ConcreteStrategy,
+    check: str,
+    patterns: Iterable[ForbiddenPattern] = (),
 ) -> bool:
-    """Whether contracting exactly the given redex positions respects strategy."""
+    """Whether contracting exactly the given redex positions respects one
+    strategy component: leftmost, innermost, outermost, max-parallel, or
+    forbidden (with its patterns).  Innermost and outermost are checked
+    natively here, independently of their forbidden-pattern encodings."""
     qs = sorted(set(step_positions))
     if not qs:
         raise NotParallel("a step needs at least one position")
@@ -269,25 +239,22 @@ def strategy_allows(
         if q not in redexes:
             raise NotARedex(f"no redex at {format_position(q)} in {t}")
 
-    if isinstance(strategy, Full):
-        return True
-
-    if isinstance(strategy, Leftmost):
+    if check == "leftmost":
         if len(qs) != 1:
             return False
-        return not any(is_left_of_any(r, qs[0]) for r in redexes)
+        return not any(is_left_of(r, qs[0]) for r in redexes)
 
-    if isinstance(strategy, Innermost):
+    if check == "innermost":
         return all(
             not any(is_strict_prefix(q, r) for r in redexes) for q in qs
         )
 
-    if isinstance(strategy, Outermost):
+    if check == "outermost":
         return all(
             not any(is_strict_prefix(r, q) for r in redexes) for q in qs
         )
 
-    if isinstance(strategy, MaxParallel):
+    if check == "max-parallel":
         for i in range(len(qs)):
             for j in range(i + 1, len(qs)):
                 if not are_parallel(qs[i], qs[j]):
@@ -298,11 +265,11 @@ def strategy_allows(
                 return False
         return True
 
-    if isinstance(strategy, Forbidden):
+    if check == "forbidden":
         if len(qs) != 1:
             return False
         q = qs[0]
-        for pat in strategy.patterns:
+        for pat in patterns:
             for oprime, sub in subterms(t):
                 if match_pattern(pat.lhs, sub) is None:
                     continue
@@ -315,83 +282,52 @@ def strategy_allows(
                     return False
         return True
 
-    raise TypeError(f"unknown strategy {strategy!r}")
+    raise ValueError(f"unknown strategy component {check!r}")
 
 
-def is_left_of_any(r: Position, q: Position) -> bool:
-    return position_relation(r, q) is PositionRelation.LEFT_OF
+# Forbidden-pattern sets for the classical strategies.  Innermost forbids
+# reduction strictly above any redex, outermost strictly below; both come out
+# as one pattern per left-hand side.  Q-restricted rewriting is innermost
+# with respect to Q's left-hand sides.
 
 
-@dataclass(frozen=True)
-class InnermostEncoding:
-    pass
+def innermost_patterns(lhss: Iterable[Term]) -> tuple[ForbiddenPattern, ...]:
+    return tuple(ForbiddenPattern(l, (), PatternKind.ABOVE) for l in lhss)
 
 
-@dataclass(frozen=True)
-class OutermostEncoding:
-    pass
+def outermost_patterns(lhss: Iterable[Term]) -> tuple[ForbiddenPattern, ...]:
+    return tuple(ForbiddenPattern(l, (), PatternKind.BELOW) for l in lhss)
 
 
-@dataclass(frozen=True)
-class QRestricted:
-    """Reduction is forbidden strictly below any instance of a Q left-hand side."""
+def context_sensitive_patterns(
+    mapping: Mapping[str, Iterable[int]], trs: Trs
+) -> tuple[ForbiddenPattern, ...]:
+    """Forbid steps at and below every argument the replacement map omits.
 
-    lhss: tuple[Term, ...]
-
-
-@dataclass(frozen=True)
-class ContextSensitive:
-    """Which argument positions of each symbol may be reduced under."""
-
-    replacement: tuple[tuple[str, tuple[int, ...]], ...]
-
-    @staticmethod
-    def from_map(mapping: Mapping[str, Iterable[int]]) -> "ContextSensitive":
-        return ContextSensitive(
-            tuple(sorted((f, tuple(sorted(set(ix)))) for f, ix in mapping.items()))
-        )
-
-
-EncodingKind = Union[InnermostEncoding, OutermostEncoding, QRestricted, ContextSensitive]
-
-
-def builtin_patterns(kind: EncodingKind, trs: Trs) -> tuple[ForbiddenPattern, ...]:
-    """Forbidden-pattern sets for the classical strategies.
-
-    Innermost forbids reduction strictly above any redex, outermost strictly
-    below; both come out as one pattern per left-hand side.  The restricted
-    variant does the same for an arbitrary lhs list, and the context-sensitive
-    encoding forbids steps at and below every non-replacing argument.
+    The map lists, per symbol, the argument indices that may be reduced
+    under; a symbol it does not name keeps all of its arguments.
     """
-    if isinstance(kind, InnermostEncoding):
-        return tuple(ForbiddenPattern(l, (), PatternKind.ABOVE) for l in trs.lhss())
-    if isinstance(kind, OutermostEncoding):
-        return tuple(ForbiddenPattern(l, (), PatternKind.BELOW) for l in trs.lhss())
-    if isinstance(kind, QRestricted):
-        return tuple(ForbiddenPattern(l, (), PatternKind.ABOVE) for l in kind.lhss)
-    if isinstance(kind, ContextSensitive):
-        given = dict(kind.replacement)
-        arities = dict(trs.signature)
-        for f, allowed in given.items():
-            n = arities.get(f)
-            if n is None:
-                raise ArityMismatch(f"replacement map names unknown symbol {f!r}")
-            bad = [i for i in allowed if not 1 <= i <= n]
-            if bad:
-                raise ArityMismatch(
-                    f"replacement map for {f!r} (arity {n}) lists arguments {bad}"
-                )
-        out = []
-        for f, n in trs.signature:
-            allowed = set(given.get(f, range(1, n + 1)))
-            if not n:
+    given = {f: sorted(set(ix)) for f, ix in sorted(mapping.items())}
+    arities = dict(trs.signature)
+    for f, allowed in given.items():
+        n = arities.get(f)
+        if n is None:
+            raise ArityMismatch(f"replacement map names unknown symbol {f!r}")
+        bad = [i for i in allowed if not 1 <= i <= n]
+        if bad:
+            raise ArityMismatch(
+                f"replacement map for {f!r} (arity {n}) lists arguments {bad}"
+            )
+    out = []
+    for f, n in trs.signature:
+        allowed = set(given.get(f, range(1, n + 1)))
+        if not n:
+            continue
+        args = tuple(Variable(f"x{i}") for i in range(1, n + 1))
+        lhs = Application(f, args)
+        for i in range(1, n + 1):
+            if i in allowed:
                 continue
-            args = tuple(Variable(f"x{i}") for i in range(1, n + 1))
-            lhs = Application(f, args)
-            for i in range(1, n + 1):
-                if i in allowed:
-                    continue
-                out.append(ForbiddenPattern(lhs, (i,), PatternKind.HERE))
-                out.append(ForbiddenPattern(lhs, (i,), PatternKind.BELOW))
-        return tuple(out)
-    raise TypeError(f"unknown encoding kind {kind!r}")
+            out.append(ForbiddenPattern(lhs, (i,), PatternKind.HERE))
+            out.append(ForbiddenPattern(lhs, (i,), PatternKind.BELOW))
+    return tuple(out)

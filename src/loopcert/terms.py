@@ -204,14 +204,6 @@ def term_size(t: Term) -> int:
     return n
 
 
-def contains_hole(t: Term) -> bool:
-    if isinstance(t, Variable):
-        return False
-    if t.symbol == HOLE_SYMBOL and not t.args:
-        return True
-    return any(contains_hole(a) for a in t.args)
-
-
 @dataclass(frozen=True)
 class Substitution:
     """Finite mapping from variable names to terms.
@@ -343,10 +335,6 @@ def _count_holes(t: Term) -> int:
     return sum(_count_holes(a) for a in t.args)
 
 
-def hole_position(c: Context) -> Position:
-    return c.hole_pos
-
-
 @dataclass(frozen=True)
 class ContextSubstitution:
     """The pair (C, mu) used to close a loop; mu may not reintroduce holes."""
@@ -356,7 +344,7 @@ class ContextSubstitution:
 
     def __post_init__(self):
         for _, u in self.subst.items():
-            if contains_hole(u):
+            if _count_holes(u) > 0:
                 raise MalformedContext("substitution image contains a hole")
 
 

@@ -32,12 +32,11 @@ from loopcert import (
     apply_context_substitution,
     apply_substitution,
     brute_force_check,
-    builtin_patterns,
     concrete_checks,
     decide_loop,
     find_loops,
-    InnermostEncoding,
-    OutermostEncoding,
+    innermost_patterns,
+    outermost_patterns,
     positions,
     replace_at,
     rewrite_at,
@@ -432,7 +431,7 @@ def coherence_failures(
                 for j, step in enumerate(unrolled.steps):
                     qs = [q for q, _ in step]
                     if not all(
-                        strategy_allows(unrolled.terms[j], qs, trs, chk)
+                        strategy_allows(unrolled.terms[j], qs, trs, chk, spec.patterns)
                         for chk in checks
                     ):
                         failures.append(
@@ -444,7 +443,7 @@ def coherence_failures(
             unrolled = unroll_loop(loop, n)
             qs = [q for q, _ in unrolled.steps[j - 1]]
             if all(
-                strategy_allows(unrolled.terms[j - 1], qs, trs, chk)
+                strategy_allows(unrolled.terms[j - 1], qs, trs, chk, spec.patterns)
                 for chk in checks
             ):
                 failures.append(
@@ -452,15 +451,15 @@ def coherence_failures(
                     f" actually passes (loop {loop.certificate.start})"
                 )
     for name, encoding in (
-        ("innermost", InnermostEncoding()),
-        ("outermost", OutermostEncoding()),
+        ("innermost", innermost_patterns),
+        ("outermost", outermost_patterns),
     ):
         if name not in verdicts:
             continue
         enc = decide_loop(
             trs,
             loop,
-            StrategySpec("forbidden", builtin_patterns(encoding, trs)),
+            StrategySpec("forbidden", encoding(trs.lhss())),
             config,
         )
         if enc.answer != verdicts[name]:

@@ -9,13 +9,15 @@ import os
 import subprocess
 import sys
 
-from loopcert import parse_loop_certificate, parse_term, validate_loop
+import loopcert.cli
+from loopcert import InternalError, parse_loop_certificate, parse_term, validate_loop
 from loopcert.cli import main
 
 EXIT_YES = 0
 EXIT_NO = 1
 EXIT_UNKNOWN = 2
 EXIT_INVALID = 3
+EXIT_INTERNAL = 4
 
 
 def run(capsys, *argv):
@@ -89,6 +91,44 @@ def test_shape_mismatch_exits_three(capsys, data_dir):
     )
     assert code == EXIT_INVALID
     assert "single-redex" in err
+
+
+def both_commands(data_dir, trs_file):
+    loop = str(data_dir / "factorial_loop.json")
+    yield ["check", "--trs", str(trs_file), "--loop", loop, "--strategy", "leftmost"]
+    yield ["find", "--trs", str(trs_file)]
+
+
+def test_non_utf8_input_exits_three(capsys, data_dir, tmp_path):
+    latin1 = tmp_path / "latin1.trs"
+    latin1.write_bytes(b"(RULES caf\xe9 -> b)\n")
+    for argv in both_commands(data_dir, latin1):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_INVALID, "")
+        assert err.startswith("error: input is not UTF-8 text: ")
+        assert err.count("\n") == 1
+
+
+def test_deeply_nested_input_exits_three(capsys, data_dir, tmp_path):
+    deep = tmp_path / "deep.trs"
+    deep.write_text("(VAR x)\n(RULES f(x) -> " + "g(" * 3000 + "x" + ")" * 3000 + ")\n")
+    for argv in both_commands(data_dir, deep):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_INVALID, "")
+        assert err == "error: input nests too deeply to process\n"
+
+
+def test_internal_error_exits_four_with_a_traceback(capsys, data_dir, monkeypatch):
+    def broken(*args, **kwargs):
+        raise InternalError("witness failed recheck")
+
+    monkeypatch.setattr(loopcert.cli, "decide_loop", broken)
+    code, out, err = check(
+        capsys, data_dir, "factorial.trs", "factorial_loop.json", "leftmost"
+    )
+    assert (code, out) == (EXIT_INTERNAL, "")
+    assert err.startswith("Traceback (most recent call last):")
+    assert err.endswith("InternalError: witness failed recheck\n")
 
 
 # ---------------------------------------------------------------------------

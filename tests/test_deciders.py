@@ -13,11 +13,14 @@ import pytest
 
 import genlib
 from loopcert import deciders
+from loopcert.cli import resolve_strategy
 from loopcert import (
+    STRATEGIES,
     Application,
     ContextSubstitution,
     DeciderConfig,
     ForbiddenPattern,
+    LoopcertError,
     PatternKind,
     ShapeMismatch,
     Solvable,
@@ -29,9 +32,9 @@ from loopcert import (
     VariableRedex,
     a_problems,
     apply_context_substitution,
+    concrete_checks,
     decide_loop,
     h_problems,
-    hole_position,
     leftmost_problems,
     match_pattern,
     max_parallel_problems,
@@ -308,7 +311,7 @@ def condition_one_hits(t, q, c, mu, pattern, levels):
     """Levels n <= levels at which some instance of the pattern forbids
     rewriting the wrapped term at p^n q."""
     cs = ContextSubstitution(c, mu)
-    p = hole_position(c)
+    p = c.hole_pos
     hits = []
     for n in range(levels + 1):
         tn = apply_context_substitution(t, cs, n)
@@ -367,6 +370,34 @@ def test_corpus_verdicts_cohere_with_replay(corpus):
         else:
             names = genlib.PARALLEL_COHERENCE
         assert genlib.coherence_failures(trs, loop, names) == []
+
+
+# Problem families each strategy component may emit, by family-name prefix.
+COMPONENT_FAMILIES = {
+    "leftmost": "left-",
+    "max-parallel": "parallel-",
+    "innermost": "pattern-",
+    "outermost": "pattern-",
+    "forbidden": "pattern-",
+}
+
+
+def test_strategy_table_drives_generation_replay_and_resolution(
+    factorial, factorial_inner_loop, factorial_par_inner_loop
+):
+    for name, (sequential, components) in STRATEGIES.items():
+        loop = factorial_inner_loop if sequential else factorial_par_inner_loop
+        spec = StrategySpec(name)
+        prefixes = tuple(COMPONENT_FAMILIES[c] for c in components)
+        families = {inst.family for inst in step_problems(loop, factorial, spec)}
+        assert all(f.startswith(prefixes) for f in families), (name, families)
+        assert concrete_checks(spec, factorial) == components
+        if name == "forbidden":
+            # Bare "forbidden" has no patterns; the CLI wants forbidden:<file>.
+            with pytest.raises(LoopcertError, match="unknown strategy 'forbidden'"):
+                resolve_strategy(name, factorial)
+        else:
+            assert resolve_strategy(name, factorial) == spec
 
 
 def test_decider_is_deterministic(factorial, factorial_inner_loop):

@@ -14,8 +14,6 @@ from loopcert import (
     ArityMismatch,
     DeciderConfig,
     ForbiddenPattern,
-    InnermostEncoding,
-    OutermostEncoding,
     ParseError,
     PatternKind,
     PositionOutOfTerm,
@@ -24,8 +22,9 @@ from loopcert import (
     Substitution,
     Variable,
     VariableLhs,
-    builtin_patterns,
     decide_loop,
+    innermost_patterns,
+    outermost_patterns,
     parse_loop_certificate,
     parse_patterns,
     parse_replacement_map,
@@ -147,8 +146,8 @@ def test_parse_patterns_rejects_unknown_kinds(stream):
 def test_patterns_round_trip(factorial, stream, stream_patterns):
     for trs, patterns in (
         (stream, stream_patterns),
-        (factorial, builtin_patterns(InnermostEncoding(), factorial)),
-        (stream, builtin_patterns(OutermostEncoding(), stream)),
+        (factorial, innermost_patterns(factorial.lhss())),
+        (stream, outermost_patterns(stream.lhss())),
     ):
         assert parse_patterns(render_patterns(patterns), trs) == tuple(patterns)
 

@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from loopcert.cli import main
-from loopcert.deciders import STRATEGY_NAMES
+from loopcert.deciders import STRATEGIES
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden_verdicts.json"
@@ -39,7 +39,7 @@ LOOPS = {
 
 def cases():
     for loop, trs in LOOPS.items():
-        for strategy in sorted(STRATEGY_NAMES - {"forbidden"}):
+        for strategy in sorted(set(STRATEGIES) - {"forbidden"}):
             yield loop, trs, strategy
     yield "stream_loop.json", "stream.trs", "forbidden:stream_patterns.txt"
 

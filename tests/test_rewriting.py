@@ -15,34 +15,28 @@ from loopcert import (
     HOLE,
     Application,
     ArityMismatch,
-    ContextSensitive,
     ContextSubstitution,
     ExtraRhsVariable,
-    Forbidden,
     ForbiddenPattern,
-    Full,
-    Innermost,
-    InnermostEncoding,
-    Leftmost,
-    MaxParallel,
     NotARedex,
     NotParallel,
-    Outermost,
-    OutermostEncoding,
     PatternKind,
     PositionOutOfTerm,
-    QRestricted,
     Rule,
     RuleIndexOutOfRange,
+    StrategySpec,
     Substitution,
     Trs,
     Variable,
     VariableLhs,
     apply_context_substitution,
-    builtin_patterns,
+    concrete_checks,
+    context_sensitive_patterns,
+    innermost_patterns,
     is_left_of,
     match_many,
     match_pattern,
+    outermost_patterns,
     parallel_rewrite,
     parse_term,
     position_relation,
@@ -193,27 +187,32 @@ def test_parallel_rewrite_is_order_independent(factorial, factorial_par_inner_lo
 def test_strategy_allows_examples(factorial, stream, stream_patterns):
     t = parse_term("if(false,s(0),times(fact(s(x),y),s(x)))", factorial)
     # The root redex has the fact redex strictly below it.
-    assert not strategy_allows(t, {()}, factorial, Innermost())
-    assert strategy_allows(t, {()}, factorial, Full())
+    assert not strategy_allows(t, {()}, factorial, "innermost")
+    # Full rewriting has no components: every step is allowed.
+    assert concrete_checks(StrategySpec("full"), factorial) == ()
 
     s = parse_term("2nd(inf(0))", stream)
-    assert strategy_allows(s, {(1,)}, stream, Forbidden(stream_patterns))
+    assert strategy_allows(s, {(1,)}, stream, "forbidden", stream_patterns)
 
 
 def test_strategy_allows_requires_redexes(factorial):
-    with pytest.raises(NotARedex):
-        strategy_allows(parse_term("fact(x,y)", factorial), {(1,)}, factorial, Full())
+    t = parse_term("fact(x,y)", factorial)
+    for check in ("leftmost", "innermost", "outermost", "max-parallel", "forbidden"):
+        with pytest.raises(NotARedex):
+            strategy_allows(t, {(1,)}, factorial, check)
+    with pytest.raises(ValueError, match="unknown strategy component"):
+        strategy_allows(t, {()}, factorial, "full")
 
 
 def test_leftmost_ignores_redexes_above(factorial):
     # Prefix-comparable redexes do not block each other; only a redex at a
     # properly diverging smaller branch does.
     t = parse_term("if(false,s(0),times(fact(s(x),y),s(x)))", factorial)
-    assert strategy_allows(t, {()}, factorial, Leftmost())
-    assert strategy_allows(t, {(3, 1)}, factorial, Leftmost())
+    assert strategy_allows(t, {()}, factorial, "leftmost")
+    assert strategy_allows(t, {(3, 1)}, factorial, "leftmost")
     u = parse_term("times(eq(x,y),eq(y,x))", factorial)
-    assert strategy_allows(u, {(1,)}, factorial, Leftmost())
-    assert not strategy_allows(u, {(2,)}, factorial, Leftmost())
+    assert strategy_allows(u, {(1,)}, factorial, "leftmost")
+    assert not strategy_allows(u, {(2,)}, factorial, "leftmost")
 
 
 def test_leftmost_allowed_positions_form_a_prefix_chain():
@@ -224,7 +223,7 @@ def test_leftmost_allowed_positions_form_a_prefix_chain():
         allowed = [
             q
             for q in {q for q, _ in redex_positions(t, trs)}
-            if strategy_allows(t, {q}, trs, Leftmost())
+            if strategy_allows(t, {q}, trs, "leftmost")
         ]
         assert allowed
         for a, b in itertools.combinations(sorted(allowed), 2):
@@ -234,14 +233,14 @@ def test_leftmost_allowed_positions_form_a_prefix_chain():
 def test_max_parallel_requires_all_parallel_redexes():
     mini = Trs.from_rules([Rule(app("a"), app("b"))], ())
     t = app("f", app("a"), app("a"))
-    assert strategy_allows(t, {(1,), (2,)}, mini, MaxParallel())
-    assert not strategy_allows(t, {(1,)}, mini, MaxParallel())
+    assert strategy_allows(t, {(1,), (2,)}, mini, "max-parallel")
+    assert not strategy_allows(t, {(1,)}, mini, "max-parallel")
 
 
 def test_outermost_rejects_redexes_above(factorial):
     t = parse_term("if(false,s(0),times(fact(s(x),y),s(x)))", factorial)
-    assert strategy_allows(t, {()}, factorial, Outermost())
-    assert not strategy_allows(t, {(3, 1)}, factorial, Outermost())
+    assert strategy_allows(t, {()}, factorial, "outermost")
+    assert not strategy_allows(t, {(3, 1)}, factorial, "outermost")
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +248,7 @@ def test_outermost_rejects_redexes_above(factorial):
 
 
 def test_builtin_patterns_innermost(factorial):
-    pats = builtin_patterns(InnermostEncoding(), factorial)
+    pats = innermost_patterns(factorial.lhss())
     assert len(pats) == 12
     assert set(pats) == {
         ForbiddenPattern(rule.lhs, (), PatternKind.ABOVE) for rule in factorial.rules
@@ -257,7 +256,7 @@ def test_builtin_patterns_innermost(factorial):
 
 
 def test_builtin_patterns_outermost(stream):
-    pats = builtin_patterns(OutermostEncoding(), stream)
+    pats = outermost_patterns(stream.lhss())
     assert set(pats) == {
         ForbiddenPattern(rule.lhs, (), PatternKind.BELOW) for rule in stream.rules
     }
@@ -266,12 +265,13 @@ def test_builtin_patterns_outermost(stream):
 
 def test_builtin_patterns_q_restricted(factorial):
     chk = factorial.rules[10]
-    pats = builtin_patterns(QRestricted((chk.lhs,)), factorial)
+    # Q-restricted rewriting is innermost with respect to Q's left-hand sides.
+    pats = innermost_patterns((chk.lhs,))
     assert pats == (ForbiddenPattern(chk.lhs, (), PatternKind.ABOVE),)
 
 
 def test_builtin_patterns_context_sensitive(stream):
-    pats = builtin_patterns(ContextSensitive.from_map({"cons": (1,)}), stream)
+    pats = context_sensitive_patterns({"cons": (1,)}, stream)
     lhs = app("cons", v("x1"), v("x2"))
     assert set(pats) == {
         ForbiddenPattern(lhs, (2,), PatternKind.HERE),
@@ -281,9 +281,9 @@ def test_builtin_patterns_context_sensitive(stream):
 
 def test_builtin_patterns_context_sensitive_validation(stream):
     with pytest.raises(ArityMismatch):
-        builtin_patterns(ContextSensitive.from_map({"bogus": (1,)}), stream)
+        context_sensitive_patterns({"bogus": (1,)}, stream)
     with pytest.raises(ArityMismatch):
-        builtin_patterns(ContextSensitive.from_map({"cons": (3,)}), stream)
+        context_sensitive_patterns({"cons": (3,)}, stream)
 
 
 def test_encodings_agree_with_native_checks():
@@ -293,15 +293,15 @@ def test_encodings_agree_with_native_checks():
     checked = 0
     while checked < 1000:
         trs = genlib.random_looping_trs(rng)
-        inner = Forbidden(builtin_patterns(InnermostEncoding(), trs))
-        outer = Forbidden(builtin_patterns(OutermostEncoding(), trs))
+        inner = innermost_patterns(trs.lhss())
+        outer = outermost_patterns(trs.lhss())
         for _ in range(25):
             t, q = genlib.random_redex_instance(rng, trs)
-            assert strategy_allows(t, {q}, trs, Innermost()) == strategy_allows(
-                t, {q}, trs, inner
+            assert strategy_allows(t, {q}, trs, "innermost") == strategy_allows(
+                t, {q}, trs, "forbidden", inner
             )
-            assert strategy_allows(t, {q}, trs, Outermost()) == strategy_allows(
-                t, {q}, trs, outer
+            assert strategy_allows(t, {q}, trs, "outermost") == strategy_allows(
+                t, {q}, trs, "forbidden", outer
             )
             checked += 1
 

@@ -26,7 +26,6 @@ from loopcert import (
     apply_substitution,
     are_parallel,
     format_position,
-    hole_position,
     is_left_of,
     is_prefix,
     is_strict_prefix,
@@ -195,15 +194,15 @@ def test_variable_closure_covers_iterated_images():
 
 
 def test_hole_position_examples(factorial, stream):
-    assert hole_position(
-        Context.from_term(parse_term("times([],s(x))", factorial, allow_hole=True))
-    ) == (1,)
-    assert hole_position(
-        Context.from_term(parse_term("cons(x,[])", stream, allow_hole=True))
-    ) == (2,)
-    assert hole_position(
-        Context.from_term(parse_term("[]", factorial, allow_hole=True))
-    ) == ()
+    assert Context.from_term(
+        parse_term("times([],s(x))", factorial, allow_hole=True)
+    ).hole_pos == (1,)
+    assert Context.from_term(
+        parse_term("cons(x,[])", stream, allow_hole=True)
+    ).hole_pos == (2,)
+    assert Context.from_term(
+        parse_term("[]", factorial, allow_hole=True)
+    ).hole_pos == ()
 
 
 def test_malformed_contexts():
