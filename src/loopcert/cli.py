@@ -12,15 +12,16 @@ Both exit 4 on an internal error, with the traceback on stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import traceback
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable
 
 from .deciders import STRATEGIES, DeciderConfig, StrategySpec, decide_loop
 from .errors import LoopcertError
 from .formats import (
+    _json,
     certificate_to_document,
     parse_loop_certificate,
     parse_patterns,
@@ -42,9 +43,11 @@ from .terms import (
     Application,
     Context,
     HOLE,
+    Position,
     Substitution,
     Term,
     Variable,
+    are_parallel,
     replace_at,
     subterms,
     term_size,
@@ -79,40 +82,6 @@ def resolve_strategy(text: str, trs: Trs) -> StrategySpec:
     )
 
 
-def _canonical_certificate_key(cert: LoopCertificate):
-    """Certificates that differ only by variable names share one key."""
-    order: list[str] = []
-
-    def note(t: Term):
-        if isinstance(t, Variable):
-            if t.name not in order:
-                order.append(t.name)
-        else:
-            for a in t.args:
-                note(a)
-
-    note(cert.start)
-    note(cert.context.body)
-    for x, _ in cert.subst.items():
-        if x not in order:
-            order.append(x)
-    rename = {name: f"v{i}" for i, name in enumerate(order)}
-
-    def rn(t: Term) -> Term:
-        if isinstance(t, Variable):
-            return Variable(rename.get(t.name, t.name))
-        return Application(t.symbol, tuple(rn(a) for a in t.args))
-
-    return (
-        str(rn(cert.start)),
-        cert.steps,
-        str(rn(cert.context.body)),
-        tuple(
-            sorted((rename.get(x, x), str(rn(u))) for x, u in cert.subst.items())
-        ),
-    )
-
-
 def find_loops(
     trs: Trs,
     depth: int = 5,
@@ -124,48 +93,78 @@ def find_loops(
     From each start term (every rule's left-hand side unless one is given),
     explore rewrites up to the depth, and whenever a hit term s contains an
     instance of the start at position p, emit the certificate closing with
-    context s[p <- hole] and the matching substitution.
+    context s[p <- hole] and the matching substitution.  Rewriting and
+    matching commute with variable renaming, so a start that is a variant of
+    an earlier one would only yield renamed copies: it is skipped.
+
+    Each explored term carries its redexes and its start matches in preorder,
+    which is tuple order on positions.  For s2 = s[q <- c], hits parallel to
+    q are kept, the strict prefixes of q are rechecked, and only the
+    contractum c is scanned.
     """
-    if start is not None:
-        starts: list[Term] = [start]
-    else:
-        starts = []
-        for rule in trs.rules:
-            if rule.lhs not in starts:
-                starts.append(rule.lhs)
+    starts: list[Term] = []
+    keys = set()
+    for t0 in trs.lhss() if start is None else (start,):
+        # Variables renamed by first occurrence: variants share one key.
+        names = dict.fromkeys(u.name for _, u in subterms(t0) if isinstance(u, Variable))
+        rename = {x: Variable(f"v{i}") for i, x in enumerate(names)}
+        key = Substitution(rename).apply(t0)
+        if key not in keys:
+            keys.add(key)
+            starts.append(t0)
+    by_root = trs.rules_by_root
     found: list[LoopCertificate] = []
-    seen = set()
     for t0 in starts:
         root = t0.symbol if isinstance(t0, Application) else None
-        frontier: list[tuple[Term, tuple]] = [(t0, ())]
+
+        def instances(pairs, at: Position = ()) -> list[tuple[Position, Substitution]]:
+            out = []
+            for p, sub in pairs:
+                if root is None or getattr(sub, "symbol", None) == root:
+                    mu = match_pattern(t0, sub)
+                    if mu is not None:
+                        out.append((at + p, mu))
+            return out
+
+        frontier = [(t0, (), redex_positions(t0, trs), instances(subterms(t0)))]
         visited = {t0}
-        for _ in range(depth):
-            nxt: list[tuple[Term, tuple]] = []
-            for s, path in frontier:
-                for q, ri in redex_positions(s, trs):
+        for level in range(depth):
+            expand = level < depth - 1
+            nxt = []
+            for s, path, redexes, hits in frontier:
+                for q, ri in redexes:
                     s2 = rewrite_at(s, q, trs.rules[ri])
                     if term_size(s2) > max_size or s2 in visited:
                         continue
                     visited.add(s2)
                     path2 = path + ((q, ri),)
-                    nxt.append((s2, path2))
-                    for p, sub in subterms(s2):
-                        if root is not None and getattr(sub, "symbol", None) != root:
-                            continue
-                        mu = match_pattern(t0, sub)
-                        if mu is None:
-                            continue
+                    spine = []
+                    c = s2
+                    for k, i in enumerate(q):
+                        spine.append((q[:k], c))
+                        c = c.args[i - 1]
+                    hits2 = [h for h in hits if are_parallel(h[0], q)]
+                    hits2 += instances(spine) + instances(subterms(c), q)
+                    hits2.sort(key=itemgetter(0))
+                    steps = tuple((pair,) for pair in path2)
+                    for p, mu in hits2:
                         cert = LoopCertificate(
-                            t0,
-                            tuple((pair,) for pair in path2),
-                            Context(replace_at(s2, p, HOLE), p),
-                            mu,
+                            t0, steps, Context(replace_at(s2, p, HOLE), p), mu
                         )
                         validate_loop(trs, cert)
-                        key = _canonical_certificate_key(cert)
-                        if key not in seen:
-                            seen.add(key)
-                            found.append(cert)
+                        found.append(cert)
+                    if expand:
+                        # Sorting is stable, so each position keeps rule order.
+                        redexes2 = [r for r in redexes if are_parallel(r[0], q)]
+                        redexes2 += [(q + p, i) for p, i in redex_positions(c, trs)]
+                        redexes2 += [
+                            (p, i)
+                            for p, u in spine
+                            for i, rule in by_root.get(u.symbol, ())
+                            if match_pattern(rule.lhs, u) is not None
+                        ]
+                        redexes2.sort(key=itemgetter(0))
+                        nxt.append((s2, path2, redexes2, hits2))
             frontier = nxt
     return tuple(found)
 
@@ -234,8 +233,7 @@ def cmd_find(args) -> int:
     trs = parse_trs(Path(args.trs).read_text())
     start = parse_term(args.start, trs) if args.start is not None else None
     loops = find_loops(trs, depth=args.depth, max_size=args.max_size, start=start)
-    docs = [certificate_to_document(c) for c in loops]
-    sys.stdout.write(json.dumps(docs, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(_json([certificate_to_document(c) for c in loops]))
     return 0 if loops else 1
 
 

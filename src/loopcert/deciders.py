@@ -67,6 +67,7 @@ from .terms import (
     positions,
     subterm_at,
     subterms,
+    term_size,
     variable_closure,
 )
 
@@ -434,11 +435,15 @@ def concrete_checks(spec: StrategySpec, trs: Trs) -> tuple[str, ...]:
 
 
 def _confirm_violation(
-    trs: Trs, loop: ValidatedLoop, spec: StrategySpec, levels: int
+    trs: Trs, loop: ValidatedLoop, spec: StrategySpec, levels: int, max_size: int
 ) -> tuple[int, int] | None:
+    """Level and step of the first concrete violation, or None when none is
+    found up to the level cap or before a level's terms outgrow max_size."""
     checks = concrete_checks(spec, trs)
     for n in range(levels + 1):
         unrolled = unroll_loop(loop, n)
+        if any(term_size(t) > max_size for t in unrolled.terms):
+            return None
         for j, step in enumerate(unrolled.steps):
             qs = [q for q, _ in step]
             if not all(
@@ -484,7 +489,7 @@ def decide_loop(
             if config.unroll is not None
             else exponent + len(loop.certificate.steps) + 4
         )
-        confirmed = _confirm_violation(trs, loop, spec, levels)
+        confirmed = _confirm_violation(trs, loop, spec, levels, config.max_term_size)
         level, vstep = confirmed if confirmed is not None else (None, None)
         return Verdict(
             "no",

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Iterable
 
 from .deciders import Evidence, ProblemInstance, Verdict
@@ -380,7 +381,37 @@ def render_loop_certificate(cert: LoopCertificate) -> str:
 
 
 def _json(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """Canonical JSON: byte-identical to
+    ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"`` for documents of
+    str, int, None, lists and dicts with str keys; any other value raises
+    TypeError, so a bool or float cannot render silently."""
+    return _json_value(doc, "\n") + "\n"
+
+
+def _json_value(v, newline: str) -> str:
+    cls = v.__class__
+    if cls is str:
+        return encode_basestring_ascii(v)
+    if cls is int:
+        return int.__repr__(v)
+    if v is None:
+        return "null"
+    inner = newline + "  "
+    if cls is list:
+        if not v:
+            return "[]"
+        items = [_json_value(x, inner) for x in v]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if cls is dict:
+        if not v:
+            return "{}"
+        # encode_basestring_ascii raises TypeError on a key that is not a str.
+        items = [
+            encode_basestring_ascii(k) + ": " + _json_value(v[k], inner)
+            for k in sorted(v)
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"cannot render {cls.__name__} as JSON")
 
 
 def _subst_to_document(mu: Substitution) -> dict:

@@ -133,8 +133,8 @@ def is_left_of(p: Position, q: Position) -> bool:
 
 
 def are_parallel(p: Position, q: Position) -> bool:
-    r = position_relation(p, q)
-    return r is PositionRelation.LEFT_OF or r is PositionRelation.RIGHT_OF
+    n = min(len(p), len(q))
+    return p[:n] != q[:n]
 
 
 def is_prefix(p: Position, q: Position) -> bool:
@@ -170,14 +170,15 @@ def subterm_at(t: Term, p: Position) -> Term:
 
 
 def replace_at(t: Term, p: Position, s: Term) -> Term:
-    if not p:
-        return s
-    if not isinstance(t, Application) or not 1 <= p[0] <= len(t.args):
-        raise PositionOutOfTerm(f"no position {format_position(p)} in {t}")
-    i = p[0]
-    args = list(t.args)
-    args[i - 1] = replace_at(args[i - 1], p[1:], s)
-    return Application(t.symbol, tuple(args))
+    spine = []
+    for k, i in enumerate(p):
+        if not isinstance(t, Application) or not 1 <= i <= len(t.args):
+            raise PositionOutOfTerm(f"no position {format_position(p[k:])} in {t}")
+        spine.append((t, i))
+        t = t.args[i - 1]
+    for u, i in reversed(spine):
+        s = Application(u.symbol, u.args[: i - 1] + (s,) + u.args[i:])
+    return s
 
 
 def variables_of(t: Term) -> frozenset[str]:
@@ -216,8 +217,11 @@ class Substitution:
     _map: Mapping[str, Term] = field(compare=False, repr=False, hash=False, default=None)
 
     def __init__(self, mapping: Mapping[str, Term] | None = None):
-        mapping = dict(mapping or {})
-        kept = {x: u for x, u in mapping.items() if u != Variable(x)}
+        kept = {
+            x: u
+            for x, u in (mapping or {}).items()
+            if u.__class__ is not Variable or u.name != x
+        }
         object.__setattr__(self, "bindings", tuple(sorted(kept.items())))
         object.__setattr__(self, "_map", kept)
 

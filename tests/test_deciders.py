@@ -7,6 +7,7 @@ replay of the unrolled derivations.
 """
 
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -38,12 +39,17 @@ from loopcert import (
     leftmost_problems,
     match_pattern,
     max_parallel_problems,
+    parse_loop_certificate,
     parse_term,
+    parse_trs,
     positions,
     solve_matching,
     solve_position_equation,
     step_problems,
     subterm_at,
+    term_size,
+    unroll_loop,
+    validate_loop,
     verdict_to_document,
 )
 
@@ -215,6 +221,31 @@ def test_shift_loop_needs_exponent_nine(shift, shift_loop):
     )
     assert low.answer == "unknown"
     assert len(low.open_problems) == 1
+
+
+def test_confirmation_stops_where_terms_outgrow_the_size_limit():
+    # mu doubles x, so level n of the unrolled loop holds 2^n copies of it,
+    # while the witness puts the first violation at level 15 (g(s^14(y))
+    # turns up left of the step), far past the level the limit stops at.
+    trs = parse_trs(
+        "(VAR x y)\n(RULES\n  f(x,y) -> h(g(y),f(d(x,x),s(y)))\n"
+        f"  g({'s(' * 14}x{')' * 14}) -> x\n)\n"
+    )
+    cert = parse_loop_certificate(
+        '{"start": "f(x,y)", "steps": [[{"pos": [], "rule": 0}]],'
+        ' "context": "h(g(y),[])", "subst": {"x": "d(x,x)", "y": "s(y)"}}',
+        trs,
+    )
+    loop = validate_loop(trs, cert)
+    assert term_size(unroll_loop(loop, 10).terms[0]) > 1000
+    began = time.perf_counter()
+    capped = decide_loop(
+        trs, loop, StrategySpec("leftmost"), DeciderConfig(max_term_size=1000)
+    )
+    assert time.perf_counter() - began < 0.5
+    assert capped.answer == "no"
+    assert capped.evidence.result.witness.n == 14
+    assert capped.evidence.level is None
 
 
 def test_parallel_loop_verdicts(

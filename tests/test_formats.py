@@ -8,6 +8,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import genlib
 from loopcert import (
@@ -36,6 +38,7 @@ from loopcert import (
     render_trs,
     render_verdict,
 )
+from loopcert.formats import _json
 
 
 # ---------------------------------------------------------------------------
@@ -300,3 +303,40 @@ def test_bound_appears_in_the_document(shift, shift_loop):
     doc = json.loads(render_verdict(verdict, "json"))
     assert doc["bound"] == 4
     assert doc["verdict"] == "unknown"
+
+
+# ---------------------------------------------------------------------------
+# The canonical JSON writer
+
+# Surrogates (category Cs) are excluded by default; keep them in, lone ones
+# included, next to quotes, backslashes and control characters.
+json_text_st = st.text(
+    st.one_of(
+        st.characters(exclude_categories=()),
+        st.sampled_from('"\\/\x00\x1f\x7f\u2028\ud800\udfff'),
+    ),
+    max_size=12,
+)
+json_doc_st = st.recursive(
+    st.none()
+    | st.integers()
+    | st.integers(min_value=-(2**80), max_value=2**80)
+    | json_text_st,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(json_text_st, children, max_size=4),
+    max_leaves=24,
+)
+
+
+@given(json_doc_st)
+def test_json_writer_matches_json_dumps(doc):
+    assert _json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [True, 1.5, (1, 2)])
+def test_json_writer_rejects_other_types(value):
+    for doc in (value, [value], {"key": value}):
+        with pytest.raises(TypeError):
+            _json(doc)
+    with pytest.raises(TypeError):
+        _json({1: "not a str key"})

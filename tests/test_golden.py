@@ -1,4 +1,4 @@
-"""Pinned `check --format json` output for the whole file corpus.
+"""Pinned `check --format json` and `find` output.
 
 Every certificate under tests/data is checked under each built-in strategy,
 plus the stream loop under its pattern file.  Exit code, stdout and stderr
@@ -7,23 +7,48 @@ term representation, problem generation or solving that alters a verdict,
 a count, the report order or the chosen evidence shows up here.  Files are
 named relative to tests/data, which keeps paths out of the pinned text.
 
-Regenerate the table only for an intended output change:
+`find` runs on every system under tests/data at depths 0-8, from two given
+start terms, on a system whose rules have variant left-hand sides, and on 50
+seeded random systems (every other one with a variant left-hand side added);
+tests/data/golden_find.json pins each run's exit code, certificate count and
+the sha256 of its stdout, so a change to the search, its deduplication or
+the JSON writer that alters a single byte shows up here.
+
+Regenerate a table only for an intended output change:
 
     PYTHONPATH=src python tests/test_golden.py > tests/data/golden_verdicts.json
+    PYTHONPATH=src python tests/test_golden.py find > tests/data/golden_find.json
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
+import random
 import sys
+import tempfile
 from pathlib import Path
 
+from genlib import VARS, random_looping_trs, random_term
 from loopcert.cli import main
 from loopcert.deciders import STRATEGIES
+from loopcert.formats import TrsDocument, render_trs
+from loopcert.rewriting import Rule
+from loopcert.terms import Application, Variable
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden_verdicts.json"
+GOLDEN_FIND = DATA / "golden_find.json"
+
+# Starts f(x,y) and f(y,x) are variants: the second adds no certificate.
+VARIANT_TRS = """(VAR x y)
+(RULES
+  f(x,y) -> h(f(y,x),s(x))
+  f(y,x) -> f(s(x),y)
+  h(x,f(x,y)) -> f(y,x)
+)
+"""
 
 LOOPS = {
     "factorial_loop.json": "factorial.trs",
@@ -68,7 +93,63 @@ def test_check_output_matches_the_pinned_table(monkeypatch):
         assert got == golden[key], key
 
 
+def find_cases(tmp: Path):
+    """(name, find arguments) pairs; generated systems are written under tmp."""
+    for trs in sorted(p.name for p in DATA.glob("*.trs")):
+        for depth in range(9):
+            yield f"{trs} depth {depth}", ["--trs", trs, "--depth", str(depth)]
+    for start, depth in (("fact(x,y)", "6"), ("fact(s(x),s(y))", "7")):
+        argv = ["--trs", "factorial.trs", "--start", start, "--depth", depth]
+        yield f"factorial.trs start {start}", argv
+    variant = tmp / "variant.trs"
+    variant.write_text(VARIANT_TRS)
+    for depth in ("4", "6"):
+        yield f"variant depth {depth}", ["--trs", str(variant), "--depth", depth]
+    x, y = Variable("x"), Variable("y")
+    for seed in range(50):
+        rng = random.Random(seed)
+        rules = list(random_looping_trs(rng).rules)
+        if seed % 2:
+            at = rng.randint(1, len(rules))
+            rules.insert(at, Rule(Application("f", (y, x)), random_term(rng, ("x", "y"), 2)))
+        path = tmp / f"random{seed}.trs"
+        path.write_text(render_trs(TrsDocument(VARS, tuple(rules))))
+        depth = str(rng.randint(1, 5))
+        yield f"random {seed} depth {depth}", ["--trs", str(path), "--depth", depth]
+
+
+def run_find(argv: list[str]) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["find", *argv])
+    text = out.getvalue()
+    return {
+        "exit": code,
+        "certificates": len(json.loads(text)),
+        "sha256": hashlib.sha256(text.encode()).hexdigest(),
+        "stderr": err.getvalue(),
+    }
+
+
+def current_find_table(tmp: Path) -> dict:
+    return {name: run_find(argv) for name, argv in find_cases(tmp)}
+
+
+def test_find_output_matches_the_pinned_table(monkeypatch, tmp_path):
+    monkeypatch.chdir(DATA)
+    golden = json.loads(GOLDEN_FIND.read_text())
+    table = current_find_table(tmp_path)
+    assert sorted(table) == sorted(golden)
+    for key, got in table.items():
+        assert got == golden[key], key
+
+
 if __name__ == "__main__":
     os.chdir(DATA)
-    json.dump(current_table(), sys.stdout, sort_keys=True, indent=1)
+    if sys.argv[1:] == ["find"]:
+        with tempfile.TemporaryDirectory() as tmp:
+            table = current_find_table(Path(tmp))
+    else:
+        table = current_table()
+    json.dump(table, sys.stdout, sort_keys=True, indent=1)
     sys.stdout.write("\n")
