@@ -54,7 +54,6 @@ from .rewriting import (
 )
 from .terms import (
     Context,
-    ContextSubstitution,
     Position,
     Substitution,
     Term,
@@ -140,7 +139,6 @@ class _Shared:
     def __init__(self, c: Context, mu: Substitution):
         self.c = c
         self.mu = mu
-        self.cs = ContextSubstitution(c, mu)
         self.c_mu = c.substitute(mu)
         # C restricted to each strict prefix of its hole position, shortest first.
         self.subcontexts = [c.subcontext(c.hole_pos[:cut]) for cut in range(len(c.hole_pos))]
@@ -151,7 +149,7 @@ class _Shared:
         """t(C, mu)^n; each level is built once."""
         row = self._towers.setdefault(t, [t])
         while len(row) <= n:
-            row.append(apply_context_substitution(row[-1], self.cs, 1))
+            row.append(apply_context_substitution(row[-1], self.c, self.mu, 1))
         return row[n]
 
     def images(self, u: Term) -> list[Term]:
@@ -353,14 +351,6 @@ def a_problems(
     """
     sh = _Shared(c, mu)
     return _dedup(_cross(sh, 0, q, pattern, _above_frame(sh, t, q, pattern.pos)))
-
-
-def b_problems(
-    t: Term, q: Position, c: Context, mu: Substitution, pattern: ForbiddenPattern
-) -> tuple[ProblemInstance, ...]:
-    """Step forbidden strictly below the designated position."""
-    sh = _Shared(c, mu)
-    return _dedup(_cross(sh, 0, q, pattern, _below_frame(sh, t, q, pattern.pos)))
 
 
 def step_problems(

@@ -27,7 +27,6 @@ from .errors import ArityMismatch, ParseError, RuleIndexOutOfRange
 from .loops import LoopCertificate, Step
 from .problems import (
     ExtendedMatchingProblem,
-    IdentityProblem,
     MatchingProblem,
     Problem,
     Witness,
@@ -242,10 +241,10 @@ def _parse_position_text(text: str, line: int, col: int) -> Position:
     if text == "eps":
         return ()
     parts = text.split(".")
-    try:
-        pos = tuple(int(p) for p in parts)
-    except ValueError:
-        raise ParseError(f"bad position {text!r}", line, col) from None
+    # ASCII digits only: int() would also read '1_0' as 10, and '+1'.
+    if not all(p.isascii() and p.isdigit() for p in parts):
+        raise ParseError(f"bad position {text!r}", line, col)
+    pos = tuple(int(p) for p in parts)
     if any(i < 1 for i in pos):
         raise ParseError(f"position indices start at 1: {text!r}", line, col)
     return pos
@@ -256,6 +255,7 @@ def parse_patterns(text: str, trs: Trs) -> tuple[ForbiddenPattern, ...]:
     out = []
     while ts.peek().kind != "eof":
         lhs = _parse_term(ts, trs.variables, allow_hole=False)
+        _check_arities(lhs, dict(trs.signature))
         ts.expect("at")
         ptok = ts.expect("ident")
         pos = _parse_position_text(ptok.text, ptok.line, ptok.col)
@@ -290,14 +290,17 @@ def parse_replacement_map(text: str, trs: Trs) -> dict[str, tuple[int, ...]]:
         name = name.strip()
         if not name or any(ch not in IDENT_CHARS for ch in name):
             raise ParseError(f"bad symbol name {name!r}", lineno, 1)
-        rest = rest.strip()
         indices: list[int] = []
-        if rest:
+        if rest.strip():
+            col = raw.index(":") + 2  # column just after the colon
             for part in rest.split(","):
-                part = part.strip()
-                if not part.isdigit():
-                    raise ParseError(f"bad argument index {part!r}", lineno, 1)
-                indices.append(int(part))
+                digits = part.strip()
+                # ASCII digits only: '²'.isdigit() holds, but int('²') raises.
+                if not (digits.isascii() and digits.isdigit()):
+                    at = col + len(part) - len(part.lstrip())
+                    raise ParseError(f"bad argument index {digits!r}", lineno, at)
+                indices.append(int(digits))
+                col += len(part) + 1
         if name in out:
             raise ParseError(f"symbol {name!r} listed twice", lineno, 1)
         out[name] = tuple(sorted(set(indices)))
@@ -428,13 +431,6 @@ def _problem_to_document(problem: Problem) -> dict:
             "identities": [
                 {"left": str(a), "right": str(b)} for a, b in problem.identities
             ],
-            "mu": _subst_to_document(problem.mu),
-        }
-    if isinstance(problem, IdentityProblem):
-        return {
-            "type": "identity",
-            "left": str(problem.u),
-            "right": str(problem.v),
             "mu": _subst_to_document(problem.mu),
         }
     assert isinstance(problem, ExtendedMatchingProblem)

@@ -11,14 +11,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ClosingMismatch, NotARedex, NotParallel, RuleIndexOutOfRange
+from .errors import (
+    ClosingMismatch,
+    MalformedContext,
+    NotARedex,
+    NotParallel,
+    RuleIndexOutOfRange,
+)
 from .rewriting import Trs, parallel_rewrite
 from .terms import (
     Context,
-    ContextSubstitution,
     Position,
     Substitution,
     Term,
+    _count_holes,
     apply_context_substitution,
 )
 
@@ -36,13 +42,13 @@ class LoopCertificate:
     def __post_init__(self):
         if not self.steps:
             raise NotParallel("a certificate needs at least one step")
+        # An image of mu with a hole would leave stray holes in t(C, mu)^n.
+        if any(_count_holes(u) for _, u in self.subst.items()):
+            raise MalformedContext("substitution image contains a hole")
         # Fix an order inside each parallel step so replay is deterministic.
         object.__setattr__(
             self, "steps", tuple(tuple(sorted(step)) for step in self.steps)
         )
-
-    def closing(self) -> ContextSubstitution:
-        return ContextSubstitution(self.context, self.subst)
 
     def is_sequential(self) -> bool:
         return all(len(step) == 1 for step in self.steps)
@@ -54,7 +60,6 @@ class ValidatedLoop:
 
     certificate: LoopCertificate
     terms: tuple[Term, ...]
-    p: Position
 
 
 def validate_loop(trs: Trs, cert: LoopCertificate) -> ValidatedLoop:
@@ -65,10 +70,10 @@ def validate_loop(trs: Trs, cert: LoopCertificate) -> ValidatedLoop:
             terms.append(parallel_rewrite(terms[-1], step, trs))
         except (NotARedex, NotParallel, RuleIndexOutOfRange) as e:
             raise type(e)(f"step {i}: {e}") from None
-    expected = apply_context_substitution(cert.start, cert.closing(), 1)
+    expected = apply_context_substitution(cert.start, cert.context, cert.subst, 1)
     if terms[-1] != expected:
         raise ClosingMismatch(expected, terms[-1])
-    return ValidatedLoop(cert, tuple(terms), cert.context.hole_pos)
+    return ValidatedLoop(cert, tuple(terms))
 
 
 @dataclass(frozen=True)
@@ -81,10 +86,10 @@ def unroll_loop(loop: ValidatedLoop, n: int) -> UnrolledDerivation:
     """Iteration n of the loop: terms t_i(C, mu)^n, positions prefixed by p^n."""
     if n < 0:
         raise ValueError("unroll level must be nonnegative")
-    cs = loop.certificate.closing()
-    prefix = loop.p * n
-    terms = tuple(apply_context_substitution(t, cs, n) for t in loop.terms)
-    steps = tuple(
-        tuple((prefix + q, i) for q, i in step) for step in loop.certificate.steps
+    cert = loop.certificate
+    prefix = cert.context.hole_pos * n
+    terms = tuple(
+        apply_context_substitution(t, cert.context, cert.subst, n) for t in loop.terms
     )
+    steps = tuple(tuple((prefix + q, i) for q, i in step) for step in cert.steps)
     return UnrolledDerivation(terms, steps)

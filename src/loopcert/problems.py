@@ -27,7 +27,6 @@ from .errors import InternalError
 from .terms import (
     Application,
     Context,
-    ContextSubstitution,
     HOLE,
     Substitution,
     Term,
@@ -56,18 +55,6 @@ class MatchingProblem:
 
 
 @dataclass(frozen=True)
-class IdentityProblem:
-    """Find n with u mu^n = v mu^n."""
-
-    u: Term
-    v: Term
-    mu: Substitution
-
-    def __str__(self) -> str:
-        return f"{self.u} equals {self.v} under {self.mu}"
-
-
-@dataclass(frozen=True)
 class ExtendedMatchingProblem:
     """Find m, k, sigma with D[t(C, mu)^m] mu^k = l sigma."""
 
@@ -83,7 +70,7 @@ class ExtendedMatchingProblem:
         )
 
 
-Problem = Union[MatchingProblem, IdentityProblem, ExtendedMatchingProblem]
+Problem = Union[MatchingProblem, ExtendedMatchingProblem]
 
 
 class UnsolvableReason(enum.Enum):
@@ -297,17 +284,6 @@ def solve_matching(
     return Unknown(config.bound)
 
 
-def solve_identity(
-    problem: IdentityProblem, config: SolverConfig = DEFAULT_CONFIG
-) -> SolverResult:
-    res = solve_matching(
-        MatchingProblem((), problem.mu, ((problem.u, problem.v),)), config
-    )
-    if isinstance(res, Solvable):
-        return Solvable(Witness(n=res.witness.n))
-    return res
-
-
 def _tower_roots(problem: ExtendedMatchingProblem) -> frozenset[str]:
     """Every root symbol D's hole can expose, over all m and all later mu
     powers.  The set is exhaustive: a non-member root refutes a match there."""
@@ -357,7 +333,6 @@ def solve_extended(
 ) -> SolverResult:
     if _extended_scan(problem.d.body, problem.lhs, problem, config):
         return Unsolvable(UnsolvableReason.ROOT_CLASH)
-    cs = ContextSubstitution(problem.c, problem.mu)
     towers = [problem.t]
     # rows[m] = (next k to try, current D[t(C,mu)^m] mu^k)
     rows: list[tuple[int, Term]] = []
@@ -371,7 +346,9 @@ def solve_extended(
                 if towers_capped or term_size(towers[-1]) > config.max_term_size:
                     towers_capped = capped = True
                     continue
-                towers.append(apply_context_substitution(towers[-1], cs, 1))
+                towers.append(
+                    apply_context_substitution(towers[-1], problem.c, problem.mu, 1)
+                )
             if len(rows) <= m:
                 rows.append((0, problem.d.plug(towers[m])))
             k_next, u = rows[m]
@@ -392,8 +369,6 @@ def solve_extended(
 def solve_problem(problem: Problem, config: SolverConfig = DEFAULT_CONFIG) -> SolverResult:
     if isinstance(problem, MatchingProblem):
         return solve_matching(problem, config)
-    if isinstance(problem, IdentityProblem):
-        return solve_identity(problem, config)
     return solve_extended(problem, config)
 
 
@@ -415,20 +390,14 @@ def brute_force_check(problem: Problem, bound: int) -> Witness | None:
             subjects = [problem.mu.apply(u) for u in subjects]
             idents = [(problem.mu.apply(a), problem.mu.apply(b)) for a, b in idents]
         return None
-    if isinstance(problem, IdentityProblem):
-        a, b = problem.u, problem.v
-        for n in range(bound + 1):
-            if a == b:
-                return Witness(n=n)
-            a, b = problem.mu.apply(a), problem.mu.apply(b)
-        return None
-    cs = ContextSubstitution(problem.c, problem.mu)
     towers = [problem.t]
     rows: list[Term] = []
     for total in range(bound + 1):
         for m in range(total + 1):
             while len(towers) <= m:
-                towers.append(apply_context_substitution(towers[-1], cs, 1))
+                towers.append(
+                    apply_context_substitution(towers[-1], problem.c, problem.mu, 1)
+                )
             if len(rows) <= m:
                 rows.append(problem.d.plug(towers[m]))
             u = rows[m]

@@ -86,12 +86,6 @@ class Trs:
                 _collect_signature(t, variables, arities)
         return Trs(rules, variables, tuple(sorted(arities.items())))
 
-    def arity(self, symbol: str) -> int | None:
-        for f, n in self.signature:
-            if f == symbol:
-                return n
-        return None
-
     def lhss(self) -> tuple[Term, ...]:
         return tuple(r.lhs for r in self.rules)
 

@@ -4,8 +4,8 @@ Terms are immutable trees built from variables and function applications.
 Positions address subterms as tuples of 1-based argument indices; the empty
 tuple is the root.  A substitution maps finitely many variable names to
 terms and can be applied in powers.  A context is a term containing exactly
-one occurrence of the reserved hole symbol ``[]``.  A context-substitution
-pairs a context C with a substitution mu and acts on a term t by
+one occurrence of the reserved hole symbol ``[]``.  A context C and a
+substitution mu together act on a term t by
 
     t(C, mu)^0     = t
     t(C, mu)^(n+1) = C[ t(C, mu)^n mu ]
@@ -15,7 +15,6 @@ which is the closed form of pumping one loop iteration.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Union
 
@@ -101,35 +100,12 @@ def format_position(p: Position) -> str:
     return ".".join(str(i) for i in p) if p else "eps"
 
 
-class PositionRelation(enum.Enum):
-    EQUAL = "equal"
-    STRICTLY_ABOVE = "strictly-above"
-    STRICTLY_BELOW = "strictly-below"
-    LEFT_OF = "left-of"
-    RIGHT_OF = "right-of"
-
-
-def position_relation(p: Position, q: Position) -> PositionRelation:
-    """Classify how position p stands to q.
-
-    Exactly one of the five relations holds for any pair.  p is left of q
-    when the two diverge and p takes a smaller argument index at the first
-    point of divergence; prefixes are above, extensions are below.
-    """
-    for i, (a, b) in enumerate(zip(p, q)):
-        if a != b:
-            if a < b:
-                return PositionRelation.LEFT_OF
-            return PositionRelation.RIGHT_OF
-    if len(p) == len(q):
-        return PositionRelation.EQUAL
-    if len(p) < len(q):
-        return PositionRelation.STRICTLY_ABOVE
-    return PositionRelation.STRICTLY_BELOW
-
-
 def is_left_of(p: Position, q: Position) -> bool:
-    return position_relation(p, q) is PositionRelation.LEFT_OF
+    """p and q diverge, and p takes the smaller argument index where they do."""
+    for a, b in zip(p, q):
+        if a != b:
+            return a < b
+    return False
 
 
 def are_parallel(p: Position, q: Position) -> bool:
@@ -339,23 +315,10 @@ def _count_holes(t: Term) -> int:
     return sum(_count_holes(a) for a in t.args)
 
 
-@dataclass(frozen=True)
-class ContextSubstitution:
-    """The pair (C, mu) used to close a loop; mu may not reintroduce holes."""
-
-    context: Context
-    subst: Substitution
-
-    def __post_init__(self):
-        for _, u in self.subst.items():
-            if _count_holes(u) > 0:
-                raise MalformedContext("substitution image contains a hole")
-
-
-def apply_context_substitution(t: Term, cs: ContextSubstitution, n: int) -> Term:
+def apply_context_substitution(t: Term, c: Context, mu: Substitution, n: int) -> Term:
     """t(C, mu)^n."""
     if n < 0:
         raise ValueError("context-substitution power must be nonnegative")
     for _ in range(n):
-        t = cs.context.plug(cs.subst.apply(t))
+        t = c.plug(mu.apply(t))
     return t

@@ -13,10 +13,8 @@ import random
 from loopcert import (
     Application,
     Context,
-    ContextSubstitution,
     ExtendedMatchingProblem,
     HOLE,
-    IdentityProblem,
     MatchingProblem,
     Rule,
     Solvable,
@@ -161,16 +159,16 @@ def wrap_identity_failures(rng: random.Random, bases: int) -> tuple[int, list[st
         t = random_term(rng)
         c = random_context(rng)
         mu = random_substitution(rng)
-        cs = ContextSubstitution(c, mu)
-        cs_mu = ContextSubstitution(c.substitute(mu), mu)
+        cs = (c, mu)
+        cs_mu = (c.substitute(mu), mu)
         p = c.hole_pos
 
         # (i) t(C,mu)^n mu = (t mu)(C mu, mu)^n
         for n in range(6):
             checked += 1
-            left = apply_substitution(apply_context_substitution(t, cs, n), mu, 1)
+            left = apply_substitution(apply_context_substitution(t, *cs, n), mu, 1)
             right = apply_context_substitution(
-                apply_substitution(t, mu, 1), cs_mu, n
+                apply_substitution(t, mu, 1), *cs_mu, n
             )
             if left != right:
                 failures.append(f"(i) n={n} t={t} C={c} mu={mu}")
@@ -180,16 +178,16 @@ def wrap_identity_failures(rng: random.Random, bases: int) -> tuple[int, list[st
             for n in range(4 - m + 1):
                 checked += 1
                 left = apply_context_substitution(
-                    apply_context_substitution(t, cs, m), cs, n
+                    apply_context_substitution(t, *cs, m), *cs, n
                 )
-                right = apply_context_substitution(t, cs, m + n)
+                right = apply_context_substitution(t, *cs, m + n)
                 if left != right:
                     failures.append(f"(ii) m={m} n={n} t={t} C={c} mu={mu}")
 
         # (iii) t(C,mu)^n restricted to p^n is t mu^n
         for n in range(6):
             checked += 1
-            left = subterm_at(apply_context_substitution(t, cs, n), p * n)
+            left = subterm_at(apply_context_substitution(t, *cs, n), p * n)
             right = apply_substitution(t, mu, n)
             if left != right:
                 failures.append(f"(iii) n={n} t={t} C={c} mu={mu}")
@@ -206,9 +204,9 @@ def wrap_identity_failures(rng: random.Random, bases: int) -> tuple[int, list[st
         for n in range(5):
             checked += 1
             left = rewrite_at(
-                apply_context_substitution(redex_host, cs, n), p * n + q, rule
+                apply_context_substitution(redex_host, *cs, n), p * n + q, rule
             )
-            right = apply_context_substitution(stepped, cs, n)
+            right = apply_context_substitution(stepped, *cs, n)
             if left != right:
                 failures.append(f"(iv) n={n} rule={rule} t={redex_host} C={c} mu={mu}")
     return checked, failures
@@ -250,7 +248,8 @@ def _pattern_vars(t: Term) -> tuple[str, ...]:
     return tuple(sorted({v.name for v in _leaves(t) if isinstance(v, Variable)}))
 
 
-def random_identity_problem(rng: random.Random) -> IdentityProblem:
+def random_identity_problem(rng: random.Random) -> MatchingProblem:
+    """An identity constraint u mu^n = v mu^n alone: a matching problem with no pairs."""
     mu = random_substitution(rng, wild=0.0)
     u = random_term(rng)
     if rng.random() < 0.5:
@@ -258,7 +257,7 @@ def random_identity_problem(rng: random.Random) -> IdentityProblem:
         v = replace_at(u, rng.choice(ps), random_term(rng, VARS, 1))
     else:
         v = random_term(rng)
-    return IdentityProblem(u, v, mu)
+    return MatchingProblem((), mu, ((u, v),))
 
 
 def random_extended_problem(rng: random.Random) -> ExtendedMatchingProblem:
@@ -297,13 +296,7 @@ def reverify_witness(problem, w: Witness) -> bool:
             ):
                 return False
         return True
-    if isinstance(problem, IdentityProblem):
-        return apply_substitution(problem.u, problem.mu, w.n) == apply_substitution(
-            problem.v, problem.mu, w.n
-        )
-    pumped = apply_context_substitution(
-        problem.t, ContextSubstitution(problem.c, problem.mu), w.m
-    )
+    pumped = apply_context_substitution(problem.t, problem.c, problem.mu, w.m)
     subject = apply_substitution(problem.d.plug(pumped), problem.mu, w.k)
     return w.sigma is not None and w.sigma.apply(problem.lhs) == subject
 

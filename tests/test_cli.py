@@ -93,6 +93,22 @@ def test_shape_mismatch_exits_three(capsys, data_dir):
     assert "single-redex" in err
 
 
+def test_bad_strategy_files_exit_three(capsys, data_dir, tmp_path):
+    # A replacement map with a non-ASCII digit, and a pattern that can never
+    # match because it gives inf two arguments.
+    cases = {
+        "context-sensitive:": ("inf: ²\n", "error: bad argument index '²' (line 1, column 6)\n"),
+        "forbidden:": ("inf(x,y) @ eps : h\n", "error: inf used with 2 arguments, expected 1\n"),
+    }
+    for prefix, (text, message) in cases.items():
+        path = tmp_path / "strategy.txt"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = check(
+            capsys, data_dir, "stream.trs", "stream_loop.json", prefix + str(path)
+        )
+        assert (code, out, err) == (EXIT_INVALID, "", message)
+
+
 def both_commands(data_dir, trs_file):
     loop = str(data_dir / "factorial_loop.json")
     yield ["check", "--trs", str(trs_file), "--loop", loop, "--strategy", "leftmost"]

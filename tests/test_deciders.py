@@ -18,7 +18,6 @@ from loopcert.cli import resolve_strategy
 from loopcert import (
     STRATEGIES,
     Application,
-    ContextSubstitution,
     DeciderConfig,
     ForbiddenPattern,
     LoopcertError,
@@ -341,11 +340,10 @@ def test_growing_loop_stays_unknown(growing, growing_loop):
 def condition_one_hits(t, q, c, mu, pattern, levels):
     """Levels n <= levels at which some instance of the pattern forbids
     rewriting the wrapped term at p^n q."""
-    cs = ContextSubstitution(c, mu)
     p = c.hole_pos
     hits = []
     for n in range(levels + 1):
-        tn = apply_context_substitution(t, cs, n)
+        tn = apply_context_substitution(t, c, mu, n)
         target = p * n + q
         for spot in positions(tn):
             if spot + pattern.pos != target:

@@ -133,6 +133,16 @@ def test_parse_patterns_reads_the_stream_file(stream, stream_patterns, data_dir)
 def test_parse_patterns_validates_the_position(stream):
     with pytest.raises(PositionOutOfTerm):
         parse_patterns("inf(x) @ 3 : a", stream)
+    # int() would read these as 10 and 1; only ASCII digits make an index.
+    for text in ("1_0", "+1", "1.+2"):
+        with pytest.raises(ParseError, match="bad position") as err:
+            parse_patterns(f"inf(x) @ {text} : h", stream)
+        assert (err.value.line, err.value.col) == (1, 10)
+
+
+def test_parse_patterns_checks_arities(stream):
+    with pytest.raises(ArityMismatch, match="inf used with 2 arguments, expected 1"):
+        parse_patterns("inf(x,y) @ eps : h", stream)
 
 
 def test_parse_patterns_accepts_eps_and_all_kinds(stream):
@@ -173,6 +183,11 @@ def test_parse_replacement_map_errors(factorial):
         parse_replacement_map("times: two", factorial)
     with pytest.raises(ParseError, match="twice"):
         parse_replacement_map("times: 1\ntimes: 2", factorial)
+    # '²'.isdigit() holds but int('²') raises; int() also reads '1_0' and '+1'.
+    for text, col in (("²", 8), ("1, ²", 11), ("1_0", 8), ("+1", 8), ("1,,2", 10)):
+        with pytest.raises(ParseError, match="index") as err:
+            parse_replacement_map(f"\ntimes: {text}", factorial)
+        assert (err.value.line, err.value.col) == (2, col)
 
 
 # ---------------------------------------------------------------------------

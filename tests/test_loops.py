@@ -6,7 +6,6 @@ import pytest
 
 from loopcert import (
     ClosingMismatch,
-    ContextSubstitution,
     EMPTY_SUBSTITUTION,
     LoopCertificate,
     LoopcertError,
@@ -31,8 +30,9 @@ def app(symbol: str, *args) -> Application:
     return Application(symbol, tuple(args))
 
 
-def closing(loop) -> ContextSubstitution:
-    return ContextSubstitution(loop.certificate.context, loop.certificate.subst)
+def closing(loop):
+    """The closing pair (C, mu) of a validated loop."""
+    return loop.certificate.context, loop.certificate.subst
 
 
 # ---------------------------------------------------------------------------
@@ -41,17 +41,17 @@ def closing(loop) -> ContextSubstitution:
 
 def test_validate_factorial_loop(factorial, factorial_loop):
     loop = factorial_loop
-    assert loop.p == (1,)
+    assert loop.certificate.context.hole_pos == (1,)
     assert len(loop.terms) == 6
     assert loop.terms[0] == parse_term("fact(x,y)", factorial)
     assert loop.terms[-1] == apply_context_substitution(
-        loop.terms[0], closing(loop), 1
+        loop.terms[0], *closing(loop), 1
     )
 
 
 def test_validate_parallel_loop(factorial_par_inner_loop):
     loop = factorial_par_inner_loop
-    assert loop.p == (3, 1)
+    assert loop.certificate.context.hole_pos == (3, 1)
     assert len(loop.certificate.steps) == 1
     assert len(loop.certificate.steps[0]) == 5
 
@@ -108,7 +108,7 @@ def test_unroll_level_zero_is_the_replay(factorial_loop):
 
 def test_unroll_prefixes_positions(factorial_loop):
     unrolled = unroll_loop(factorial_loop, 2)
-    prefix = factorial_loop.p * 2
+    prefix = factorial_loop.certificate.context.hole_pos * 2
     for level_step, base_step in zip(unrolled.steps, factorial_loop.certificate.steps):
         assert level_step == tuple((prefix + q, i) for q, i in base_step)
 
@@ -116,7 +116,7 @@ def test_unroll_prefixes_positions(factorial_loop):
 def test_unroll_first_term_matches_direct_wrapping(factorial_loop):
     unrolled = unroll_loop(factorial_loop, 1)
     assert unrolled.terms[0] == apply_context_substitution(
-        factorial_loop.terms[0], closing(factorial_loop), 1
+        factorial_loop.terms[0], *closing(factorial_loop), 1
     )
 
 
@@ -128,10 +128,10 @@ def test_unroll_replays_and_closes_at_every_level(corpus):
         for n in range(4):
             unrolled = unroll_loop(loop, n)
             assert unrolled.terms[0] == apply_context_substitution(
-                loop.terms[0], cs, n
+                loop.terms[0], *cs, n
             )
             current = unrolled.terms[0]
             for j, step in enumerate(unrolled.steps):
                 current = parallel_rewrite(current, step, trs)
                 assert current == unrolled.terms[j + 1]
-            assert current == apply_context_substitution(loop.terms[0], cs, n + 1)
+            assert current == apply_context_substitution(loop.terms[0], *cs, n + 1)

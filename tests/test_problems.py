@@ -1,4 +1,4 @@
-"""Matching, identity, and extended matching problems.
+"""Matching problems, with or without identity constraints, and extended ones.
 
 Ordering matters here: the brute-force oracle is pinned first, then the
 layered solver against the same inputs, then the two against each other on
@@ -19,7 +19,6 @@ from loopcert import (
     EMPTY_SUBSTITUTION,
     ExtendedMatchingProblem,
     HOLE,
-    IdentityProblem,
     MatchingProblem,
     Solvable,
     SolverConfig,
@@ -33,7 +32,6 @@ from loopcert import (
     brute_force_check,
     parse_term,
     solve_extended,
-    solve_identity,
     solve_matching,
     solve_problem,
 )
@@ -49,6 +47,11 @@ def app(symbol: str, *args) -> Application:
 
 def matching(subject, pattern, mu) -> MatchingProblem:
     return MatchingProblem(pairs=((subject, pattern),), mu=mu)
+
+
+def identity(a, b, mu) -> MatchingProblem:
+    """a mu^n = b mu^n: a matching problem with no pairs."""
+    return MatchingProblem(pairs=(), mu=mu, identities=((a, b),))
 
 
 @pytest.fixture(scope="module")
@@ -211,22 +214,22 @@ def test_matching_size_guard_reports_its_limit():
 
 
 # ---------------------------------------------------------------------------
-# Identity problems
+# Identity constraints alone
 
 
 def test_solve_identity_examples():
-    assert solve_identity(
-        IdentityProblem(v("x"), v("y"), Substitution({"x": v("y")}))
+    assert solve_matching(
+        identity(v("x"), v("y"), Substitution({"x": v("y")}))
     ).witness.n == 1
 
-    diverging = IdentityProblem(
+    diverging = identity(
         v("x"), v("y"), Substitution({"x": app("f", v("x")), "y": app("f", v("y"))})
     )
-    assert isinstance(solve_identity(diverging), Unsolvable)
+    assert isinstance(solve_matching(diverging), Unsolvable)
     assert brute_force_check(diverging, 32) is None
 
-    assert solve_identity(
-        IdentityProblem(app("a"), app("a"), Substitution({"x": v("y")}))
+    assert solve_matching(
+        identity(app("a"), app("a"), Substitution({"x": v("y")}))
     ).witness.n == 0
 
 
@@ -283,8 +286,7 @@ def test_solve_extended_witness_reverifies():
         mu=EMPTY_SUBSTITUTION,
     )
     w = solve_extended(problem).witness
-    cs = __import__("loopcert").ContextSubstitution(problem.c, problem.mu)
-    tower = apply_context_substitution(problem.t, cs, w.m)
+    tower = apply_context_substitution(problem.t, problem.c, problem.mu, w.m)
     assert apply_substitution(problem.d.plug(tower), problem.mu, w.k) == (
         w.sigma.apply(problem.lhs)
     )
@@ -330,7 +332,7 @@ def test_solve_problem_dispatch(swap_problem):
     assert solve_problem(swap_problem).witness.n == 2
     assert (
         solve_problem(
-            IdentityProblem(app("a"), app("a"), EMPTY_SUBSTITUTION)
+            identity(app("a"), app("a"), EMPTY_SUBSTITUTION)
         ).witness.n
         == 0
     )

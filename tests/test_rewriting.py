@@ -15,7 +15,6 @@ from loopcert import (
     HOLE,
     Application,
     ArityMismatch,
-    ContextSubstitution,
     ExtraRhsVariable,
     ForbiddenPattern,
     NotARedex,
@@ -39,7 +38,6 @@ from loopcert import (
     outermost_patterns,
     parallel_rewrite,
     parse_term,
-    position_relation,
     redex_positions,
     rewrite_at,
     strategy_allows,
@@ -312,10 +310,10 @@ def test_encodings_agree_with_native_checks():
 
 def test_step_transport_into_wrapped_terms(factorial, factorial_loop):
     loop = factorial_loop
-    cs = ContextSubstitution(loop.certificate.context, loop.certificate.subst)
-    p = loop.p
+    c, mu = loop.certificate.context, loop.certificate.subst
+    p = c.hole_pos
     t1, t2 = loop.terms[0], loop.terms[1]
     for n in range(4):
-        wrapped = apply_context_substitution(t1, cs, n)
+        wrapped = apply_context_substitution(t1, c, mu, n)
         stepped = rewrite_at(wrapped, p * n, factorial.rules[1])
-        assert stepped == apply_context_substitution(t2, cs, n)
+        assert stepped == apply_context_substitution(t2, c, mu, n)

@@ -14,12 +14,11 @@ from hypothesis import strategies as st
 import genlib
 from loopcert import (
     EMPTY_SUBSTITUTION,
+    LoopCertificate,
     Application,
     Context,
-    ContextSubstitution,
     MalformedContext,
     PositionOutOfTerm,
-    PositionRelation,
     Substitution,
     Variable,
     apply_context_substitution,
@@ -30,7 +29,6 @@ from loopcert import (
     is_prefix,
     is_strict_prefix,
     parse_term,
-    position_relation,
     positions,
     replace_at,
     subterm_at,
@@ -55,12 +53,29 @@ position_st = st.lists(st.integers(min_value=1, max_value=3), max_size=4).map(tu
 # Positions
 
 
+def relation(p, q) -> str:
+    """Which of the five position relations holds; exactly one must."""
+    holds = [
+        name
+        for name, ok in (
+            ("equal", p == q),
+            ("strictly-above", is_strict_prefix(p, q)),
+            ("strictly-below", is_strict_prefix(q, p)),
+            ("left-of", is_left_of(p, q)),
+            ("right-of", is_left_of(q, p)),
+        )
+        if ok
+    ]
+    assert len(holds) == 1, (p, q, holds)
+    return holds[0]
+
+
 def test_position_relation_examples():
-    assert position_relation((1, 2), (2,)) is PositionRelation.LEFT_OF
-    assert position_relation((), (1, 1)) is PositionRelation.STRICTLY_ABOVE
-    assert position_relation((2, 1), (2, 1)) is PositionRelation.EQUAL
-    assert position_relation((2,), (1, 2)) is PositionRelation.RIGHT_OF
-    assert position_relation((1, 1), (1,)) is PositionRelation.STRICTLY_BELOW
+    assert relation((1, 2), (2,)) == "left-of"
+    assert relation((), (1, 1)) == "strictly-above"
+    assert relation((2, 1), (2, 1)) == "equal"
+    assert relation((2,), (1, 2)) == "right-of"
+    assert relation((1, 1), (1,)) == "strictly-below"
 
 
 def test_position_helpers():
@@ -83,21 +98,19 @@ def test_format_position():
 
 @given(position_st, position_st)
 def test_position_relation_total_and_antisymmetric(p, q):
-    rel = position_relation(p, q)
-    back = position_relation(q, p)
-    assert (rel is PositionRelation.EQUAL) == (p == q) == (back is PositionRelation.EQUAL)
+    rel = relation(p, q)
+    back = relation(q, p)
+    assert (rel == "equal") == (p == q) == (back == "equal")
     mirror = {
-        PositionRelation.EQUAL: PositionRelation.EQUAL,
-        PositionRelation.STRICTLY_ABOVE: PositionRelation.STRICTLY_BELOW,
-        PositionRelation.STRICTLY_BELOW: PositionRelation.STRICTLY_ABOVE,
-        PositionRelation.LEFT_OF: PositionRelation.RIGHT_OF,
-        PositionRelation.RIGHT_OF: PositionRelation.LEFT_OF,
+        "equal": "equal",
+        "strictly-above": "strictly-below",
+        "strictly-below": "strictly-above",
+        "left-of": "right-of",
+        "right-of": "left-of",
     }
-    assert back is mirror[rel]
-    assert are_parallel(p, q) == (
-        rel in (PositionRelation.LEFT_OF, PositionRelation.RIGHT_OF)
-    )
-    assert is_strict_prefix(p, q) == (rel is PositionRelation.STRICTLY_ABOVE)
+    assert back == mirror[rel]
+    assert are_parallel(p, q) == (rel in ("left-of", "right-of"))
+    assert is_strict_prefix(p, q) == (rel == "strictly-above")
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +225,13 @@ def test_malformed_contexts():
         Context.from_term(app("s", v("x")))
     with pytest.raises(MalformedContext):
         Context.from_term(app("f", HOLE, HOLE))
+    # A closing pair whose mu reintroduces a hole is refused where it enters.
     with pytest.raises(MalformedContext):
-        ContextSubstitution(
-            Context.from_term(app("f", HOLE)), Substitution({"x": HOLE})
+        LoopCertificate(
+            app("f", v("x")),
+            ((((), 0),),),
+            Context.from_term(app("f", HOLE)),
+            Substitution({"x": HOLE}),
         )
 
 
@@ -228,31 +245,25 @@ def test_context_plug_and_substitute(factorial):
 
 
 def test_apply_context_substitution_examples(factorial, stream):
-    inf_cs = ContextSubstitution(
-        Context.from_term(parse_term("cons(x,[])", stream, allow_hole=True)),
-        Substitution({"x": app("s", v("x"))}),
-    )
-    assert apply_context_substitution(parse_term("inf(x)", stream), inf_cs, 2) == (
+    inf_c = Context.from_term(parse_term("cons(x,[])", stream, allow_hole=True))
+    inf_mu = Substitution({"x": app("s", v("x"))})
+    assert apply_context_substitution(parse_term("inf(x)", stream), inf_c, inf_mu, 2) == (
         parse_term("cons(x,cons(s(x),inf(s(s(x)))))", stream)
     )
 
-    empty = ContextSubstitution(
-        Context.from_term(parse_term("[]", factorial, allow_hole=True)),
-        Substitution({"x": v("y")}),
-    )
+    empty = Context.from_term(parse_term("[]", factorial, allow_hole=True))
+    rename = Substitution({"x": v("y")})
     t = parse_term("fact(x,y)", factorial)
-    assert apply_context_substitution(t, empty, 1) == apply_substitution(
-        t, empty.subst, 1
+    assert apply_context_substitution(t, empty, rename, 1) == apply_substitution(
+        t, rename, 1
     )
 
-    fact_cs = ContextSubstitution(
-        Context.from_term(parse_term("times([],s(x))", factorial, allow_hole=True)),
-        Substitution({"x": app("s", v("x"))}),
-    )
-    assert apply_context_substitution(t, fact_cs, 1) == parse_term(
+    fact_c = Context.from_term(parse_term("times([],s(x))", factorial, allow_hole=True))
+    fact_mu = Substitution({"x": app("s", v("x"))})
+    assert apply_context_substitution(t, fact_c, fact_mu, 1) == parse_term(
         "times(fact(s(x),y),s(x))", factorial
     )
-    assert apply_context_substitution(t, fact_cs, 0) == t
+    assert apply_context_substitution(t, fact_c, fact_mu, 0) == t
 
 
 def test_wrapping_identities_randomized():
