@@ -18,9 +18,8 @@ both renderings are byte-deterministic.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import re
 from json.encoder import encode_basestring_ascii
-from typing import Iterable
 
 from .deciders import Evidence, ProblemInstance, Verdict
 from .errors import ArityMismatch, ParseError, RuleIndexOutOfRange
@@ -43,198 +42,129 @@ from .terms import (
     format_position,
 )
 
-IDENT_CHARS = frozenset(
-    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_'+*.-"
+# An identifier may contain '-' but stops before an arrow '->'.
+_IDENT = r"(?:[A-Za-z0-9_'+*.]|-(?!>))+"
+_SCANNER = re.compile(
+    rf"(?P<ident>{_IDENT})|(?P<arrow>->)|(?P<hole>\[\])|(?P<lparen>\()|(?P<rparen>\))"
+    r"|(?P<comma>,)|(?P<at>@)|(?P<colon>:)|(?P<newline>\n)|(?P<space>[ \t\r]+)|(?P<bad>.)",
+    re.DOTALL,
 )
+_IDENT_NAME = re.compile(_IDENT)
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # ident, lparen, rparen, comma, arrow, hole, at, colon, eof
-    text: str
-    line: int
-    col: int
-
-
-def tokenize(text: str) -> list[Token]:
+def tokenize(text: str) -> list[tuple[str, str, int, int]]:
+    """(kind, text, line, col) per token, ending with an "eof" token."""
     out = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
+    line, line_start = 1, 0
+    for m in _SCANNER.finditer(text):
+        kind = m.lastgroup
+        if kind == "space":
+            continue
+        if kind == "newline":
             line += 1
-            col = 1
+            line_start = m.end()
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("->", i):
-            out.append(Token("arrow", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if text.startswith("[]", i):
-            out.append(Token("hole", "[]", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in "(),@:":
-            kind = {"(": "lparen", ")": "rparen", ",": "comma", "@": "at", ":": "colon"}[ch]
-            out.append(Token(kind, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch in IDENT_CHARS:
-            j = i
-            while j < n and text[j] in IDENT_CHARS:
-                if text[j] == "-" and text.startswith("->", j):
-                    break
-                j += 1
-            out.append(Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    out.append(Token("eof", "", line, col))
+        col = m.start() - line_start + 1
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", line, col)
+        out.append((kind, m.group(), line, col))
+    out.append(("eof", "", line, len(text) - line_start + 1))
     return out
 
 
 class _Tokens:
-    def __init__(self, tokens: list[Token]):
+    def __init__(self, tokens: list[tuple[str, str, int, int]]):
         self.tokens = tokens
         self.k = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.k]
+    def peek(self) -> str:
+        return self.tokens[self.k][0]
 
-    def next(self) -> Token:
+    def next(self) -> tuple[str, str, int, int]:
         tok = self.tokens[self.k]
         self.k += 1
         return tok
 
-    def expect(self, kind: str) -> Token:
+    def expect(self, kind: str) -> tuple[str, str, int, int]:
         tok = self.next()
-        if tok.kind != kind:
-            raise ParseError(
-                f"expected {kind}, found {tok.text or 'end of input'!r}",
-                tok.line,
-                tok.col,
-            )
+        if tok[0] != kind:
+            raise ParseError(f"expected {kind}, found {tok[1] or 'end of input'!r}", *tok[2:])
         return tok
 
 
-def _parse_term(ts: _Tokens, variables: frozenset[str], allow_hole: bool) -> Term:
-    tok = ts.next()
-    if tok.kind == "hole":
+def _parse_term(
+    ts: _Tokens,
+    variables: frozenset[str],
+    allow_hole: bool,
+    arities: dict[str, int] | None = None,
+) -> Term:
+    """Read one term.  With *arities*, every application must keep the arity
+    recorded there, and a new symbol is recorded by its first application
+    read to its end: an argument before the application around it."""
+    kind, name, line, col = ts.next()
+    if kind == "hole":
         if not allow_hole:
-            raise ParseError("the hole [] is only allowed in contexts", tok.line, tok.col)
+            raise ParseError("the hole [] is only allowed in contexts", line, col)
         return Application(HOLE_SYMBOL, ())
-    if tok.kind != "ident":
-        raise ParseError(
-            f"expected a term, found {tok.text or 'end of input'!r}", tok.line, tok.col
-        )
-    if ts.peek().kind != "lparen":
-        if tok.text in variables:
-            return Variable(tok.text)
-        return Application(tok.text, ())
-    if tok.text in variables:
-        raise ParseError(f"variable {tok.text!r} cannot take arguments", tok.line, tok.col)
-    ts.next()
+    if kind != "ident":
+        raise ParseError(f"expected a term, found {name or 'end of input'!r}", line, col)
     args = []
-    if ts.peek().kind != "rparen":
-        args.append(_parse_term(ts, variables, allow_hole))
-        while ts.peek().kind == "comma":
-            ts.next()
-            args.append(_parse_term(ts, variables, allow_hole))
-    ts.expect("rparen")
-    return Application(tok.text, tuple(args))
-
-
-def _check_arities(t: Term, signature: dict[str, int]) -> None:
-    # Known symbols must keep the system's arity; new symbols must at least
-    # be used consistently within this one term.
-    seen = dict(signature)
-    stack = [t]
-    while stack:
-        s = stack.pop()
-        if isinstance(s, Application):
-            expected = seen.setdefault(s.symbol, len(s.args))
-            if expected != len(s.args):
-                raise ArityMismatch(
-                    f"{s.symbol} used with {len(s.args)} arguments,"
-                    f" expected {expected}"
-                )
-            stack.extend(s.args)
+    if ts.peek() == "lparen":
+        if name in variables:
+            raise ParseError(f"variable {name!r} cannot take arguments", line, col)
+        ts.next()
+        if ts.peek() != "rparen":
+            args.append(_parse_term(ts, variables, allow_hole, arities))
+            while ts.peek() == "comma":
+                ts.next()
+                args.append(_parse_term(ts, variables, allow_hole, arities))
+        ts.expect("rparen")
+    elif name in variables:
+        return Variable(name)
+    if arities is not None:
+        expected = arities.setdefault(name, len(args))
+        if expected != len(args):
+            raise ArityMismatch(
+                f"{name} used with {len(args)} arguments, expected {expected}"
+                f" (line {line}, column {col})"
+            )
+    return Application(name, tuple(args))
 
 
 def parse_term(text: str, trs: Trs, allow_hole: bool = False) -> Term:
     ts = _Tokens(tokenize(text))
-    t = _parse_term(ts, trs.variables, allow_hole)
+    t = _parse_term(ts, trs.variables, allow_hole, dict(trs.signature))
     ts.expect("eof")
-    _check_arities(t, dict(trs.signature))
     return t
 
 
-@dataclass(frozen=True)
-class TrsDocument:
-    """A parsed system file: declared variable order plus rules, as written."""
-
-    variables: tuple[str, ...]
-    rules: tuple[Rule, ...]
-
-
-def parse_trs_document(text: str) -> TrsDocument:
+def parse_trs(text: str) -> Trs:
     ts = _Tokens(tokenize(text))
-    variables: list[str] = []
+    variables: set[str] = set()
     rules: list[Rule] = []
     saw_rules = False
-    while ts.peek().kind != "eof":
+    while ts.peek() != "eof":
         ts.expect("lparen")
-        head = ts.expect("ident")
-        if head.text == "VAR":
-            while ts.peek().kind == "ident":
-                name = ts.next().text
-                if name not in variables:
-                    variables.append(name)
+        _, head, line, col = ts.expect("ident")
+        if head == "VAR":
+            while ts.peek() == "ident":
+                variables.add(ts.next()[1])
             ts.expect("rparen")
-        elif head.text == "RULES":
+        elif head == "RULES":
             saw_rules = True
             varset = frozenset(variables)
-            while ts.peek().kind != "rparen":
+            while ts.peek() != "rparen":
+                # Arities are checked by Trs.from_rules, over all rules at once.
                 lhs = _parse_term(ts, varset, allow_hole=False)
                 ts.expect("arrow")
                 rhs = _parse_term(ts, varset, allow_hole=False)
                 rules.append(Rule(lhs, rhs))
             ts.expect("rparen")
         else:
-            raise ParseError(
-                f"unknown section {head.text!r}, expected VAR or RULES",
-                head.line,
-                head.col,
-            )
+            raise ParseError(f"unknown section {head!r}, expected VAR or RULES", line, col)
     if not saw_rules:
-        tok = ts.peek()
-        raise ParseError("missing (RULES ...) section", tok.line, tok.col)
-    return TrsDocument(tuple(variables), tuple(rules))
-
-
-def parse_trs(text: str) -> Trs:
-    doc = parse_trs_document(text)
-    return Trs.from_rules(doc.rules, doc.variables)
-
-
-def render_trs(doc: TrsDocument) -> str:
-    lines = []
-    if doc.variables:
-        lines.append(f"(VAR {' '.join(doc.variables)})")
-    lines.append("(RULES")
-    for rule in doc.rules:
-        lines.append(f"  {rule.lhs} -> {rule.rhs}")
-    lines.append(")")
-    return "\n".join(lines) + "\n"
+        raise ParseError("missing (RULES ...) section", *ts.next()[2:])
+    return Trs.from_rules(rules, variables)
 
 
 def _parse_position_text(text: str, line: int, col: int) -> Position:
@@ -253,28 +183,21 @@ def _parse_position_text(text: str, line: int, col: int) -> Position:
 def parse_patterns(text: str, trs: Trs) -> tuple[ForbiddenPattern, ...]:
     ts = _Tokens(tokenize(text))
     out = []
-    while ts.peek().kind != "eof":
-        lhs = _parse_term(ts, trs.variables, allow_hole=False)
-        _check_arities(lhs, dict(trs.signature))
+    while ts.peek() != "eof":
+        # Each pattern is checked against the system alone, not the others.
+        lhs = _parse_term(ts, trs.variables, False, arities=dict(trs.signature))
         ts.expect("at")
-        ptok = ts.expect("ident")
-        pos = _parse_position_text(ptok.text, ptok.line, ptok.col)
+        pos = _parse_position_text(*ts.expect("ident")[1:])
         ts.expect("colon")
-        ktok = ts.expect("ident")
+        _, name, line, col = ts.expect("ident")
         try:
-            kind = PatternKind(ktok.text)
+            kind = PatternKind(name)
         except ValueError:
             raise ParseError(
-                f"pattern kind must be h, a, or b, not {ktok.text!r}",
-                ktok.line,
-                ktok.col,
+                f"pattern kind must be h, a, or b, not {name!r}", line, col
             ) from None
         out.append(ForbiddenPattern(lhs, pos, kind))
     return tuple(out)
-
-
-def render_patterns(patterns: Iterable[ForbiddenPattern]) -> str:
-    return "".join(f"{p.lhs} @ {format_position(p.pos)} : {p.kind.value}\n" for p in patterns)
 
 
 def parse_replacement_map(text: str, trs: Trs) -> dict[str, tuple[int, ...]]:
@@ -288,8 +211,9 @@ def parse_replacement_map(text: str, trs: Trs) -> dict[str, tuple[int, ...]]:
             raise ParseError("expected 'symbol: indices'", lineno, 1)
         name, _, rest = line.partition(":")
         name = name.strip()
-        if not name or any(ch not in IDENT_CHARS for ch in name):
-            raise ParseError(f"bad symbol name {name!r}", lineno, 1)
+        at = len(raw) - len(raw.lstrip()) + 1  # column of the name
+        if not _IDENT_NAME.fullmatch(name):
+            raise ParseError(f"bad symbol name {name!r}", lineno, at)
         indices: list[int] = []
         if rest.strip():
             col = raw.index(":") + 2  # column just after the colon
@@ -302,7 +226,7 @@ def parse_replacement_map(text: str, trs: Trs) -> dict[str, tuple[int, ...]]:
                 indices.append(int(digits))
                 col += len(part) + 1
         if name in out:
-            raise ParseError(f"symbol {name!r} listed twice", lineno, 1)
+            raise ParseError(f"symbol {name!r} listed twice", lineno, at)
         out[name] = tuple(sorted(set(indices)))
     return out
 
@@ -379,10 +303,6 @@ def certificate_to_document(cert: LoopCertificate) -> dict:
     }
 
 
-def render_loop_certificate(cert: LoopCertificate) -> str:
-    return _json(certificate_to_document(cert))
-
-
 def _json(doc) -> str:
     """Canonical JSON: byte-identical to
     ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"`` for documents of
@@ -444,7 +364,8 @@ def _problem_to_document(problem: Problem) -> dict:
     }
 
 
-def _instance_to_document(inst: ProblemInstance) -> dict:
+def _instance_fields(inst: ProblemInstance) -> dict:
+    """An instance's fields without its problem, in the order the text lists them."""
     return {
         "step": inst.step,
         "family": inst.family,
@@ -455,8 +376,13 @@ def _instance_to_document(inst: ProblemInstance) -> dict:
         "o0prime": (
             format_position(inst.o0prime) if inst.o0prime is not None else None
         ),
-        "problem": _problem_to_document(inst.problem),
     }
+
+
+def _instance_to_document(inst: ProblemInstance) -> dict:
+    doc = _instance_fields(inst)
+    doc["problem"] = _problem_to_document(inst.problem)
+    return doc
 
 
 def _witness_to_document(w: Witness) -> dict:
@@ -495,19 +421,16 @@ def verdict_to_document(v: Verdict) -> dict:
     }
 
 
+# The one field whose text label differs from its JSON key.
+_TEXT_LABELS = {"o0prime": "o0'"}
+
+
 def _instance_to_text(inst: ProblemInstance) -> str:
-    bits = [f"step {inst.step}", f"family {inst.family}"]
-    if inst.position is not None:
-        bits.append(f"position {format_position(inst.position)}")
-    if inst.rule_index is not None:
-        bits.append(f"rule {inst.rule_index}")
-    if inst.pattern is not None:
-        bits.append(f"pattern {inst.pattern}")
-    if inst.n0 is not None:
-        bits.append(f"n0 {inst.n0}")
-    if inst.o0prime is not None:
-        bits.append(f"o0' {format_position(inst.o0prime)}")
-    return ", ".join(bits)
+    return ", ".join(
+        f"{_TEXT_LABELS.get(key, key)} {value}"
+        for key, value in _instance_fields(inst).items()
+        if value is not None
+    )
 
 
 def render_verdict(v: Verdict, fmt: str = "text") -> str:
@@ -524,10 +447,7 @@ def render_verdict(v: Verdict, fmt: str = "text") -> str:
     if v.answer == "no":
         ev = v.evidence
         w = ev.result.witness
-        if w.n is not None:
-            witness = f"n={w.n}"
-        else:
-            witness = f"m={w.m}, k={w.k}"
+        witness = ", ".join(f"{k}={n}" for k, n in _witness_to_document(w).items())
         if w.sigma is not None:
             witness += f", sigma={w.sigma}"
         lines = [

@@ -370,39 +370,3 @@ def solve_problem(problem: Problem, config: SolverConfig = DEFAULT_CONFIG) -> So
     if isinstance(problem, MatchingProblem):
         return solve_matching(problem, config)
     return solve_extended(problem, config)
-
-
-def brute_force_check(problem: Problem, bound: int) -> Witness | None:
-    """Exhaustive reference search for the least witness within bound.
-
-    Built directly on term primitives, independent of the layered solver, so
-    the two can be tested against each other.
-    """
-    if isinstance(problem, MatchingProblem):
-        subjects = [u for u, _ in problem.pairs]
-        idents = list(problem.identities)
-        for n in range(bound + 1):
-            sigma = match_many(
-                [(l, u) for (_, l), u in zip(problem.pairs, subjects)]
-            )
-            if sigma is not None and all(a == b for a, b in idents):
-                return Witness(n=n, sigma=sigma)
-            subjects = [problem.mu.apply(u) for u in subjects]
-            idents = [(problem.mu.apply(a), problem.mu.apply(b)) for a, b in idents]
-        return None
-    towers = [problem.t]
-    rows: list[Term] = []
-    for total in range(bound + 1):
-        for m in range(total + 1):
-            while len(towers) <= m:
-                towers.append(
-                    apply_context_substitution(towers[-1], problem.c, problem.mu, 1)
-                )
-            if len(rows) <= m:
-                rows.append(problem.d.plug(towers[m]))
-            u = rows[m]
-            sigma = match_pattern(problem.lhs, u)
-            rows[m] = problem.mu.apply(u)
-            if sigma is not None:
-                return Witness(m=m, k=total - m, sigma=sigma)
-    return None

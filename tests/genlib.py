@@ -3,11 +3,14 @@
 Everything is deterministic given the Random instance passed in, so every
 property run is reproducible from its seed.  The heavy suites draw from
 here: the context-substitution identities, the solver-versus-oracle
-comparison, and the decider coherence corpus.
+comparison, and the decider coherence corpus.  The renderers at the end
+write systems, patterns and certificates back as input text, for the
+parsers' round-trip tests.
 """
 
 from __future__ import annotations
 
+import json
 import random
 
 from loopcert import (
@@ -29,11 +32,13 @@ from loopcert import (
     Witness,
     apply_context_substitution,
     apply_substitution,
-    brute_force_check,
+    certificate_to_document,
     concrete_checks,
     decide_loop,
     find_loops,
+    format_position,
     innermost_patterns,
+    match_many,
     outermost_patterns,
     positions,
     replace_at,
@@ -282,6 +287,42 @@ def random_problem(rng: random.Random):
     return random_extended_problem(rng)
 
 
+def brute_force_check(problem, bound: int) -> Witness | None:
+    """Exhaustive reference search for the least witness within bound.
+
+    Built directly on term primitives, independent of the layered solver, so
+    the two can be tested against each other.
+    """
+    if isinstance(problem, MatchingProblem):
+        subjects = [u for u, _ in problem.pairs]
+        idents = list(problem.identities)
+        for n in range(bound + 1):
+            sigma = match_many(
+                [(l, u) for (_, l), u in zip(problem.pairs, subjects)]
+            )
+            if sigma is not None and all(a == b for a, b in idents):
+                return Witness(n=n, sigma=sigma)
+            subjects = [problem.mu.apply(u) for u in subjects]
+            idents = [(problem.mu.apply(a), problem.mu.apply(b)) for a, b in idents]
+        return None
+    towers = [problem.t]
+    rows: list[Term] = []
+    for total in range(bound + 1):
+        for m in range(total + 1):
+            while len(towers) <= m:
+                towers.append(
+                    apply_context_substitution(towers[-1], problem.c, problem.mu, 1)
+                )
+            if len(rows) <= m:
+                rows.append(problem.d.plug(towers[m]))
+            u = rows[m]
+            sigma = match_pattern(problem.lhs, u)
+            rows[m] = problem.mu.apply(u)
+            if sigma is not None:
+                return Witness(m=m, k=total - m, sigma=sigma)
+    return None
+
+
 def reverify_witness(problem, w: Witness) -> bool:
     """Check a claimed witness by direct computation, no solver involved."""
     if isinstance(problem, MatchingProblem):
@@ -494,3 +535,26 @@ def random_redex_instance(rng: random.Random, trs: Trs):
         hits = redex_positions(t, trs)
     q, _ = hits[rng.randrange(len(hits))]
     return t, q
+
+
+# ---------------------------------------------------------------------------
+# Input text from parsed values, for the parsers' round-trip tests.
+
+
+def render_trs(trs: Trs) -> str:
+    lines = []
+    if trs.variables:
+        lines.append(f"(VAR {' '.join(sorted(trs.variables))})")
+    lines.append("(RULES")
+    for rule in trs.rules:
+        lines.append(f"  {rule.lhs} -> {rule.rhs}")
+    lines.append(")")
+    return "\n".join(lines) + "\n"
+
+
+def render_patterns(patterns) -> str:
+    return "".join(f"{p.lhs} @ {format_position(p.pos)} : {p.kind.value}\n" for p in patterns)
+
+
+def render_loop_certificate(cert) -> str:
+    return json.dumps(certificate_to_document(cert), sort_keys=True, indent=2) + "\n"

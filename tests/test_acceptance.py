@@ -228,10 +228,8 @@ def test_c10_finder_output_feeds_the_checker(factorial, capsys, tmp_path, data_d
     assert matching
     validate_loop(factorial, matching[0])
 
-    from loopcert import render_loop_certificate
-
     cert_file = tmp_path / "found.json"
-    cert_file.write_text(render_loop_certificate(matching[0]))
+    cert_file.write_text(genlib.render_loop_certificate(matching[0]))
     code = main([
         "check",
         "--trs", str(data_dir / "factorial.trs"),

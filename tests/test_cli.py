@@ -98,7 +98,10 @@ def test_bad_strategy_files_exit_three(capsys, data_dir, tmp_path):
     # match because it gives inf two arguments.
     cases = {
         "context-sensitive:": ("inf: ²\n", "error: bad argument index '²' (line 1, column 6)\n"),
-        "forbidden:": ("inf(x,y) @ eps : h\n", "error: inf used with 2 arguments, expected 1\n"),
+        "forbidden:": (
+            "inf(x,y) @ eps : h\n",
+            "error: inf used with 2 arguments, expected 1 (line 1, column 1)\n",
+        ),
     }
     for prefix, (text, message) in cases.items():
         path = tmp_path / "strategy.txt"

@@ -1,7 +1,8 @@
 """Parsing and rendering of systems, patterns, certificates, and verdicts.
 
 Round trips run over the file corpus and over randomized terms; malformed
-inputs pin the error type and, for text formats, the reported location.
+inputs pin the error type and, for text formats, the reported location.  A
+Hypothesis fuzz holds every parser to a value or a LoopcertError.
 """
 
 import json
@@ -16,6 +17,7 @@ from loopcert import (
     ArityMismatch,
     DeciderConfig,
     ForbiddenPattern,
+    LoopcertError,
     ParseError,
     PatternKind,
     PositionOutOfTerm,
@@ -32,10 +34,6 @@ from loopcert import (
     parse_replacement_map,
     parse_term,
     parse_trs,
-    parse_trs_document,
-    render_loop_certificate,
-    render_patterns,
-    render_trs,
     render_verdict,
 )
 from loopcert.formats import _json
@@ -78,9 +76,9 @@ def test_parse_trs_rejects_unknown_sections():
 
 def test_trs_documents_round_trip(data_dir):
     for name in sorted(data_dir.glob("*.trs")):
-        doc = parse_trs_document(name.read_text())
-        again = parse_trs_document(render_trs(doc))
-        assert again == doc
+        trs = parse_trs(name.read_text())
+        again = parse_trs(genlib.render_trs(trs))
+        assert again == trs
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +100,8 @@ def test_parse_term_checks_known_arities(factorial):
 
 def test_parse_term_accepts_consistent_new_symbols(factorial):
     parse_term("mystery(x)", factorial)
-    with pytest.raises(ArityMismatch):
+    # A new symbol's arity is set by its first application read to its end.
+    with pytest.raises(ArityMismatch, match=r"expected 0 \(line 1, column 1\)"):
         parse_term("mystery(x, mystery)", factorial)
 
 
@@ -143,6 +142,10 @@ def test_parse_patterns_validates_the_position(stream):
 def test_parse_patterns_checks_arities(stream):
     with pytest.raises(ArityMismatch, match="inf used with 2 arguments, expected 1"):
         parse_patterns("inf(x,y) @ eps : h", stream)
+    text = "inf(x) @ eps : h\n  cons(x, inf(x,y)) @ 1 : a\n"
+    with pytest.raises(ArityMismatch) as err:
+        parse_patterns(text, stream)
+    assert str(err.value) == "inf used with 2 arguments, expected 1 (line 2, column 11)"
 
 
 def test_parse_patterns_accepts_eps_and_all_kinds(stream):
@@ -162,7 +165,7 @@ def test_patterns_round_trip(factorial, stream, stream_patterns):
         (factorial, innermost_patterns(factorial.lhss())),
         (stream, outermost_patterns(stream.lhss())),
     ):
-        assert parse_patterns(render_patterns(patterns), trs) == tuple(patterns)
+        assert parse_patterns(genlib.render_patterns(patterns), trs) == tuple(patterns)
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +186,14 @@ def test_parse_replacement_map_errors(factorial):
         parse_replacement_map("times: two", factorial)
     with pytest.raises(ParseError, match="twice"):
         parse_replacement_map("times: 1\ntimes: 2", factorial)
+    # A bad or repeated name is reported at its own column.
+    for text, message, line, col in (
+        ("  ti mes: 1", "bad symbol name 'ti mes'", 1, 3),
+        ("times: 1\n   times: 2", "symbol 'times' listed twice", 2, 4),
+    ):
+        with pytest.raises(ParseError, match=message) as err:
+            parse_replacement_map(text, factorial)
+        assert (err.value.line, err.value.col) == (line, col)
     # '²'.isdigit() holds but int('²') raises; int() also reads '1_0' and '+1'.
     for text, col in (("²", 8), ("1, ²", 11), ("1_0", 8), ("+1", 8), ("1,,2", 10)):
         with pytest.raises(ParseError, match="index") as err:
@@ -206,7 +217,7 @@ def test_certificate_shapes(factorial_loop, factorial_par_inner_loop):
 def test_certificates_round_trip(corpus):
     for trs, loop in corpus:
         cert = loop.certificate
-        assert parse_loop_certificate(render_loop_certificate(cert), trs) == cert
+        assert parse_loop_certificate(genlib.render_loop_certificate(cert), trs) == cert
 
 
 def test_certificate_rule_indices_are_checked(factorial, data_dir):
@@ -245,6 +256,15 @@ def test_certificate_rejects_malformed_redexes(factorial, data_dir):
     doc["steps"][0][0]["pos"] = [True]
     with pytest.raises(ParseError, match="redex"):
         parse_loop_certificate(json.dumps(doc), factorial)
+
+
+def test_certificate_terms_report_arity_locations(factorial, data_dir):
+    # Lines and columns count within the term string, not the JSON file.
+    doc = json.loads((data_dir / "factorial_loop.json").read_text())
+    doc["start"] = "fact(x,\n  s(x, y))"
+    with pytest.raises(ArityMismatch) as err:
+        parse_loop_certificate(json.dumps(doc), factorial)
+    assert str(err.value) == "s used with 2 arguments, expected 1 (line 2, column 3)"
 
 
 # ---------------------------------------------------------------------------
@@ -355,3 +375,55 @@ def test_json_writer_rejects_other_types(value):
             _json(doc)
     with pytest.raises(TypeError):
         _json({1: "not a str key"})
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: every parser returns a value or raises a LoopcertError.
+
+TOKEN_PIECES = (
+    "(", ")", ",", "->", "-", ">", "[]", "[", "]", "@", ":", " ", "\n", "\t",
+    "x", "y", "zs", "s", "0", "1", "2", ".", "eps", "h", "a", "b", "inf", "cons",
+    "2nd", "VAR", "RULES", "²", "é", "\x0b",
+)
+soup_st = st.lists(st.sampled_from(TOKEN_PIECES), max_size=30).map("".join)
+input_text_st = st.one_of(soup_st, st.text(max_size=30))
+certificate_text_st = st.one_of(
+    input_text_st,
+    json_doc_st.map(json.dumps),
+    st.fixed_dictionaries(
+        {
+            "start": soup_st,
+            "steps": st.lists(
+                st.lists(
+                    st.fixed_dictionaries(
+                        {"pos": st.lists(st.integers(-1, 3), max_size=3),
+                         "rule": st.integers(-1, 3)}
+                    ),
+                    max_size=2,
+                ),
+                max_size=2,
+            ),
+            "context": soup_st,
+            "subst": st.dictionaries(st.sampled_from(["x", "zs", "q"]), soup_st, max_size=2),
+        }
+    ).map(json.dumps),
+)
+
+
+@pytest.mark.parametrize(
+    "parse, text_st",
+    [
+        (lambda text, trs: parse_trs(text), input_text_st),
+        (parse_term, input_text_st),
+        (parse_patterns, input_text_st),
+        (parse_replacement_map, input_text_st),
+        (parse_loop_certificate, certificate_text_st),
+    ],
+    ids=["trs", "term", "patterns", "replacement-map", "certificate"],
+)
+@given(data=st.data())
+def test_parsers_return_a_value_or_a_loopcert_error(stream, parse, text_st, data):
+    try:
+        parse(data.draw(text_st), stream)
+    except LoopcertError:
+        pass

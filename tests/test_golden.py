@@ -30,11 +30,10 @@ import sys
 import tempfile
 from pathlib import Path
 
-from genlib import VARS, random_looping_trs, random_term
+from genlib import VARS, random_looping_trs, random_term, render_trs
 from loopcert.cli import main
 from loopcert.deciders import STRATEGIES
-from loopcert.formats import TrsDocument, render_trs
-from loopcert.rewriting import Rule
+from loopcert.rewriting import Rule, Trs
 from loopcert.terms import Application, Variable
 
 DATA = Path(__file__).parent / "data"
@@ -113,7 +112,7 @@ def find_cases(tmp: Path):
             at = rng.randint(1, len(rules))
             rules.insert(at, Rule(Application("f", (y, x)), random_term(rng, ("x", "y"), 2)))
         path = tmp / f"random{seed}.trs"
-        path.write_text(render_trs(TrsDocument(VARS, tuple(rules))))
+        path.write_text(render_trs(Trs.from_rules(rules, VARS)))
         depth = str(rng.randint(1, 5))
         yield f"random {seed} depth {depth}", ["--trs", str(path), "--depth", depth]
 

@@ -11,6 +11,7 @@ import random
 import pytest
 
 import genlib
+from genlib import brute_force_check
 from loopcert import problems
 from loopcert.errors import InternalError, LoopcertError
 from loopcert import (
@@ -29,7 +30,6 @@ from loopcert import (
     Variable,
     apply_context_substitution,
     apply_substitution,
-    brute_force_check,
     parse_term,
     solve_extended,
     solve_matching,
