@@ -164,20 +164,6 @@ class _Shared:
         return out
 
 
-def leftmost_problems(
-    t: Term, q: Position, c: Context, mu: Substitution, trs: Trs
-) -> tuple[ProblemInstance, ...]:
-    """Problems solvable iff some unrolling has a redex left of the step."""
-    return _dedup(_leftmost(_Shared(c, mu), 0, t, q, trs))
-
-
-def max_parallel_problems(
-    t: Term, qs: Iterable[Position], c: Context, mu: Substitution, trs: Trs
-) -> tuple[ProblemInstance, ...]:
-    """Problems solvable iff some unrolling leaves a parallel redex uncontracted."""
-    return _dedup(_max_parallel(_Shared(c, mu), 0, t, qs, trs))
-
-
 def _leftmost(sh: _Shared, step: int, t: Term, q: Position, trs: Trs):
     hole = sh.c.hole_pos
     term_side = lambda q2: is_left_of(q2, q)
@@ -185,8 +171,7 @@ def _leftmost(sh: _Shared, step: int, t: Term, q: Position, trs: Trs):
     return _split_families(sh, step, t, trs, term_side, ctx_side, "left")
 
 
-def _max_parallel(sh: _Shared, step: int, t: Term, qs: Iterable[Position], trs: Trs):
-    qs = tuple(sorted(set(qs)))
+def _max_parallel(sh: _Shared, step: int, t: Term, qs: list[Position], trs: Trs):
     hole = sh.c.hole_pos
     term_side = lambda q2: all(are_parallel(q2, q) for q in qs)
     ctx_side = lambda p2: are_parallel(p2, hole)
@@ -331,26 +316,6 @@ def _pattern_problems(
             frames[key] = _FRAMES[pat.kind](sh, t, q, pat.pos)
         out += _cross(sh, step, q, pat, frames[key])
     return out
-
-
-def h_problems(
-    t: Term, q: Position, c: Context, mu: Substitution, pattern: ForbiddenPattern
-) -> tuple[ProblemInstance, ...]:
-    """Step forbidden at the designated position itself: zero or one problem."""
-    sh = _Shared(c, mu)
-    return tuple(_cross(sh, 0, q, pattern, _here_frame(sh, t, q, pattern.pos)))
-
-
-def a_problems(
-    t: Term, q: Position, c: Context, mu: Substitution, pattern: ForbiddenPattern
-) -> tuple[ProblemInstance, ...]:
-    """Step forbidden strictly above the designated position.
-
-    The pattern can anchor inside the contracted subterm (first family) or
-    inside a pumped substitution image below it (second family).
-    """
-    sh = _Shared(c, mu)
-    return _dedup(_cross(sh, 0, q, pattern, _above_frame(sh, t, q, pattern.pos)))
 
 
 def step_problems(

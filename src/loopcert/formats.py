@@ -22,7 +22,15 @@ import re
 from json.encoder import encode_basestring_ascii
 
 from .deciders import Evidence, ProblemInstance, Verdict
-from .errors import ArityMismatch, ParseError, RuleIndexOutOfRange
+from .errors import (
+    ArityMismatch,
+    ExtraRhsVariable,
+    LoopcertError,
+    ParseError,
+    PositionOutOfTerm,
+    RuleIndexOutOfRange,
+    VariableLhs,
+)
 from .loops import LoopCertificate, Step
 from .problems import (
     ExtendedMatchingProblem,
@@ -138,9 +146,15 @@ def parse_term(text: str, trs: Trs, allow_hole: bool = False) -> Term:
     return t
 
 
+def _located(error: LoopcertError, line: int, col: int) -> LoopcertError:
+    """The same error, with an input location appended to its message."""
+    return type(error)(f"{error} (line {line}, column {col})")
+
+
 def parse_trs(text: str) -> Trs:
     ts = _Tokens(tokenize(text))
     variables: set[str] = set()
+    arities: dict[str, int] = {}
     rules: list[Rule] = []
     saw_rules = False
     while ts.peek() != "eof":
@@ -154,16 +168,20 @@ def parse_trs(text: str) -> Trs:
             saw_rules = True
             varset = frozenset(variables)
             while ts.peek() != "rparen":
-                # Arities are checked by Trs.from_rules, over all rules at once.
-                lhs = _parse_term(ts, varset, allow_hole=False)
+                where = ts.tokens[ts.k][2:]
+                lhs = _parse_term(ts, varset, False, arities)
                 ts.expect("arrow")
-                rhs = _parse_term(ts, varset, allow_hole=False)
-                rules.append(Rule(lhs, rhs))
+                rhs = _parse_term(ts, varset, False, arities)
+                try:
+                    rules.append(Rule(lhs, rhs))
+                except (VariableLhs, ExtraRhsVariable) as e:
+                    raise _located(e, *where) from None
             ts.expect("rparen")
         else:
             raise ParseError(f"unknown section {head!r}, expected VAR or RULES", line, col)
     if not saw_rules:
         raise ParseError("missing (RULES ...) section", *ts.next()[2:])
+    # The whole-system check: a VAR section may follow rules that used its names.
     return Trs.from_rules(rules, variables)
 
 
@@ -187,7 +205,8 @@ def parse_patterns(text: str, trs: Trs) -> tuple[ForbiddenPattern, ...]:
         # Each pattern is checked against the system alone, not the others.
         lhs = _parse_term(ts, trs.variables, False, arities=dict(trs.signature))
         ts.expect("at")
-        pos = _parse_position_text(*ts.expect("ident")[1:])
+        _, spelled, *where = ts.expect("ident")
+        pos = _parse_position_text(spelled, *where)
         ts.expect("colon")
         _, name, line, col = ts.expect("ident")
         try:
@@ -196,14 +215,17 @@ def parse_patterns(text: str, trs: Trs) -> tuple[ForbiddenPattern, ...]:
             raise ParseError(
                 f"pattern kind must be h, a, or b, not {name!r}", line, col
             ) from None
-        out.append(ForbiddenPattern(lhs, pos, kind))
+        try:
+            out.append(ForbiddenPattern(lhs, pos, kind))
+        except PositionOutOfTerm as e:
+            raise _located(e, *where) from None
     return tuple(out)
 
 
 def parse_replacement_map(text: str, trs: Trs) -> dict[str, tuple[int, ...]]:
     """Lines of ``symbol: 1,3``; a bare ``symbol:`` allows no arguments."""
     out: dict[str, tuple[int, ...]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line:
             continue

@@ -20,12 +20,13 @@ from .errors import (
 )
 from .rewriting import Trs, parallel_rewrite
 from .terms import (
+    HOLE,
     Context,
     Position,
     Substitution,
     Term,
-    _count_holes,
     apply_context_substitution,
+    subterms,
 )
 
 # One step contracts one or more parallel redexes: ((position, rule index), ...).
@@ -43,7 +44,7 @@ class LoopCertificate:
         if not self.steps:
             raise NotParallel("a certificate needs at least one step")
         # An image of mu with a hole would leave stray holes in t(C, mu)^n.
-        if any(_count_holes(u) for _, u in self.subst.items()):
+        if any(s == HOLE for _, u in self.subst.items() for _, s in subterms(u)):
             raise MalformedContext("substitution image contains a hole")
         # Fix an order inside each parallel step so replay is deterministic.
         object.__setattr__(

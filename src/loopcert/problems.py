@@ -20,7 +20,7 @@ finite certificate, Unknown names the exhausted bound.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 from .errors import InternalError
@@ -134,11 +134,11 @@ def orbit_root(name: str, mu: Substitution) -> str | None:
 @dataclass
 class _State:
     # (u, l): subject u must still match the application pattern l.
-    match: list[tuple[Term, Term]] = field(default_factory=list)
+    match: list[tuple[Term, Term]]
     # pattern variable name -> current subject it is pinned to.
-    bindings: dict[str, Term] = field(default_factory=dict)
+    bindings: dict[str, Term]
     # (a, b): subjects that must become equal.
-    ident: list[tuple[Term, Term]] = field(default_factory=list)
+    ident: list[tuple[Term, Term]]
 
     def solved(self) -> bool:
         return not self.match and not self.ident
@@ -157,24 +157,23 @@ class _State:
             frozenset(frozenset(pair) for pair in self.ident),
         )
 
-    def step(self, mu: Substitution) -> "_State":
-        return _State(
-            [(mu.apply(u), l) for u, l in self.match],
+    def step(self, mu: Substitution):
+        """The state's bindings, matches and identities, each sent through mu."""
+        return (
             {x: mu.apply(u) for x, u in self.bindings.items()},
+            [(mu.apply(u), l) for u, l in self.match],
             [(mu.apply(a), mu.apply(b)) for a, b in self.ident],
         )
 
 
 def _simplify(
-    state: _State,
-    new_match: list[tuple[Term, Term]],
-    new_ident: list[tuple[Term, Term]],
+    bindings: dict[str, Term],
+    match_work: list[tuple[Term, Term]],
+    ident_work: list[tuple[Term, Term]],
     mu: Substitution,
 ) -> Unsolvable | _State:
-    """Decompose fresh constraints into state, to a fixpoint."""
-    match_work = list(state.match) + new_match
-    ident_work = list(state.ident) + new_ident
-    out = _State([], dict(state.bindings), [])
+    """Decompose the constraints, consuming all three arguments, to a fixpoint."""
+    out = _State([], bindings, [])
     while match_work:
         u, l = match_work.pop()
         if isinstance(l, Variable):
@@ -239,7 +238,7 @@ def solve_matching(
     problem: MatchingProblem, config: SolverConfig = DEFAULT_CONFIG
 ) -> SolverResult:
     mu = problem.mu
-    state = _simplify(_State(), list(problem.pairs), list(problem.identities), mu)
+    state = _simplify({}, list(problem.pairs), list(problem.identities), mu)
     if isinstance(state, Unsolvable):
         return state
     seen = set()
@@ -255,8 +254,7 @@ def solve_matching(
         covered = offset
         if offset >= config.bound or state.size() > config.max_term_size:
             break
-        stepped = state.step(mu)
-        state = _simplify(_State(bindings=stepped.bindings), stepped.match, stepped.ident, mu)
+        state = _simplify(*state.step(mu), mu)
         if isinstance(state, Unsolvable):
             return state
         offset += 1
@@ -333,34 +331,28 @@ def solve_extended(
 ) -> SolverResult:
     if _extended_scan(problem.d.body, problem.lhs, problem, config):
         return Unsolvable(UnsolvableReason.ROOT_CLASH)
-    towers = [problem.t]
-    # rows[m] = (next k to try, current D[t(C,mu)^m] mu^k)
-    rows: list[tuple[int, Term]] = []
+    # rows[m] = D[t(C,mu)^m] mu^(total - m); tower = t(C,mu)^(len(rows) - 1).
+    rows: list[Term] = []
+    tower = problem.t
     capped = False
-    towers_capped = False
     for total in range(config.bound + 1):
         for m in range(total + 1):
-            k = total - m
-            if len(towers) <= m:
-                # Towers only grow, so once one is over budget stop building.
-                if towers_capped or term_size(towers[-1]) > config.max_term_size:
-                    towers_capped = capped = True
-                    continue
-                towers.append(
-                    apply_context_substitution(towers[-1], problem.c, problem.mu, 1)
-                )
-            if len(rows) <= m:
-                rows.append((0, problem.d.plug(towers[m])))
-            k_next, u = rows[m]
-            assert k_next == k
+            if m == len(rows):
+                if rows:
+                    # Towers only grow, so once one is over budget stop building.
+                    if term_size(tower) > config.max_term_size:
+                        capped = True
+                        break
+                    tower = apply_context_substitution(tower, problem.c, problem.mu, 1)
+                rows.append(problem.d.plug(tower))
+            u = rows[m]
             if term_size(u) > config.max_term_size:
                 capped = True
-                rows[m] = (k + 1, u)
                 continue
             sigma = match_pattern(problem.lhs, u)
-            rows[m] = (k + 1, problem.mu.apply(u))
+            rows[m] = problem.mu.apply(u)
             if sigma is not None:
-                return Solvable(Witness(m=m, k=k, sigma=sigma))
+                return Solvable(Witness(m=m, k=total - m, sigma=sigma))
     if capped:
         return Unknown(config.bound, "state size limit reached")
     return Unknown(config.bound)

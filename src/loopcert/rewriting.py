@@ -72,13 +72,8 @@ class Trs:
     signature: tuple[tuple[str, int], ...]
 
     @staticmethod
-    def from_rules(rules: Iterable[Rule], variables: Iterable[str] | None = None) -> "Trs":
+    def from_rules(rules: Iterable[Rule], variables: Iterable[str]) -> "Trs":
         rules = tuple(rules)
-        if variables is None:
-            names: set[str] = set()
-            for r in rules:
-                names |= variables_of(r.lhs) | variables_of(r.rhs)
-            variables = names
         variables = frozenset(variables)
         arities: dict[str, int] = {}
         for r in rules:

@@ -262,31 +262,18 @@ def variable_closure(t: Term, mu: Substitution) -> frozenset[str]:
 
 @dataclass(frozen=True)
 class Context:
-    """A term with exactly one hole; the hole position is cached."""
+    """A term with exactly one hole, at hole_pos.  Context(body, hole_pos)
+    trusts its caller; from_term is the checked constructor."""
 
     body: Term
     hole_pos: Position
 
-    def __post_init__(self):
-        if _count_holes(self.body) != 1:
-            raise MalformedContext(f"context must contain exactly one hole: {self.body}")
-        try:
-            at = subterm_at(self.body, self.hole_pos)
-        except PositionOutOfTerm:
-            raise MalformedContext(
-                f"cached hole position {format_position(self.hole_pos)} not in {self.body}"
-            ) from None
-        if at != HOLE:
-            raise MalformedContext(
-                f"no hole at cached position {format_position(self.hole_pos)} in {self.body}"
-            )
-
     @staticmethod
     def from_term(body: Term) -> "Context":
-        for p, u in subterms(body):
-            if u == HOLE:
-                return Context(body, p)
-        raise MalformedContext(f"context must contain exactly one hole: {body}")
+        holes = [p for p, u in subterms(body) if u == HOLE]
+        if len(holes) != 1:
+            raise MalformedContext(f"context must contain exactly one hole: {body}")
+        return Context(body, holes[0])
 
     def plug(self, t: Term) -> Term:
         return replace_at(self.body, self.hole_pos, t)
@@ -305,14 +292,6 @@ class Context:
 
     def __str__(self) -> str:
         return str(self.body)
-
-
-def _count_holes(t: Term) -> int:
-    if isinstance(t, Variable):
-        return 0
-    if t.symbol == HOLE_SYMBOL and not t.args:
-        return 1
-    return sum(_count_holes(a) for a in t.args)
 
 
 def apply_context_substitution(t: Term, c: Context, mu: Substitution, n: int) -> Term:

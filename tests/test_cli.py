@@ -118,6 +118,22 @@ def both_commands(data_dir, trs_file):
     yield ["find", "--trs", str(trs_file)]
 
 
+def test_bad_system_files_exit_three(capsys, data_dir, tmp_path):
+    # An arity conflict is located at its symbol; a name declared a variable
+    # after the rules that used it as a symbol is refused for the whole file.
+    cases = {
+        "(VAR x) (RULES f(x) -> f(x,x))\n":
+            "error: f used with 2 arguments, expected 1 (line 1, column 24)\n",
+        "(RULES f(x) -> x) (VAR x)\n":
+            "error: 'x' is declared as a variable but used as a symbol\n",
+    }
+    path = tmp_path / "bad.trs"
+    for text, message in cases.items():
+        path.write_text(text)
+        for argv in both_commands(data_dir, path):
+            assert run(capsys, *argv) == (EXIT_INVALID, "", message)
+
+
 def test_non_utf8_input_exits_three(capsys, data_dir, tmp_path):
     latin1 = tmp_path / "latin1.trs"
     latin1.write_bytes(b"(RULES caf\xe9 -> b)\n")

@@ -20,6 +20,7 @@ from loopcert import (
     Application,
     DeciderConfig,
     ForbiddenPattern,
+    LoopCertificate,
     LoopcertError,
     PatternKind,
     ShapeMismatch,
@@ -27,17 +28,15 @@ from loopcert import (
     SolverConfig,
     StrategySpec,
     Substitution,
+    Trs,
     Unknown,
+    ValidatedLoop,
     Variable,
     VariableRedex,
-    a_problems,
     apply_context_substitution,
     concrete_checks,
     decide_loop,
-    h_problems,
-    leftmost_problems,
     match_pattern,
-    max_parallel_problems,
     parse_loop_certificate,
     parse_term,
     parse_trs,
@@ -65,6 +64,19 @@ def answers(trs, loop, *names, config=DeciderConfig()):
     return tuple(
         decide_loop(trs, loop, StrategySpec(name), config).answer for name in names
     )
+
+
+def one_step_loop(t, q, c, mu):
+    """A one-step loop built by hand: t contracted at q, closed by (C, mu).
+
+    Nothing is replayed, so the step need not be a redex of any system;
+    pattern components read only t, q, C and mu.
+    """
+    return ValidatedLoop(LoopCertificate(t, (((q, 0),),), c, mu), (t,))
+
+
+# A forbidden component reads no rules, so any fixed system serves it.
+NO_RULES = Trs.from_rules((), ())
 
 
 # ---------------------------------------------------------------------------
@@ -127,12 +139,13 @@ def test_inner_loop_step_four_also_sees_false_on_its_left(
     factorial, factorial_inner_loop
 ):
     loop = factorial_inner_loop
-    t4 = loop.terms[3]
     (q4, _), = loop.certificate.steps[3]
     assert q4 == (1, 2)
-    instances = leftmost_problems(
-        t4, q4, loop.certificate.context, loop.certificate.subst, factorial
-    )
+    instances = [
+        i
+        for i in step_problems(loop, factorial, StrategySpec("leftmost"))
+        if i.step == 4
+    ]
     families = Counter(inst.family for inst in instances)
     assert families == {"left-term": 12, "left-context": 24}
     term_side = [i for i in instances if i.family == "left-term"]
@@ -142,13 +155,9 @@ def test_inner_loop_step_four_also_sees_false_on_its_left(
 
 def test_max_parallel_families_empty_for_a_root_redex(collapse, collapse_loop):
     loop = collapse_loop
-    instances = max_parallel_problems(
-        loop.terms[0],
-        [()],
-        loop.certificate.context,
-        loop.certificate.subst,
-        collapse,
-    )
+    # The loop's one step contracts loop.terms[0] at the root.
+    assert loop.certificate.steps == ((((), 0),),)
+    instances = step_problems(loop, collapse, StrategySpec("max-parallel"))
     assert instances
     assert {i.family for i in instances} <= {
         "parallel-context",
@@ -294,14 +303,14 @@ def test_sequential_strategies_reject_parallel_certificates(
 
 def test_a_problems_reject_variable_redexes(collapse, collapse_loop):
     pattern = ForbiddenPattern(parse_term("g(x,x)", collapse), (), PatternKind.ABOVE)
+    loop = one_step_loop(
+        app("g", v("x"), v("y")),
+        (1,),
+        collapse_loop.certificate.context,
+        collapse_loop.certificate.subst,
+    )
     with pytest.raises(VariableRedex):
-        a_problems(
-            app("g", v("x"), v("y")),
-            (1,),
-            collapse_loop.certificate.context,
-            collapse_loop.certificate.subst,
-            pattern,
-        )
+        step_problems(loop, collapse, StrategySpec("forbidden", (pattern,)))
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +376,8 @@ def test_h_problems_match_direct_evaluation():
         o = rng.choice(tuple(positions(lhs)))
         pattern = ForbiddenPattern(lhs, o, PatternKind.HERE)
 
-        instances = h_problems(t, q, c, mu, pattern)
+        loop = one_step_loop(t, q, c, mu)
+        instances = step_problems(loop, NO_RULES, StrategySpec("forbidden", (pattern,)))
         results = [solve_matching(inst.problem, config) for inst in instances]
         if any(isinstance(r, Unknown) for r in results):
             continue

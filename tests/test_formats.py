@@ -16,6 +16,7 @@ import genlib
 from loopcert import (
     ArityMismatch,
     DeciderConfig,
+    ExtraRhsVariable,
     ForbiddenPattern,
     LoopcertError,
     ParseError,
@@ -58,8 +59,36 @@ def test_parse_trs_reads_rules_in_order(stream):
 
 
 def test_parse_trs_rejects_variable_lhs():
-    with pytest.raises(VariableLhs):
+    with pytest.raises(VariableLhs, match=r"\(line 1, column 16\)$"):
         parse_trs("(VAR x) (RULES x -> x)")
+
+
+def test_parse_trs_locates_rule_and_arity_errors():
+    # A bad rule is reported at its first token, a wrong arity at its symbol.
+    for text, error, message in (
+        (
+            "(VAR x y)\n(RULES\n  g(x) -> y\n)",
+            ExtraRhsVariable,
+            "right-hand side of g(x) -> y uses fresh ['y'] (line 3, column 3)",
+        ),
+        (
+            "(VAR x) (RULES f(x) -> f(x,x))",
+            ArityMismatch,
+            "f used with 2 arguments, expected 1 (line 1, column 24)",
+        ),
+        (
+            "(VAR x)\n(RULES\n  f(x) -> a\n)\n(RULES\n  a(x) -> x\n)",
+            ArityMismatch,
+            "a used with 1 arguments, expected 0 (line 6, column 3)",
+        ),
+    ):
+        with pytest.raises(error) as err:
+            parse_trs(text)
+        assert str(err.value) == message
+    # A name declared a variable only after rules used it as a symbol is
+    # caught once the whole system is read.
+    with pytest.raises(ArityMismatch, match="'x' is declared as a variable"):
+        parse_trs("(RULES f(x) -> x) (VAR x)")
 
 
 def test_parse_trs_requires_a_rules_section():
@@ -130,8 +159,11 @@ def test_parse_patterns_reads_the_stream_file(stream, stream_patterns, data_dir)
 
 
 def test_parse_patterns_validates_the_position(stream):
-    with pytest.raises(PositionOutOfTerm):
+    with pytest.raises(PositionOutOfTerm, match=r"\(line 1, column 10\)$"):
         parse_patterns("inf(x) @ 3 : a", stream)
+    with pytest.raises(PositionOutOfTerm) as err:
+        parse_patterns("inf(x) @ eps : h\n cons(x,y) @ 1.1 : b", stream)
+    assert str(err.value) == "pattern position 1.1 not in cons(x,y) (line 2, column 14)"
     # int() would read these as 10 and 1; only ASCII digits make an index.
     for text in ("1_0", "+1", "1.+2"):
         with pytest.raises(ParseError, match="bad position") as err:
@@ -199,6 +231,10 @@ def test_parse_replacement_map_errors(factorial):
         with pytest.raises(ParseError, match="index") as err:
             parse_replacement_map(f"\ntimes: {text}", factorial)
         assert (err.value.line, err.value.col) == (2, col)
+    # Only '\n' ends a line, as in every other input.
+    with pytest.raises(ParseError, match="index") as err:
+        parse_replacement_map("times: 1\x0btimes: x", factorial)
+    assert (err.value.line, err.value.col) == (1, 8)
 
 
 # ---------------------------------------------------------------------------

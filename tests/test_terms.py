@@ -244,6 +244,26 @@ def test_context_plug_and_substitute(factorial):
     assert stepped.hole_pos == (1,)
 
 
+def test_derived_contexts_keep_one_hole_at_hole_pos():
+    # substitute and subcontext pass on a hole position without walking the
+    # body again; count the holes of every context they build.
+    from loopcert import HOLE
+
+    rng = random.Random(37)
+    for _ in range(400):
+        c = genlib.random_context(rng, depth=rng.randint(0, 4))
+        mu = genlib.random_substitution(rng)
+        for base in (c, c.substitute(mu)):
+            derived = [base.substitute(mu)]
+            derived += [
+                base.subcontext(base.hole_pos[:cut])
+                for cut in range(len(base.hole_pos) + 1)
+            ]
+            for d in derived:
+                holes = [p for p in positions(d.body) if subterm_at(d.body, p) == HOLE]
+                assert holes == [d.hole_pos]
+
+
 def test_apply_context_substitution_examples(factorial, stream):
     inf_c = Context.from_term(parse_term("cons(x,[])", stream, allow_hole=True))
     inf_mu = Substitution({"x": app("s", v("x"))})
