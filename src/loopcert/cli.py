@@ -20,9 +20,11 @@ from typing import Iterable
 
 from .deciders import STRATEGIES, DeciderConfig, StrategySpec, decide_loop
 from .errors import LoopcertError
+# certificate_to_document is unused here but stays bound: bench/tracer.py
+# times the document renderer through loopcert.cli.
 from .formats import (
-    _json,
     certificate_to_document,
+    certificates_to_json,
     parse_loop_certificate,
     parse_patterns,
     parse_replacement_map,
@@ -116,6 +118,7 @@ def find_loops(
     found: list[LoopCertificate] = []
     for t0 in starts:
         root = t0.symbol if isinstance(t0, Application) else None
+        replayed: dict = {}  # this start's replays, shared by its certificates
 
         def instances(pairs, at: Position = ()) -> list[tuple[Position, Substitution]]:
             out = []
@@ -151,7 +154,7 @@ def find_loops(
                         cert = LoopCertificate(
                             t0, steps, Context(replace_at(s2, p, HOLE), p), mu
                         )
-                        validate_loop(trs, cert)
+                        validate_loop(trs, cert, replayed)
                         found.append(cert)
                     if expand:
                         # Sorting is stable, so each position keeps rule order.
@@ -233,7 +236,7 @@ def cmd_find(args) -> int:
     trs = parse_trs(Path(args.trs).read_text())
     start = parse_term(args.start, trs) if args.start is not None else None
     loops = find_loops(trs, depth=args.depth, max_size=args.max_size, start=start)
-    sys.stdout.write(_json([certificate_to_document(c) for c in loops]))
+    sys.stdout.write(certificates_to_json(loops))
     return 0 if loops else 1
 
 

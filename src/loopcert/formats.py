@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Sequence
 from json.encoder import encode_basestring_ascii
 
 from .deciders import Evidence, ProblemInstance, Verdict
@@ -58,6 +59,7 @@ _SCANNER = re.compile(
     re.DOTALL,
 )
 _IDENT_NAME = re.compile(_IDENT)
+_BLANKS = " \t\r"  # the space group of _SCANNER
 
 
 def tokenize(text: str) -> list[tuple[str, str, int, int]]:
@@ -223,27 +225,31 @@ def parse_patterns(text: str, trs: Trs) -> tuple[ForbiddenPattern, ...]:
 
 
 def parse_replacement_map(text: str, trs: Trs) -> dict[str, tuple[int, ...]]:
-    """Lines of ``symbol: 1,3``; a bare ``symbol:`` allows no arguments."""
+    """Lines of ``symbol: 1,3``; a bare ``symbol:`` allows no arguments.
+
+    Only the blanks ``tokenize`` skips are trimmed, so any other whitespace
+    is part of a name or an index and fails there with its location.
+    """
     out: dict[str, tuple[int, ...]] = {}
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
+        line = raw.strip(_BLANKS)
         if not line:
             continue
         if ":" not in line:
             raise ParseError("expected 'symbol: indices'", lineno, 1)
         name, _, rest = line.partition(":")
-        name = name.strip()
-        at = len(raw) - len(raw.lstrip()) + 1  # column of the name
+        name = name.strip(_BLANKS)
+        at = len(raw) - len(raw.lstrip(_BLANKS)) + 1  # column of the name
         if not _IDENT_NAME.fullmatch(name):
             raise ParseError(f"bad symbol name {name!r}", lineno, at)
         indices: list[int] = []
-        if rest.strip():
+        if rest.strip(_BLANKS):
             col = raw.index(":") + 2  # column just after the colon
             for part in rest.split(","):
-                digits = part.strip()
+                digits = part.strip(_BLANKS)
                 # ASCII digits only: '²'.isdigit() holds, but int('²') raises.
                 if not (digits.isascii() and digits.isdigit()):
-                    at = col + len(part) - len(part.lstrip())
+                    at = col + len(part) - len(part.lstrip(_BLANKS))
                     raise ParseError(f"bad argument index {digits!r}", lineno, at)
                 indices.append(int(digits))
                 col += len(part) + 1
@@ -273,11 +279,11 @@ def parse_loop_certificate(text: str, trs: Trs) -> LoopCertificate:
     if not isinstance(doc["steps"], list) or not doc["steps"]:
         raise _cert_error("steps must be a nonempty list")
     steps: list[Step] = []
-    for entry in doc["steps"]:
+    for i, entry in enumerate(doc["steps"], start=1):
         if not isinstance(entry, list) or not entry:
-            raise _cert_error("each step must be a nonempty list of redexes")
+            raise _cert_error(f"step {i}: each step must be a nonempty list of redexes")
         step = []
-        for redex in entry:
+        for j, redex in enumerate(entry, start=1):
             if (
                 not isinstance(redex, dict)
                 or set(redex) != {"pos", "rule"}
@@ -290,11 +296,12 @@ def parse_loop_certificate(text: str, trs: Trs) -> LoopCertificate:
                 or isinstance(redex["rule"], bool)
             ):
                 raise _cert_error(
-                    'each redex must be {"pos": [indices >= 1], "rule": index}'
+                    f"step {i}, redex {j}: each redex must be"
+                    ' {"pos": [indices >= 1], "rule": index}'
                 )
             if not 0 <= redex["rule"] < len(trs.rules):
                 raise RuleIndexOutOfRange(
-                    f"rule index {redex['rule']} out of range for a"
+                    f"step {i}, redex {j}: rule index {redex['rule']} out of range for a"
                     f" {len(trs.rules)}-rule system"
                 )
             step.append((tuple(redex["pos"]), redex["rule"]))
@@ -323,6 +330,43 @@ def certificate_to_document(cert: LoopCertificate) -> dict:
         "context": str(cert.context.body),
         "subst": {x: str(u) for x, u in cert.subst.items()},
     }
+
+
+def certificates_to_json(certs: Sequence[LoopCertificate]) -> str:
+    """``_json([certificate_to_document(c) for c in certs])``, byte for byte.
+
+    The certificates ``find`` emits share most of their steps, so each
+    distinct step is rendered once per call.
+    """
+    if not certs:
+        return "[]\n"
+    enc = encode_basestring_ascii
+    steps: dict[Step, str] = {}
+    out = []
+    for cert in certs:
+        rendered = []
+        for step in cert.steps:
+            text = steps.get(step)
+            if text is None:
+                doc = [{"pos": list(q), "rule": i} for q, i in step]
+                text = steps[step] = _json_value(doc, "\n      ")
+            rendered.append(text)
+        bindings = cert.subst.items()
+        subst = (
+            "{\n      "
+            + ",\n      ".join(enc(x) + ": " + enc(str(u)) for x, u in bindings)
+            + "\n    }"
+            if bindings
+            else "{}"
+        )
+        out.append(
+            '{\n    "context": ' + enc(str(cert.context.body))
+            + ',\n    "start": ' + enc(str(cert.start))
+            + ',\n    "steps": [\n      ' + ",\n      ".join(rendered)
+            + '\n    ],\n    "subst": ' + subst
+            + "\n  }"
+        )
+    return "[\n  " + ",\n  ".join(out) + "\n]\n"
 
 
 def _json(doc) -> str:

@@ -63,14 +63,33 @@ class ValidatedLoop:
     terms: tuple[Term, ...]
 
 
-def validate_loop(trs: Trs, cert: LoopCertificate) -> ValidatedLoop:
-    """Replay the certificate and check the closing equation."""
+def validate_loop(
+    trs: Trs,
+    cert: LoopCertificate,
+    replayed: dict[tuple[Step, ...], tuple[Term, ...]] | None = None,
+) -> ValidatedLoop:
+    """Replay the certificate and check the closing equation.
+
+    *replayed* maps step sequences, replayed from one start term, to their
+    terms t1 .. t_{k+1}.  Replay resumes after the longest prefix of the
+    steps found there, and every prefix it replays is added.  Its keys leave
+    the start out, so one map must serve certificates of a single start.
+    """
+    steps = cert.steps
     terms = [cert.start]
-    for i, step in enumerate(cert.steps, start=1):
+    if replayed is not None:
+        for k in range(len(steps), 0, -1):
+            prior = replayed.get(steps[:k])
+            if prior is not None:
+                terms = list(prior)
+                break
+    for i in range(len(terms) - 1, len(steps)):
         try:
-            terms.append(parallel_rewrite(terms[-1], step, trs))
+            terms.append(parallel_rewrite(terms[-1], steps[i], trs))
         except (NotARedex, NotParallel, RuleIndexOutOfRange) as e:
-            raise type(e)(f"step {i}: {e}") from None
+            raise type(e)(f"step {i + 1}: {e}") from None
+        if replayed is not None:
+            replayed[steps[: i + 1]] = tuple(terms)
     expected = apply_context_substitution(cert.start, cert.context, cert.subst, 1)
     if terms[-1] != expected:
         raise ClosingMismatch(expected, terms[-1])

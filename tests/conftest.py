@@ -4,10 +4,12 @@ from pathlib import Path
 
 import pytest
 
+from genlib import golden_find_systems
 from loopcert import (
     ForbiddenPattern,
     Trs,
     ValidatedLoop,
+    find_loops,
     parse_loop_certificate,
     parse_patterns,
     parse_trs,
@@ -135,3 +137,16 @@ def corpus(
         (stream, stream_loop),
         (growing, growing_loop),
     )
+
+
+@pytest.fixture(scope="session")
+def find_outputs() -> list:
+    """(name, trs, certificates) of find on every system under tests/data at
+    depth 10, and on the seeded random systems golden_find.json pins."""
+    out = []
+    for path in sorted(DATA.glob("*.trs")):
+        trs = parse_trs(path.read_text())
+        out.append((path.name, trs, find_loops(trs, depth=10)))
+    for seed, trs, depth in golden_find_systems():
+        out.append((f"random {seed}", trs, find_loops(trs, depth=depth)))
+    return out

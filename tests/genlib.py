@@ -410,6 +410,20 @@ def random_looping_trs(rng: random.Random) -> Trs:
     return Trs.from_rules(rules, VARS)
 
 
+def golden_find_systems():
+    """(seed, trs, depth) for the 50 seeded random systems whose ``find``
+    output golden_find.json pins; every other one gains a rule whose
+    left-hand side f(y,x) is a variant of f(x,y)."""
+    x, y = Variable("x"), Variable("y")
+    for seed in range(50):
+        rng = random.Random(seed)
+        rules = list(random_looping_trs(rng).rules)
+        if seed % 2:
+            at = rng.randint(1, len(rules))
+            rules.insert(at, Rule(Application("f", (y, x)), random_term(rng, ("x", "y"), 2)))
+        yield seed, Trs.from_rules(rules, VARS), rng.randint(1, 5)
+
+
 def coherence_corpus(rng: random.Random, want: int):
     """(trs, validated loop) pairs found by the breadth-first searcher."""
     out = []

@@ -134,6 +134,26 @@ def test_bad_system_files_exit_three(capsys, data_dir, tmp_path):
             assert run(capsys, *argv) == (EXIT_INVALID, "", message)
 
 
+def test_bad_certificate_steps_name_their_location(capsys, data_dir, tmp_path):
+    # The second step is bad, or its second redex is; the location leads the message.
+    doc = json.loads((data_dir / "factorial_loop.json").read_text())
+    cases = (
+        ([{"pos": [1], "rule": 8}, {"pos": [1], "rule": 99}],
+         "error: step 2, redex 2: rule index 99 out of range for a 12-rule system\n"),
+        ([{"pos": [1], "rule": 8}, {"pos": [0], "rule": 8}],
+         'error: step 2, redex 2: each redex must be {"pos": [indices >= 1],'
+         ' "rule": index} (line 1, column 1)\n'),
+        ([], "error: step 2: each step must be a nonempty list of redexes"
+             " (line 1, column 1)\n"),
+    )
+    path = tmp_path / "bad.json"
+    for step, message in cases:
+        doc["steps"][1] = step
+        path.write_text(json.dumps(doc))
+        code, out, err = check(capsys, data_dir, "factorial.trs", path, "leftmost")
+        assert (code, out, err) == (EXIT_INVALID, "", message)
+
+
 def test_non_utf8_input_exits_three(capsys, data_dir, tmp_path):
     latin1 = tmp_path / "latin1.trs"
     latin1.write_bytes(b"(RULES caf\xe9 -> b)\n")

@@ -5,6 +5,7 @@ inputs pin the error type and, for text formats, the reported location.  A
 Hypothesis fuzz holds every parser to a value or a LoopcertError.
 """
 
+import dataclasses
 import json
 import random
 
@@ -16,6 +17,7 @@ import genlib
 from loopcert import (
     ArityMismatch,
     DeciderConfig,
+    EMPTY_SUBSTITUTION,
     ExtraRhsVariable,
     ForbiddenPattern,
     LoopcertError,
@@ -27,6 +29,8 @@ from loopcert import (
     Substitution,
     Variable,
     VariableLhs,
+    certificate_to_document,
+    certificates_to_json,
     decide_loop,
     innermost_patterns,
     outermost_patterns,
@@ -235,6 +239,20 @@ def test_parse_replacement_map_errors(factorial):
     with pytest.raises(ParseError, match="index") as err:
         parse_replacement_map("times: 1\x0btimes: x", factorial)
     assert (err.value.line, err.value.col) == (1, 8)
+    # Only space, tab and '\r' are blanks, as tokenize has them.
+    for text, message, line, col in (
+        ("\x0btimes: 1\x85", "bad symbol name '\\x0btimes'", 1, 1),
+        ("times: 1\x85", "bad argument index '1\\x85'", 1, 8),
+        ("times\x0c: 1", "bad symbol name 'times\\x0c'", 1, 1),
+        ("\ntimes:\u3000", "bad argument index '\\u3000'", 2, 7),
+        ("times: 1,\x1f2", "bad argument index '\\x1f2'", 1, 10),
+        ("\x1c", "expected 'symbol: indices'", 1, 1),
+        (" \t\r\n\xa0", "expected 'symbol: indices'", 2, 1),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse_replacement_map(text, factorial)
+        assert str(err.value) == f"{message} (line {line}, column {col})"
+    assert parse_replacement_map(" \ttimes :\r1 ,2\r\n\r", factorial) == {"times": (1, 2)}
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +279,28 @@ def test_certificate_rule_indices_are_checked(factorial, data_dir):
     doc["steps"][0][0]["rule"] = 99
     with pytest.raises(RuleIndexOutOfRange):
         parse_loop_certificate(json.dumps(doc), factorial)
+
+
+def test_certificates_to_json_matches_the_document_writer(
+    find_outputs, factorial_loop, factorial_par_outer_loop, collapse_loop
+):
+    def first_difference(certs) -> int | None:
+        # An index, not the texts: a diff of megabytes of JSON takes minutes.
+        got = certificates_to_json(certs)
+        want = _json([certificate_to_document(c) for c in certs])
+        if got == want:
+            return None
+        return next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), len(want))
+
+    assert certificates_to_json([]) == "[]\n"
+    assert first_difference([]) is None
+    for name, _, certs in find_outputs:
+        assert first_difference(certs) is None, name
+    # A parallel step, a root position, an empty substitution, repeated steps.
+    par = factorial_par_outer_loop.certificate
+    assert len(par.steps[0]) > 1 and par.steps[-1][0][0] == ()
+    bare = dataclasses.replace(factorial_loop.certificate, subst=EMPTY_SUBSTITUTION)
+    assert first_difference([par, bare, collapse_loop.certificate, par, bare]) is None
 
 
 def test_certificate_subst_must_bind_declared_variables(factorial, data_dir):

@@ -25,16 +25,13 @@ import hashlib
 import io
 import json
 import os
-import random
 import sys
 import tempfile
 from pathlib import Path
 
-from genlib import VARS, random_looping_trs, random_term, render_trs
+from genlib import golden_find_systems, render_trs
 from loopcert.cli import main
 from loopcert.deciders import STRATEGIES
-from loopcert.rewriting import Rule, Trs
-from loopcert.terms import Application, Variable
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden_verdicts.json"
@@ -104,17 +101,10 @@ def find_cases(tmp: Path):
     variant.write_text(VARIANT_TRS)
     for depth in ("4", "6"):
         yield f"variant depth {depth}", ["--trs", str(variant), "--depth", depth]
-    x, y = Variable("x"), Variable("y")
-    for seed in range(50):
-        rng = random.Random(seed)
-        rules = list(random_looping_trs(rng).rules)
-        if seed % 2:
-            at = rng.randint(1, len(rules))
-            rules.insert(at, Rule(Application("f", (y, x)), random_term(rng, ("x", "y"), 2)))
+    for seed, trs, depth in golden_find_systems():
         path = tmp / f"random{seed}.trs"
-        path.write_text(render_trs(Trs.from_rules(rules, VARS)))
-        depth = str(rng.randint(1, 5))
-        yield f"random {seed} depth {depth}", ["--trs", str(path), "--depth", depth]
+        path.write_text(render_trs(trs))
+        yield f"random {seed} depth {depth}", ["--trs", str(path), "--depth", str(depth)]
 
 
 def run_find(argv: list[str]) -> dict:

@@ -85,6 +85,33 @@ def test_validate_rejects_overlapping_parallel_positions():
         validate_loop(trs, cert)
 
 
+def test_shared_replay_matches_a_fresh_one(find_outputs):
+    for name, trs, certs in find_outputs:
+        memos: dict = {}
+        for cert in certs:
+            shared = validate_loop(trs, cert, memos.setdefault(cert.start, {}))
+            assert shared == validate_loop(trs, cert), name
+
+
+def test_shared_replay_still_checks_every_step_and_the_closing(factorial, factorial_loop):
+    cert = factorial_loop.certificate
+    replayed: dict = {}
+    assert validate_loop(factorial, cert, replayed) == factorial_loop
+    assert cert.steps[:-1] in replayed
+    # The last step fires if(true,...) where if(false,...) stands.
+    bad_step = dataclasses.replace(cert, steps=cert.steps[:-1] + ((((), 2),),))
+    with pytest.raises(NotARedex) as fresh:
+        validate_loop(factorial, bad_step)
+    with pytest.raises(NotARedex) as shared:
+        validate_loop(factorial, bad_step, replayed)
+    assert str(shared.value) == str(fresh.value)
+    assert str(shared.value).startswith(f"step {len(cert.steps)}: ")
+    # Every step is in the map now; the closing pair is still checked.
+    bad_closing = dataclasses.replace(cert, subst=EMPTY_SUBSTITUTION)
+    with pytest.raises(ClosingMismatch):
+        validate_loop(factorial, bad_closing, replayed)
+
+
 def _context(trs, text):
     from loopcert import Context
 
