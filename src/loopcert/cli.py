@@ -116,9 +116,9 @@ def find_loops(
             starts.append(t0)
     by_root = trs.rules_by_root
     found: list[LoopCertificate] = []
+    replayed: dict = {}  # replays shared by every certificate of the search
     for t0 in starts:
         root = t0.symbol if isinstance(t0, Application) else None
-        replayed: dict = {}  # this start's replays, shared by its certificates
 
         def instances(pairs, at: Position = ()) -> list[tuple[Position, Substitution]]:
             out = []
@@ -200,7 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--trs", required=True, help="rewrite system file")
     check.add_argument("--loop", required=True, help="loop certificate JSON file")
     check.add_argument("--strategy", required=True, help="strategy name or encoding")
-    check.add_argument("--bound", type=_count, default=64, help="solver exponent bound")
+    check.add_argument(
+        "--bound", type=_count, default=DeciderConfig.bound, help="solver exponent bound"
+    )
     check.add_argument(
         "--unroll",
         type=_count,

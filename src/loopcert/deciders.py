@@ -34,11 +34,11 @@ from typing import Iterable
 from .errors import ShapeMismatch, VariableRedex
 from .loops import ValidatedLoop, unroll_loop
 from .problems import (
+    DeciderConfig,
     ExtendedMatchingProblem,
     MatchingProblem,
     Problem,
     Solvable,
-    SolverConfig,
     SolverResult,
     Unknown,
     Unsolvable,
@@ -376,14 +376,7 @@ class Verdict:
     bound: int
 
 
-@dataclass(frozen=True)
-class DeciderConfig:
-    bound: int = 64
-    unroll: int | None = None  # cap for the concrete-violation search
-    max_term_size: int = 100_000
-
-
-def concrete_checks(spec: StrategySpec, trs: Trs) -> tuple[str, ...]:
+def concrete_checks(spec: StrategySpec) -> tuple[str, ...]:
     """strategy_allows components whose conjunction is the strategy, for
     replay checks; no component means every step is allowed."""
     return STRATEGIES[spec.name][1]
@@ -393,19 +386,23 @@ def _confirm_violation(
     trs: Trs, loop: ValidatedLoop, spec: StrategySpec, levels: int, max_size: int
 ) -> tuple[int, int] | None:
     """Level and step of the first concrete violation, or None when none is
-    found up to the level cap or before a level's terms outgrow max_size."""
-    checks = concrete_checks(spec, trs)
-    for n in range(levels + 1):
-        unrolled = unroll_loop(loop, n)
-        if any(term_size(t) > max_size for t in unrolled.terms):
-            return None
-        for j, step in enumerate(unrolled.steps):
-            qs = [q for q, _ in step]
-            if not all(
-                strategy_allows(unrolled.terms[j], qs, trs, chk, spec.patterns)
-                for chk in checks
-            ):
-                return n, j + 1
+    found up to the level cap or before a level's terms outgrow max_size or
+    nest deeper than the term walks recurse."""
+    checks = concrete_checks(spec)
+    try:
+        for n in range(levels + 1):
+            unrolled = unroll_loop(loop, n)
+            if any(term_size(t) > max_size for t in unrolled.terms):
+                return None
+            for j, step in enumerate(unrolled.steps):
+                qs = [q for q, _ in step]
+                if not all(
+                    strategy_allows(unrolled.terms[j], qs, trs, chk, spec.patterns)
+                    for chk in checks
+                ):
+                    return n, j + 1
+    except RecursionError:
+        pass  # a level nests deeper than the term walks recurse
     return None
 
 
@@ -416,14 +413,13 @@ def decide_loop(
     config: DeciderConfig = DeciderConfig(),
 ) -> Verdict:
     instances = step_problems(loop, trs, spec)
-    solver_config = SolverConfig(bound=config.bound, max_term_size=config.max_term_size)
     # Steps repeat problems; each distinct one is solved once per decision.
     solved: dict[Problem, SolverResult] = {}
     results: list[tuple[ProblemInstance, SolverResult]] = []
     for inst in instances:
         res = solved.get(inst.problem)
         if res is None:
-            res = solved[inst.problem] = solve_problem(inst.problem, solver_config)
+            res = solved[inst.problem] = solve_problem(inst.problem, config)
         results.append((inst, res))
     solvable = [(i, r) for i, r in results if isinstance(r, Solvable)]
     unknown = [(i, r) for i, r in results if isinstance(r, Unknown)]

@@ -106,11 +106,11 @@ def _parse_term(
     ts: _Tokens,
     variables: frozenset[str],
     allow_hole: bool,
-    arities: dict[str, int] | None = None,
+    arities: dict[str, int],
 ) -> Term:
-    """Read one term.  With *arities*, every application must keep the arity
-    recorded there, and a new symbol is recorded by its first application
-    read to its end: an argument before the application around it."""
+    """Read one term.  Every application must keep the arity recorded in
+    *arities*, and a new symbol is recorded by its first application read to
+    its end: an argument before the application around it."""
     kind, name, line, col = ts.next()
     if kind == "hole":
         if not allow_hole:
@@ -131,13 +131,12 @@ def _parse_term(
         ts.expect("rparen")
     elif name in variables:
         return Variable(name)
-    if arities is not None:
-        expected = arities.setdefault(name, len(args))
-        if expected != len(args):
-            raise ArityMismatch(
-                f"{name} used with {len(args)} arguments, expected {expected}"
-                f" (line {line}, column {col})"
-            )
+    expected = arities.setdefault(name, len(args))
+    if expected != len(args):
+        raise ArityMismatch(
+            f"{name} used with {len(args)} arguments, expected {expected}"
+            f" (line {line}, column {col})"
+        )
     return Application(name, tuple(args))
 
 

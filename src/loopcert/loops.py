@@ -16,6 +16,7 @@ from .errors import (
     MalformedContext,
     NotARedex,
     NotParallel,
+    PositionOutOfTerm,
     RuleIndexOutOfRange,
 )
 from .rewriting import Trs, parallel_rewrite
@@ -66,30 +67,30 @@ class ValidatedLoop:
 def validate_loop(
     trs: Trs,
     cert: LoopCertificate,
-    replayed: dict[tuple[Step, ...], tuple[Term, ...]] | None = None,
+    replayed: dict[tuple[Term, tuple[Step, ...]], tuple[Term, ...]] | None = None,
 ) -> ValidatedLoop:
     """Replay the certificate and check the closing equation.
 
-    *replayed* maps step sequences, replayed from one start term, to their
-    terms t1 .. t_{k+1}.  Replay resumes after the longest prefix of the
-    steps found there, and every prefix it replays is added.  Its keys leave
-    the start out, so one map must serve certificates of a single start.
+    *replayed* maps (start term, step sequence) to the replayed terms
+    t1 .. t_{k+1}.  Replay resumes after the longest prefix of the steps
+    found there for the certificate's start, and every prefix it replays is
+    added, so one map can serve any number of certificates.
     """
     steps = cert.steps
     terms = [cert.start]
     if replayed is not None:
         for k in range(len(steps), 0, -1):
-            prior = replayed.get(steps[:k])
+            prior = replayed.get((cert.start, steps[:k]))
             if prior is not None:
                 terms = list(prior)
                 break
     for i in range(len(terms) - 1, len(steps)):
         try:
             terms.append(parallel_rewrite(terms[-1], steps[i], trs))
-        except (NotARedex, NotParallel, RuleIndexOutOfRange) as e:
+        except (NotARedex, NotParallel, PositionOutOfTerm, RuleIndexOutOfRange) as e:
             raise type(e)(f"step {i + 1}: {e}") from None
         if replayed is not None:
-            replayed[steps[: i + 1]] = tuple(terms)
+            replayed[cert.start, steps[: i + 1]] = tuple(terms)
     expected = apply_context_substitution(cert.start, cert.context, cert.subst, 1)
     if terms[-1] != expected:
         raise ClosingMismatch(expected, terms[-1])

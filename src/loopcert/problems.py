@@ -6,15 +6,16 @@ term onto an instance of a pattern: find n and sigma with u mu^n = l sigma
 a mu^n = b mu^n can ride along).  An extended problem additionally pumps the
 subject through a context: find m, k, sigma with D[t(C, mu)^m] mu^k = l sigma.
 
-The solver runs three layers.  Layer 1 simplifies the constraint set at the
-current exponent to a fixpoint: root clashes and variables that cycle through
-variables forever refute the problem outright, and a fully decomposed set is
-a solution at exactly the current exponent.  Layer 2 steps the whole state by
-mu and detects revisited states, which refutes the problem since the residual
-constraints only depend on the state.  Layer 3 falls back to bounded direct
-search for whatever exponents the first two layers did not settle.  Answers
-are three-valued: Solvable carries the least witness, Unsolvable carries a
-finite certificate, Unknown names the exhausted bound.
+A matching problem is solved in two layers.  Layer 1 simplifies the
+constraint set at the current exponent to a fixpoint: root clashes and
+variables that cycle through variables forever refute the problem outright,
+and a fully decomposed set is a solution at exactly the current exponent.
+Layer 2 steps the whole state by mu and detects revisited states, which
+refutes the problem since the residual constraints only depend on the state.
+An extended problem is scanned for a refuting clash and otherwise searched
+by bounded enumeration of (m, k).  Answers are three-valued: Solvable carries
+the least witness, Unsolvable carries a finite certificate, Unknown names the
+exhausted bound or the size or depth limit that stopped the search.
 """
 
 from __future__ import annotations
@@ -107,12 +108,10 @@ SolverResult = Union[Solvable, Unsolvable, Unknown]
 
 
 @dataclass(frozen=True)
-class SolverConfig:
-    bound: int = 64
+class DeciderConfig:
+    bound: int = 64  # largest exponent the solvers search
+    unroll: int | None = None  # cap for the concrete-violation search
     max_term_size: int = 100_000
-
-
-DEFAULT_CONFIG = SolverConfig()
 
 
 def orbit_root(name: str, mu: Substitution) -> str | None:
@@ -235,7 +234,7 @@ def _recheck_matching(problem: MatchingProblem, n: int) -> Substitution:
 
 
 def solve_matching(
-    problem: MatchingProblem, config: SolverConfig = DEFAULT_CONFIG
+    problem: MatchingProblem, config: DeciderConfig = DeciderConfig()
 ) -> SolverResult:
     mu = problem.mu
     state = _simplify({}, list(problem.pairs), list(problem.identities), mu)
@@ -243,7 +242,6 @@ def solve_matching(
         return state
     seen = set()
     offset = 0
-    covered = -1
     while True:
         if state.solved():
             return Solvable(Witness(n=offset, sigma=_recheck_matching(problem, offset)))
@@ -251,60 +249,29 @@ def solve_matching(
         if key in seen:
             return Unsolvable(UnsolvableReason.CYCLE)
         seen.add(key)
-        covered = offset
-        if offset >= config.bound or state.size() > config.max_term_size:
-            break
+        if offset >= config.bound:
+            return Unknown(config.bound)
+        if state.size() > config.max_term_size:
+            return Unknown(config.bound, "state size limit reached")
         state = _simplify(*state.step(mu), mu)
         if isinstance(state, Unsolvable):
             return state
         offset += 1
-    # Fall back to direct search past the last exactly-decided exponent.
-    if covered < config.bound:
-        subjects = [apply_substitution(u, mu, covered + 1) for u, _ in problem.pairs]
-        idents = [
-            (apply_substitution(a, mu, covered + 1), apply_substitution(b, mu, covered + 1))
-            for a, b in problem.identities
-        ]
-        for n in range(covered + 1, config.bound + 1):
-            if (
-                sum(term_size(u) for u in subjects)
-                + sum(term_size(a) + term_size(b) for a, b in idents)
-                > config.max_term_size
-            ):
-                return Unknown(config.bound, "state size limit reached")
-            sigma = match_many(
-                [(l, u) for (orig, l), u in zip(problem.pairs, subjects)]
-            )
-            if sigma is not None and all(a == b for a, b in idents):
-                return Solvable(Witness(n=n, sigma=_recheck_matching(problem, n)))
-            subjects = [mu.apply(u) for u in subjects]
-            idents = [(mu.apply(a), mu.apply(b)) for a, b in idents]
-    return Unknown(config.bound)
 
 
 def _tower_roots(problem: ExtendedMatchingProblem) -> frozenset[str]:
     """Every root symbol D's hole can expose, over all m and all later mu
     powers.  The set is exhaustive: a non-member root refutes a match there."""
-    roots: set[str] = set()
-
-    def add_roots_of(t: Term):
-        if isinstance(t, Application):
-            roots.add(t.symbol)
-        else:
-            r = orbit_root(t.name, problem.mu)
-            if r is not None:
-                roots.add(r)
-
-    add_roots_of(problem.t)  # m = 0
-    if problem.c.body == HOLE:
-        add_roots_of(problem.t)  # m >= 1 still pumps bare powers of mu
-    else:
+    # m = 0, and every m when C is the hole: t mu^k shows t's root or its orbit's.
+    t = problem.t
+    roots = {t.symbol if isinstance(t, Application) else orbit_root(t.name, problem.mu)}
+    if problem.c.body != HOLE:
         roots.add(problem.c.body.symbol)
-    return frozenset(roots)
+    return frozenset(roots - {None})
 
 
 def _extended_scan(
-    dn: Term, ln: Term, problem: ExtendedMatchingProblem, config: SolverConfig
+    dn: Term, ln: Term, problem: ExtendedMatchingProblem, config: DeciderConfig
 ) -> bool:
     """Walk D against the pattern; whether a refuting clash exists.
 
@@ -327,7 +294,7 @@ def _extended_scan(
 
 
 def solve_extended(
-    problem: ExtendedMatchingProblem, config: SolverConfig = DEFAULT_CONFIG
+    problem: ExtendedMatchingProblem, config: DeciderConfig = DeciderConfig()
 ) -> SolverResult:
     if _extended_scan(problem.d.body, problem.lhs, problem, config):
         return Unsolvable(UnsolvableReason.ROOT_CLASH)
@@ -358,7 +325,11 @@ def solve_extended(
     return Unknown(config.bound)
 
 
-def solve_problem(problem: Problem, config: SolverConfig = DEFAULT_CONFIG) -> SolverResult:
-    if isinstance(problem, MatchingProblem):
-        return solve_matching(problem, config)
-    return solve_extended(problem, config)
+def solve_problem(problem: Problem, config: DeciderConfig = DeciderConfig()) -> SolverResult:
+    try:
+        if isinstance(problem, MatchingProblem):
+            return solve_matching(problem, config)
+        return solve_extended(problem, config)
+    except RecursionError:
+        # The solver's own terms nest deeper than the term walks recurse.
+        return Unknown(config.bound, "term depth limit reached")

@@ -16,12 +16,12 @@ import random
 from loopcert import (
     Application,
     Context,
+    DeciderConfig,
     ExtendedMatchingProblem,
     HOLE,
     MatchingProblem,
     Rule,
     Solvable,
-    SolverConfig,
     StrategySpec,
     Substitution,
     Term,
@@ -49,7 +49,6 @@ from loopcert import (
     unroll_loop,
     validate_loop,
 )
-from loopcert.deciders import DeciderConfig
 from loopcert.rewriting import match_pattern, redex_positions
 
 ARITIES = {"f": 2, "g": 1, "h": 2, "k": 3, "s": 1, "a": 0, "b": 0, "c": 0}
@@ -225,9 +224,11 @@ def _rule_vars(rule: Rule) -> tuple[str, ...]:
 # Solver versus brute-force oracle.
 
 
-def random_matching_problem(rng: random.Random) -> MatchingProblem:
-    # Linear images: the solver and oracle pump these to exponent 32.
-    mu = random_substitution(rng, wild=0.0)
+def random_matching_problem(rng: random.Random, wild: float = 0.0) -> MatchingProblem:
+    # Linear images by default: the solver and oracle pump these to exponent
+    # 32.  A positive *wild* lets images duplicate variables, so terms grow
+    # until the solver's size limit stops them.
+    mu = random_substitution(rng, wild=wild)
     pairs = []
     for _ in range(rng.choice((1, 1, 1, 2))):
         pattern = random_pattern(rng)
@@ -345,7 +346,7 @@ def reverify_witness(problem, w: Witness) -> bool:
 def solver_oracle_failures(problem, bound: int = 32) -> list[str]:
     """Compare the layered solver against exhaustive search at one bound."""
     failures: list[str] = []
-    res = solve_problem(problem, SolverConfig(bound=bound))
+    res = solve_problem(problem, DeciderConfig(bound=bound))
     oracle = brute_force_check(problem, bound)
     if isinstance(res, Solvable):
         w = res.witness
@@ -375,8 +376,8 @@ def solver_oracle_failures(problem, bound: int = 32) -> list[str]:
 def monotonicity_failures(problem, low: int = 8, high: int = 32) -> list[str]:
     """Raising the bound may settle Unknown but never flips a definite answer."""
     failures: list[str] = []
-    res_low = solve_problem(problem, SolverConfig(bound=low))
-    res_high = solve_problem(problem, SolverConfig(bound=high))
+    res_low = solve_problem(problem, DeciderConfig(bound=low))
+    res_high = solve_problem(problem, DeciderConfig(bound=high))
     if isinstance(res_low, Solvable) and not isinstance(res_high, Solvable):
         failures.append(f"Solvable at {low} but not at {high}: {problem}")
     if isinstance(res_low, Unsolvable) and not isinstance(res_high, Unsolvable):
@@ -472,7 +473,7 @@ def coherence_failures(
         spec = StrategySpec(name)
         v = decide_loop(trs, loop, spec, config)
         verdicts[name] = v.answer
-        checks = concrete_checks(spec, trs)
+        checks = concrete_checks(spec)
         if v.answer == "yes":
             for n in range(levels + 1):
                 unrolled = unroll_loop(loop, n)

@@ -67,6 +67,17 @@ def test_unknown_exits_two(capsys, data_dir):
     assert out.startswith("UNKNOWN: undecided for strategy leftmost")
 
 
+def test_solver_terms_past_the_depth_limit_exit_two(capsys, data_dir):
+    # The open problem's state nests one level deeper per exponent, past
+    # what the recursive term walks handle long before the bound.
+    code, out, err = check(
+        capsys, data_dir, "growing.trs", "growing_loop.json", "leftmost",
+        "--bound", "1000",
+    )
+    assert (code, err) == (EXIT_UNKNOWN, "")
+    assert out.startswith("UNKNOWN: undecided for strategy leftmost")
+
+
 def test_unknown_strategy_exits_three(capsys, data_dir):
     code, out, err = check(
         capsys, data_dir, "factorial.trs", "factorial_loop.json", "bogus"
@@ -145,6 +156,8 @@ def test_bad_certificate_steps_name_their_location(capsys, data_dir, tmp_path):
          ' "rule": index} (line 1, column 1)\n'),
         ([], "error: step 2: each step must be a nonempty list of redexes"
              " (line 1, column 1)\n"),
+        ([{"pos": [9, 9], "rule": 8}],
+         "error: step 2: no position 9.9 in if(eq(x,y),s(0),times(fact(s(x),y),s(x)))\n"),
     )
     path = tmp_path / "bad.json"
     for step, message in cases:

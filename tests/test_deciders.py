@@ -25,7 +25,6 @@ from loopcert import (
     PatternKind,
     ShapeMismatch,
     Solvable,
-    SolverConfig,
     StrategySpec,
     Substitution,
     Trs,
@@ -256,6 +255,18 @@ def test_confirmation_stops_where_terms_outgrow_the_size_limit():
     assert capped.evidence.level is None
 
 
+def test_confirmation_stops_where_terms_nest_too_deeply(
+    monkeypatch, factorial, factorial_inner_loop
+):
+    def too_deep(loop, n):
+        raise RecursionError
+
+    monkeypatch.setattr(deciders, "unroll_loop", too_deep)
+    verdict = decide_loop(factorial, factorial_inner_loop, StrategySpec("outermost"))
+    assert verdict.answer == "no"
+    assert verdict.evidence.level is None
+
+
 def test_parallel_loop_verdicts(
     factorial,
     factorial_loop,
@@ -365,7 +376,7 @@ def condition_one_hits(t, q, c, mu, pattern, levels):
 
 def test_h_problems_match_direct_evaluation():
     rng = random.Random(29)
-    config = SolverConfig(bound=24)
+    config = DeciderConfig(bound=24)
     compared = 0
     while compared < 200:
         t = genlib.random_term(rng, depth=2)
@@ -430,7 +441,7 @@ def test_strategy_table_drives_generation_replay_and_resolution(
         prefixes = tuple(COMPONENT_FAMILIES[c] for c in components)
         families = {inst.family for inst in step_problems(loop, factorial, spec)}
         assert all(f.startswith(prefixes) for f in families), (name, families)
-        assert concrete_checks(spec, factorial) == components
+        assert concrete_checks(spec) == components
         if name == "forbidden":
             # Bare "forbidden" has no patterns; the CLI wants forbidden:<file>.
             with pytest.raises(LoopcertError, match="unknown strategy 'forbidden'"):

@@ -87,17 +87,31 @@ def test_validate_rejects_overlapping_parallel_positions():
 
 def test_shared_replay_matches_a_fresh_one(find_outputs):
     for name, trs, certs in find_outputs:
-        memos: dict = {}
+        replayed: dict = {}  # one map for every start, as find_loops uses it
         for cert in certs:
-            shared = validate_loop(trs, cert, memos.setdefault(cert.start, {}))
+            shared = validate_loop(trs, cert, replayed)
             assert shared == validate_loop(trs, cert), name
+
+
+def test_shared_replay_keeps_starts_apart():
+    # Equal steps from different starts replay to different terms.
+    trs = Trs.from_rules([Rule(app("f", v("x")), app("c", app("f", v("x"))))], ("x",))
+    replayed: dict = {}
+    for start in (app("f", app("a")), app("f", app("b"))):
+        cert = LoopCertificate(
+            start=start,
+            steps=((((), 0),),),
+            context=_context(trs, "c([])"),
+            subst=EMPTY_SUBSTITUTION,
+        )
+        assert validate_loop(trs, cert, replayed) == validate_loop(trs, cert)
 
 
 def test_shared_replay_still_checks_every_step_and_the_closing(factorial, factorial_loop):
     cert = factorial_loop.certificate
     replayed: dict = {}
     assert validate_loop(factorial, cert, replayed) == factorial_loop
-    assert cert.steps[:-1] in replayed
+    assert (cert.start, cert.steps[:-1]) in replayed
     # The last step fires if(true,...) where if(false,...) stands.
     bad_step = dataclasses.replace(cert, steps=cert.steps[:-1] + ((((), 2),),))
     with pytest.raises(NotARedex) as fresh:

@@ -17,12 +17,12 @@ from loopcert.errors import InternalError, LoopcertError
 from loopcert import (
     Application,
     Context,
+    DeciderConfig,
     EMPTY_SUBSTITUTION,
     ExtendedMatchingProblem,
     HOLE,
     MatchingProblem,
     Solvable,
-    SolverConfig,
     Substitution,
     Unknown,
     Unsolvable,
@@ -198,7 +198,7 @@ def test_matching_honest_unknown():
         Substitution({"x": app("s", app("s", v("x"))), "y": app("s", v("y"))}),
     )
     assert isinstance(solve_matching(problem), Unknown)
-    assert isinstance(solve_matching(problem, SolverConfig(bound=128)), Unknown)
+    assert isinstance(solve_matching(problem, DeciderConfig(bound=128)), Unknown)
     assert brute_force_check(problem, 32) is None
 
 
@@ -208,9 +208,18 @@ def test_matching_size_guard_reports_its_limit():
         app("g", v("w"), v("w")),
         Substitution({"x": app("s", app("s", v("x"))), "y": app("s", v("y"))}),
     )
-    result = solve_matching(problem, SolverConfig(bound=10_000, max_term_size=50))
+    result = solve_matching(problem, DeciderConfig(bound=10_000, max_term_size=50))
     assert isinstance(result, Unknown)
     assert "limit" in result.note
+
+
+def test_solver_depth_overflow_is_a_limit(monkeypatch, swap_problem):
+    def too_deep(problem, config):
+        raise RecursionError
+
+    monkeypatch.setattr(problems, "solve_matching", too_deep)
+    result = solve_problem(swap_problem, DeciderConfig(bound=7))
+    assert result == Unknown(7, "term depth limit reached")
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +327,7 @@ def test_solve_extended_size_guard_reports_its_limit():
         t=v("x"),
         mu=Substitution({"x": app("f", v("x"), v("x"))}),
     )
-    result = solve_extended(problem, SolverConfig(bound=64, max_term_size=500))
+    result = solve_extended(problem, DeciderConfig(bound=64, max_term_size=500))
     assert isinstance(result, Unknown)
     assert "limit" in result.note
     assert brute_force_check(problem, 10) is None
@@ -353,6 +362,27 @@ def test_solver_agrees_with_oracle_randomized():
         problem = genlib.random_problem(rng)
         failures.extend(genlib.solver_oracle_failures(problem))
     assert failures == []
+
+
+def test_size_limit_answers_agree_with_oracle():
+    # Images that duplicate variables make states grow, so small caps stop
+    # some searches before the bound: those may say Unknown, never guess.
+    rng = random.Random(3)
+    bound = 10
+    limited = 0
+    for _ in range(1000):
+        problem = genlib.random_matching_problem(rng, wild=0.6)
+        oracle = brute_force_check(problem, bound)
+        for cap in (2, 5, 12):
+            result = solve_problem(problem, DeciderConfig(bound=bound, max_term_size=cap))
+            if isinstance(result, Solvable):
+                assert genlib.reverify_witness(problem, result.witness), problem
+                assert result.witness == oracle, problem
+            elif isinstance(result, Unsolvable) or "limit" not in result.note:
+                assert oracle is None, (problem, result)
+            else:
+                limited += 1
+    assert limited > 0
 
 
 def test_raising_bounds_never_flips_answers():
