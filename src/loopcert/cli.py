@@ -4,9 +4,11 @@
     loopcert find --trs sys.trs --depth 6 --start "fact(x,y)"
 
 check exits 0 when the certificate is a loop under the strategy, 1 when it
-is refuted, 2 when undecided at the bound, 3 on invalid input.  find exits
-0 when it discovers at least one loop, 1 when none, 3 on invalid input.
-Both exit 4 on an internal error, with the traceback on stderr.
+is refuted, 2 when undecided (an extended problem reached the exponent
+bound, or a problem reached the size or depth limit), 3 on invalid input.
+find exits 0 when it discovers at least one loop, 1 when none, 3 on
+invalid input.  Both exit 4 on an internal error, with the traceback on
+stderr.
 """
 
 from __future__ import annotations
@@ -201,7 +203,10 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--loop", required=True, help="loop certificate JSON file")
     check.add_argument("--strategy", required=True, help="strategy name or encoding")
     check.add_argument(
-        "--bound", type=_count, default=DeciderConfig.bound, help="solver exponent bound"
+        "--bound",
+        type=_count,
+        default=DeciderConfig.bound,
+        help="exponent bound for extended problems",
     )
     check.add_argument(
         "--unroll",

@@ -368,7 +368,7 @@ class Verdict:
     answer: str  # "yes" | "no" | "unknown"
     strategy: str
     evidence: Evidence | None
-    open_problems: tuple[ProblemInstance, ...]
+    open_problems: tuple[tuple[ProblemInstance, Unknown], ...]
     total: int
     unsolvable: int
     solvable: int
@@ -450,7 +450,5 @@ def decide_loop(
             **counts,
         )
     if unknown:
-        return Verdict(
-            "unknown", spec.label, None, tuple(i for i, _ in unknown), **counts
-        )
+        return Verdict("unknown", spec.label, None, tuple(unknown), **counts)
     return Verdict("yes", spec.label, None, (), **counts)

@@ -482,7 +482,10 @@ def verdict_to_document(v: Verdict) -> dict:
             "unknown": v.unknown,
         },
         "evidence": _evidence_to_document(v.evidence) if v.evidence else None,
-        "open_problems": [_instance_to_document(i) for i in v.open_problems],
+        "open_problems": [
+            {**_instance_to_document(inst), "stopped": res.note}
+            for inst, res in v.open_problems
+        ],
     }
 
 
@@ -529,7 +532,8 @@ def render_verdict(v: Verdict, fmt: str = "text") -> str:
             )
         return "\n".join(lines) + "\n"
     lines = [f"UNKNOWN: undecided for strategy {v.strategy}", f"  {stats}"]
-    for inst in v.open_problems:
+    for inst, res in v.open_problems:
         lines.append(f"  open at {_instance_to_text(inst)}")
         lines.append(f"    problem: {inst.problem}")
+        lines.append(f"    stopped: {res.note}")
     return "\n".join(lines) + "\n"

@@ -6,16 +6,17 @@ term onto an instance of a pattern: find n and sigma with u mu^n = l sigma
 a mu^n = b mu^n can ride along).  An extended problem additionally pumps the
 subject through a context: find m, k, sigma with D[t(C, mu)^m] mu^k = l sigma.
 
-A matching problem is solved in two layers.  Layer 1 simplifies the
-constraint set at the current exponent to a fixpoint: root clashes and
-variables that cycle through variables forever refute the problem outright,
-and a fully decomposed set is a solution at exactly the current exponent.
-Layer 2 steps the whole state by mu and detects revisited states, which
-refutes the problem since the residual constraints only depend on the state.
-An extended problem is scanned for a refuting clash and otherwise searched
-by bounded enumeration of (m, k).  Answers are three-valued: Solvable carries
-the least witness, Unsolvable carries a finite certificate, Unknown names the
-exhausted bound or the size or depth limit that stopped the search.
+A matching problem is decided.  At each exponent its constraint set is
+simplified to a fixpoint: root clashes and variables that cycle through
+variables forever refute the problem outright, and a fully decomposed set is
+a solution at exactly that exponent.  The state is then stepped by mu, up to
+the exponent bound that `exponent_bound` computes from the problem and
+proves sufficient; no witness up to it refutes the problem.  An extended
+problem is scanned for a refuting clash and otherwise searched by bounded
+enumeration of (m, k) up to the configured exponent bound.  Answers are
+three-valued: Solvable carries the least witness, Unsolvable carries a
+finite certificate, Unknown says why the search stopped: the configured
+exponent bound (extended problems only), or the size or depth limit.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .terms import (
     apply_context_substitution,
     apply_substitution,
     term_size,
+    variable_closure,
     variables_of,
 )
 from .rewriting import match_many, match_pattern
@@ -77,7 +79,7 @@ Problem = Union[MatchingProblem, ExtendedMatchingProblem]
 class UnsolvableReason(enum.Enum):
     ROOT_CLASH = "root-clash"
     VARIABLE_ORBIT = "variable-orbit"
-    CYCLE = "cycle"
+    EXPONENT_BOUND = "exponent-bound"
 
 
 @dataclass(frozen=True)
@@ -100,8 +102,7 @@ class Unsolvable:
 
 @dataclass(frozen=True)
 class Unknown:
-    bound: int
-    note: str = ""
+    note: str  # why the search stopped: the exponent bound, or a limit
 
 
 SolverResult = Union[Solvable, Unsolvable, Unknown]
@@ -109,7 +110,7 @@ SolverResult = Union[Solvable, Unsolvable, Unknown]
 
 @dataclass(frozen=True)
 class DeciderConfig:
-    bound: int = 64  # largest exponent the solvers search
+    bound: int = 64  # exponent bound for extended problems
     unroll: int | None = None  # cap for the concrete-violation search
     max_term_size: int = 100_000
 
@@ -147,14 +148,6 @@ class _State:
         total += sum(term_size(u) for u in self.bindings.values())
         total += sum(term_size(a) + term_size(b) for a, b in self.ident)
         return total
-
-    def canonical(self):
-        # Order-free: the constraint sets, with identities as unordered pairs.
-        return (
-            frozenset(self.match),
-            frozenset(self.bindings.items()),
-            frozenset(frozenset(pair) for pair in self.ident),
-        )
 
     def step(self, mu: Substitution):
         """The state's bindings, matches and identities, each sent through mu."""
@@ -200,16 +193,15 @@ def _simplify(
                 return Unsolvable(UnsolvableReason.ROOT_CLASH)
             ident_work.extend(zip(a.args, b.args))
             continue
-        if isinstance(a, Variable) and isinstance(b, Variable):
-            out.ident.append((a, b))
-            continue
-        x = a if isinstance(a, Variable) else b
-        if orbit_root(x.name, mu) is None:
-            # x stays a variable while the other side's root never changes.
-            return Unsolvable(UnsolvableReason.VARIABLE_ORBIT)
+        if a.__class__ is not b.__class__:
+            x = a if isinstance(a, Variable) else b
+            if orbit_root(x.name, mu) is None:
+                # x stays a variable while the other side's root never changes.
+                return Unsolvable(UnsolvableReason.VARIABLE_ORBIT)
         out.ident.append((a, b))
     # A binding whose pattern variable is gone from every remaining pattern
-    # side can never conflict again; dropping it keeps states comparable.
+    # can never conflict again; dropping it keeps it out of the state's
+    # size, which the size limit reads, and out of every later step.
     live = set()
     for _, l in out.match:
         live |= variables_of(l)
@@ -233,30 +225,102 @@ def _recheck_matching(problem: MatchingProblem, n: int) -> Substitution:
     return sigma
 
 
+def _depth(t: Term) -> int:
+    if isinstance(t, Variable) or not t.args:
+        return 0
+    return 1 + max(map(_depth, t.args))
+
+
+def exponent_bound(problem: MatchingProblem) -> int:
+    """N = |V| * (d + 1), a bound on the least witness of a matching problem.
+
+    V is the variable closure, under x -> vars(x mu), of the subjects and
+    identity sides, so every u mu^n and a mu^n is a term over V; d is the
+    largest pattern depth (a variable or a constant has depth 0, f(t1..tk)
+    has depth 1 + max depth(ti)).  Claim: a problem solvable at some n is
+    solvable at N, so one with no witness n <= N has none at all.
+
+    (1) Solutions are upward-closed in n.  u mu^n = l sigma gives
+        u mu^(n+1) = l (sigma mu), and a mu^n = b mu^n gives
+        a mu^(n+1) = b mu^(n+1).
+
+    (2) Inner nodes are exposed by M = d |V|.  For x in V, the orbit x,
+        x mu, x mu^2, ... either stays a variable forever (the
+        variable-orbit refutation) or is an application from some e(x) on;
+        the variables before it are distinct members of V, so e(x) <= |V|.
+        Once s mu^n has an application at a position, every later power
+        has the same symbol and arity there.  Let the problem be solvable
+        at some n, and let p be an inner node (one with arguments) of a
+        pattern l with subject u, so |p| <= d - 1 and u mu^n has l's
+        symbol at p.  Walk the path root = p_0, ..., p_h = p, and let n_i
+        be the first exponent at which u mu^(n_i) has an application at
+        p_i; it has l's symbol and arity there.  The subterm of u at the
+        root, and of u mu^(n_i) at p_(i+1), is an application or a
+        variable y of V that turns into one after e(y) <= |V| steps, so
+        n_0 <= |V|, n_(i+1) <= n_i + |V| and n_h <= (|p| + 1) |V| <= M.
+        Hence u mu^(M+j) has l's symbol at p for every j >= 0.
+
+    (3) What remains is identities over V.  Given (2), for j >= 0 the
+        problem holds at M + j iff s mu^j = t mu^j for finitely many pairs
+        (s, t) of terms over V: s = u mu^M|q and t = u' mu^M|q' for two
+        occurrences q, q' of one pattern variable, s = u mu^M|q and t = c
+        for a constant leaf c of l at q, and s = a mu^M, t = b mu^M for
+        each identity (a, b).  Every such q exists in u mu^M: it is the
+        root, or its parent is an exposed inner node.
+
+    (4) Identity lemma: terms s, t over V with s mu^j = t mu^j for some j
+        have s mu^|V| = t mu^|V|.  Let K_j be the set of pairs of terms
+        over V that mu^j equates.  By (1), K_j is contained in K_(j+1).
+        If K_j = K_(j+1) then K_(j+1) = K_(j+2), since (s, t) is in
+        K_(j+2) iff (s mu, t mu), again a pair over V, is in K_(j+1).  To
+        count the strict steps, unify the pairs of K_0, then those of
+        K_1, and so on, one pair at a time, keeping an idempotent most
+        general unifier theta of the pairs met so far.  While the pairs of
+        K_j are met, mu^j equates every pair met, so mu^j = theta mu^j; a
+        next pair (s, t) that theta does not equate still has s theta and
+        t theta unifiable (by mu^j), and unifying them binds at least one
+        variable of V that theta left free.  So theta changes at most |V| times,
+        and each change only instantiates it.  It therefore settles on
+        some theta_j that equates every pair of K_j, and every pair
+        theta_j equates is in K_j, since mu^j = theta_j mu^j.  If K_(j+1)
+        holds a pair outside K_j, theta_j does not equate it, and
+        theta_(j+1) binds more variables of V than theta_j.  So the chain
+        K_0, K_1, ... grows strictly at most |V| times, and once it
+        repeats it stays: K_|V| holds every pair that any K_j holds.
+
+    (5) A problem solvable at some n >= M is solvable at M + |V| = N by
+        (3) and (4), and one solvable at some n < M is solvable at N by
+        (1).  The bound is reached: with x -> y -> a, x mu^n = y mu^n
+        first holds at n = 2 = N.
+    """
+    sides = [u for u, _ in problem.pairs]
+    sides += [s for pair in problem.identities for s in pair]
+    # A term with every side as an argument has the closure of them all.
+    closure = variable_closure(Application("", tuple(sides)), problem.mu)
+    depth = max((_depth(l) for _, l in problem.pairs), default=0)
+    return len(closure) * (depth + 1)
+
+
 def solve_matching(
     problem: MatchingProblem, config: DeciderConfig = DeciderConfig()
 ) -> SolverResult:
     mu = problem.mu
     state = _simplify({}, list(problem.pairs), list(problem.identities), mu)
-    if isinstance(state, Unsolvable):
-        return state
-    seen = set()
-    offset = 0
-    while True:
+    offset, last = 0, None
+    while isinstance(state, _State):
         if state.solved():
             return Solvable(Witness(n=offset, sigma=_recheck_matching(problem, offset)))
-        key = state.canonical()
-        if key in seen:
-            return Unsolvable(UnsolvableReason.CYCLE)
-        seen.add(key)
-        if offset >= config.bound:
-            return Unknown(config.bound)
+        if offset == 1:
+            # Most problems are settled by offset 1, so N is computed here;
+            # constraints open at offset 0 hold a variable of V, so N >= 1.
+            last = exponent_bound(problem)
+        if offset == last:
+            return Unsolvable(UnsolvableReason.EXPONENT_BOUND)
         if state.size() > config.max_term_size:
-            return Unknown(config.bound, "state size limit reached")
+            return Unknown("state size limit reached")
         state = _simplify(*state.step(mu), mu)
-        if isinstance(state, Unsolvable):
-            return state
         offset += 1
+    return state
 
 
 def _tower_roots(problem: ExtendedMatchingProblem) -> frozenset[str]:
@@ -321,8 +385,8 @@ def solve_extended(
             if sigma is not None:
                 return Solvable(Witness(m=m, k=total - m, sigma=sigma))
     if capped:
-        return Unknown(config.bound, "state size limit reached")
-    return Unknown(config.bound)
+        return Unknown("state size limit reached")
+    return Unknown(f"exponent bound {config.bound} reached")
 
 
 def solve_problem(problem: Problem, config: DeciderConfig = DeciderConfig()) -> SolverResult:
@@ -332,4 +396,4 @@ def solve_problem(problem: Problem, config: DeciderConfig = DeciderConfig()) -> 
         return solve_extended(problem, config)
     except RecursionError:
         # The solver's own terms nest deeper than the term walks recurse.
-        return Unknown(config.bound, "term depth limit reached")
+        return Unknown("term depth limit reached")

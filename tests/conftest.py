@@ -106,8 +106,38 @@ def growing() -> Trs:
 
 @pytest.fixture(scope="session")
 def growing_loop(growing: Trs) -> ValidatedLoop:
-    """Divergent identity problem; the honest answer stays unknown."""
+    """Its identity s^2n(x) = s^n(y) never holds: the exponent bound refutes it."""
     return load_loop(growing, "growing_loop.json")
+
+
+# An outermost loop whose one open problem is an extended problem that no
+# exponent bound settles (D[t(C, mu)^m] = s^(m+1)(f(y,y)) never matches
+# s(s(b))), so check answers unknown.  It stays out of tests/data, so the
+# pinned tables do not grow.
+STALLED_TRS = "(VAR x y)\n(RULES\n  f(x,y) -> s(f(y,y))\n  s(s(b)) -> k(a,b,a)\n)\n"
+STALLED_LOOP = (
+    '{"start": "f(x,y)", "steps": [[{"pos": [], "rule": 0}]],'
+    ' "context": "s([])", "subst": {"x": "y"}}'
+)
+
+
+@pytest.fixture(scope="session")
+def stalled() -> Trs:
+    return parse_trs(STALLED_TRS)
+
+
+@pytest.fixture(scope="session")
+def stalled_loop(stalled: Trs) -> ValidatedLoop:
+    return validate_loop(stalled, parse_loop_certificate(STALLED_LOOP, stalled))
+
+
+@pytest.fixture
+def stalled_files(tmp_path: Path) -> tuple[Path, Path]:
+    """The stalled system and loop as input files."""
+    trs, loop = tmp_path / "stalled.trs", tmp_path / "stalled_loop.json"
+    trs.write_text(STALLED_TRS)
+    loop.write_text(STALLED_LOOP)
+    return trs, loop
 
 
 @pytest.fixture(scope="session")

@@ -35,6 +35,7 @@ from loopcert import (
     certificate_to_document,
     concrete_checks,
     decide_loop,
+    exponent_bound,
     find_loops,
     format_position,
     innermost_patterns,
@@ -266,6 +267,32 @@ def random_identity_problem(rng: random.Random) -> MatchingProblem:
     return MatchingProblem((), mu, ((u, v),))
 
 
+def random_identity_chain_problem(rng: random.Random) -> MatchingProblem:
+    """One identity over 2-7 variables whose images are mostly variables.
+
+    Variable chains delay the step where a variable shows a symbol, and
+    binary images duplicate, so least witnesses reach the exponent bound.
+    """
+    names = tuple(f"v{i}" for i in range(rng.randint(2, 7)))
+    images = {}
+    for x in names:
+        roll = rng.random()
+        if roll < 0.55:
+            images[x] = Variable(rng.choice(names))
+        elif roll < 0.7:
+            images[x] = Application(rng.choice(CONSTANTS))
+        elif roll < 0.9:
+            f = rng.choice(("g", "f"))
+            images[x] = Application(
+                f, tuple(Variable(rng.choice(names)) for _ in range(ARITIES[f]))
+            )
+    if rng.random() < 0.7:
+        a, b = (Variable(x) for x in rng.sample(names, 2))
+    else:
+        a, b = random_term(rng, names, 1), random_term(rng, names, 1)
+    return MatchingProblem((), Substitution(images), ((a, b),))
+
+
 def random_extended_problem(rng: random.Random) -> ExtendedMatchingProblem:
     # Kept tiny on purpose: the exhaustive layer scans the whole m+k grid,
     # so the tower at m = 32 must still be a small term.
@@ -344,9 +371,16 @@ def reverify_witness(problem, w: Witness) -> bool:
 
 
 def solver_oracle_failures(problem, bound: int = 32) -> list[str]:
-    """Compare the layered solver against exhaustive search at one bound."""
+    """Compare the solver against exhaustive search.
+
+    Extended problems are searched to *bound*.  Matching problems are
+    searched to their exponent bound, past which no least witness lies, so
+    a refutation is checked exhaustively and a witness is checked least.
+    """
     failures: list[str] = []
     res = solve_problem(problem, DeciderConfig(bound=bound))
+    if isinstance(problem, MatchingProblem):
+        bound = exponent_bound(problem)
     oracle = brute_force_check(problem, bound)
     if isinstance(res, Solvable):
         w = res.witness
@@ -366,9 +400,11 @@ def solver_oracle_failures(problem, bound: int = 32) -> list[str]:
             )
     else:
         assert isinstance(res, Unknown)
+        if isinstance(problem, MatchingProblem) and "limit" not in res.note:
+            failures.append(f"matching problem unknown ({res.note}): {problem}")
         if oracle is not None and "limit" not in res.note:
             failures.append(
-                f"solver gave up at {res.bound} but oracle found {oracle}: {problem}"
+                f"solver gave up ({res.note}) but oracle found {oracle}: {problem}"
             )
     return failures
 

@@ -109,12 +109,13 @@ def test_c04_shifted_blocker_at_exponent_nine(shift, shift_loop):
     verdict = decide_loop(shift, shift_loop, StrategySpec("leftmost"))
     assert verdict.answer == "no"
     assert verdict.evidence.result.witness.n == 9
-    # The witness sits past the default small bounds, so a shallow solver
-    # must answer unknown rather than miss it.
+    # The witness sits past a configured bound of 4, which only extended
+    # problems read: the matching problem's own exponent bound still finds it.
     shallow = decide_loop(
         shift, shift_loop, StrategySpec("leftmost"), DeciderConfig(bound=4)
     )
-    assert shallow.answer == "unknown"
+    assert shallow.answer == "no"
+    assert shallow.evidence.result.witness.n == 9
 
 
 def test_c05_parallel_certificates(

@@ -59,23 +59,36 @@ def test_no_exits_one(capsys, data_dir):
     assert out.startswith("NO: not a loop under strategy outermost")
 
 
-def test_unknown_exits_two(capsys, data_dir):
-    code, out, _ = check(
-        capsys, data_dir, "growing.trs", "growing_loop.json", "leftmost"
+def test_unknown_exits_two(capsys, stalled_files):
+    trs, loop = stalled_files
+    code, out, err = check(capsys, trs.parent, trs.name, loop.name, "outermost")
+    assert (code, err) == (EXIT_UNKNOWN, "")
+    assert out.startswith("UNKNOWN: undecided for strategy outermost")
+    assert "    stopped: exponent bound 64 reached\n" in out
+
+
+def test_solver_terms_past_the_depth_limit_exit_two(capsys, tmp_path):
+    # The image of x is 150 levels deep, so the open matching problem's
+    # state nests about 150 levels deeper per exponent, past what the
+    # recursive term walks handle before its exponent bound of 6.
+    deep = "s(" * 150 + "x" + ")" * 150
+    (tmp_path / "deep.trs").write_text(
+        f"(VAR x y z w)\n(RULES\n  f(x,y,z) -> h(g(x,y),f({deep},s(z),s(y)))\n"
+        "  g(w,w) -> w\n)\n"
     )
-    assert code == EXIT_UNKNOWN
-    assert out.startswith("UNKNOWN: undecided for strategy leftmost")
-
-
-def test_solver_terms_past_the_depth_limit_exit_two(capsys, data_dir):
-    # The open problem's state nests one level deeper per exponent, past
-    # what the recursive term walks handle long before the bound.
+    (tmp_path / "deep.json").write_text(json.dumps({
+        "start": "f(x,y,z)",
+        "steps": [[{"pos": [], "rule": 0}]],
+        "context": "h(g(x,y),[])",
+        "subst": {"x": deep, "y": "s(z)", "z": "s(y)"},
+    }))
     code, out, err = check(
-        capsys, data_dir, "growing.trs", "growing_loop.json", "leftmost",
-        "--bound", "1000",
+        capsys, tmp_path, "deep.trs", "deep.json", "leftmost", "--format", "json"
     )
     assert (code, err) == (EXIT_UNKNOWN, "")
-    assert out.startswith("UNKNOWN: undecided for strategy leftmost")
+    doc = json.loads(out)
+    assert doc["verdict"] == "unknown"
+    assert [p["stopped"] for p in doc["open_problems"]] == ["term depth limit reached"]
 
 
 def test_unknown_strategy_exits_three(capsys, data_dir):
@@ -203,23 +216,27 @@ def test_internal_error_exits_four_with_a_traceback(capsys, data_dir, monkeypatc
 # Options
 
 
-def test_bound_flag_reaches_the_solver(capsys, data_dir):
+def test_bound_flag_reaches_the_solver(capsys, data_dir, stalled_files):
+    trs, loop = stalled_files
     code, out, _ = check(
-        capsys, data_dir, "shift.trs", "shift_loop.json", "leftmost",
+        capsys, trs.parent, trs.name, loop.name, "outermost",
         "--bound", "4", "--format", "json",
     )
     assert code == EXIT_UNKNOWN
     doc = json.loads(out)
     assert doc["verdict"] == "unknown"
     assert doc["bound"] == 4
-    assert len(doc["open_problems"]) == 1
+    assert [p["stopped"] for p in doc["open_problems"]] == ["exponent bound 4 reached"]
 
-    code, out, _ = check(
-        capsys, data_dir, "shift.trs", "shift_loop.json", "leftmost",
-        "--format", "json",
-    )
-    assert code == EXIT_NO
-    assert json.loads(out)["evidence"]["witness"] == {"n": 9}
+    # Matching problems carry their own exponent bound: --bound 4 still
+    # finds shift's witness at 9.
+    for extra in (("--bound", "4"), ()):
+        code, out, _ = check(
+            capsys, data_dir, "shift.trs", "shift_loop.json", "leftmost",
+            "--format", "json", *extra,
+        )
+        assert code == EXIT_NO
+        assert json.loads(out)["evidence"]["witness"] == {"n": 9}
 
 
 def test_negative_numeric_options_exit_three(capsys, data_dir, tmp_path):

@@ -19,22 +19,27 @@ from loopcert import (
     STRATEGIES,
     Application,
     DeciderConfig,
+    EMPTY_SUBSTITUTION,
     ForbiddenPattern,
     LoopCertificate,
     LoopcertError,
     PatternKind,
+    Rule,
     ShapeMismatch,
     Solvable,
     StrategySpec,
     Substitution,
     Trs,
     Unknown,
+    Unsolvable,
+    UnsolvableReason,
     ValidatedLoop,
     Variable,
     VariableRedex,
     apply_context_substitution,
     concrete_checks,
     decide_loop,
+    exponent_bound,
     match_pattern,
     parse_loop_certificate,
     parse_term,
@@ -42,6 +47,7 @@ from loopcert import (
     positions,
     solve_matching,
     solve_position_equation,
+    solve_problem,
     step_problems,
     subterm_at,
     term_size,
@@ -223,11 +229,13 @@ def test_shift_loop_needs_exponent_nine(shift, shift_loop):
     assert verdict.answer == "no"
     assert verdict.evidence.result.witness.n == 9
 
+    # The configured bound is for extended problems; this one is matching.
     low = decide_loop(
         shift, shift_loop, StrategySpec("leftmost"), DeciderConfig(bound=4)
     )
-    assert low.answer == "unknown"
-    assert len(low.open_problems) == 1
+    assert low.answer == "no"
+    assert low.evidence.result.witness.n == 9
+    assert low.open_problems == ()
 
 
 def test_confirmation_stops_where_terms_outgrow_the_size_limit():
@@ -344,13 +352,21 @@ def test_stream_loop_violates_its_pattern(stream, stream_loop, stream_patterns):
     assert (ev.level, ev.violation_step) == (2, 1)
 
 
-def test_growing_loop_stays_unknown(growing, growing_loop):
-    verdict = decide_loop(growing, growing_loop, StrategySpec("leftmost"))
-    assert verdict.answer == "unknown"
-    assert len(verdict.open_problems) == 1
-    open_problem = verdict.open_problems[0].problem
-    assert open_problem.pairs[0][0] == parse_term("g(x,y)", growing)
+def test_growing_loop_is_decided(growing, growing_loop):
+    # g(x,y) against g(w,w) needs s^2n(x) = s^n(y): no state ever repeats,
+    # and the exponent bound |{x, y}| * (1 + 1) = 4 refutes it.
+    spec = StrategySpec("leftmost")
+    verdict = decide_loop(growing, growing_loop, spec)
+    assert (verdict.answer, verdict.unknown, verdict.open_problems) == ("yes", 0, ())
     assert verdict.evidence is None
+    growing_pair = (parse_term("g(x,y)", growing), parse_term("g(w,w)", growing))
+    [problem] = [
+        inst.problem
+        for inst in step_problems(growing_loop, growing, spec)
+        if inst.problem.pairs[0] == growing_pair
+    ]
+    assert exponent_bound(problem) == 4
+    assert solve_problem(problem) == Unsolvable(UnsolvableReason.EXPONENT_BOUND)
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +436,74 @@ def test_corpus_verdicts_cohere_with_replay(corpus):
         else:
             names = genlib.PARALLEL_COHERENCE
         assert genlib.coherence_failures(trs, loop, names) == []
+
+
+def renamed_system(trs, loop, patterns, rho):
+    """trs, loop and forbidden patterns under the variable renaming rho."""
+    new_trs = Trs.from_rules(
+        (Rule(rho.apply(r.lhs), rho.apply(r.rhs)) for r in trs.rules),
+        (rho.apply(v(x)).name for x in trs.variables),
+    )
+    cert = loop.certificate
+    new_cert = LoopCertificate(
+        rho.apply(cert.start),
+        cert.steps,
+        cert.context.substitute(rho),
+        Substitution({rho.apply(v(x)).name: rho.apply(u) for x, u in cert.subst.items()}),
+    )
+    new_patterns = tuple(
+        ForbiddenPattern(rho.apply(p.lhs), p.pos, p.kind) for p in patterns
+    )
+    return new_trs, validate_loop(new_trs, new_cert), new_patterns
+
+
+def verdict_summary(trs, loop, spec, rho=EMPTY_SUBSTITUTION):
+    """What a variable renaming must keep: the answer, the counts, where the
+    evidence and the open problems sit, and the witness, its sigma renamed
+    by rho."""
+    try:
+        verdict = decide_loop(trs, loop, spec)
+    except LoopcertError as e:
+        return type(e).__name__
+
+    def place(inst):
+        return inst.family, inst.step, inst.position, inst.rule_index, inst.n0
+
+    out = [verdict.answer, verdict.total, verdict.unsolvable, verdict.solvable]
+    out += [verdict.unknown] + [place(inst) for inst, _ in verdict.open_problems]
+    if verdict.evidence is not None:
+        w = verdict.evidence.result.witness
+        sigma = w.sigma and Substitution(
+            {rho.apply(v(x)).name: rho.apply(u) for x, u in w.sigma.items()}
+        )
+        out += [place(verdict.evidence.instance), w.n, w.m, w.k, sigma]
+        out += [verdict.evidence.level, verdict.evidence.violation_step]
+    return out
+
+
+def test_variable_renaming_keeps_every_corpus_verdict(corpus, stream, stream_patterns):
+    # The exponent bound counts variables, so their names must not matter.
+    # Each renaming permutes the variables and moves some to fresh names.
+    rng = random.Random(5)
+    for trs, loop in corpus:
+        olds = sorted(trs.variables)
+        news = rng.sample(olds + [f"r{i}" for i in range(len(olds))], len(olds))
+        rho = Substitution({x: v(y) for x, y in zip(olds, news)})
+        patterns = stream_patterns if trs is stream else ()
+        new_trs, new_loop, new_patterns = renamed_system(trs, loop, patterns, rho)
+        specs = [
+            (StrategySpec(name), StrategySpec(name))
+            for name in STRATEGIES
+            if name != "forbidden"
+        ]
+        if patterns:
+            specs.append(
+                (StrategySpec("forbidden", patterns), StrategySpec("forbidden", new_patterns))
+            )
+        for spec, new_spec in specs:
+            assert verdict_summary(trs, loop, spec, rho) == verdict_summary(
+                new_trs, new_loop, new_spec
+            ), (str(loop.certificate.start), spec.name)
 
 
 # Problem families each strategy component may emit, by family-name prefix.

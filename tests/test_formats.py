@@ -387,16 +387,28 @@ def test_no_verdict_json_document(collapse, collapse_loop):
     assert ev["instance"]["problem"]["mu"] == {"x": "y", "y": "z"}
 
 
-def test_unknown_verdict_rendering(growing, growing_loop):
-    verdict = decide_loop(growing, growing_loop, StrategySpec("leftmost"))
+def test_unknown_verdict_rendering(stalled, stalled_loop):
+    spec = StrategySpec("outermost")
+    verdict = decide_loop(stalled, stalled_loop, spec)
     doc = json.loads(render_verdict(verdict, "json"))
     assert doc["verdict"] == "unknown"
     assert doc["evidence"] is None
-    assert len(doc["open_problems"]) == 1
-    text = render_verdict(verdict, "text")
-    assert text.startswith("UNKNOWN: undecided for strategy leftmost\n")
-    assert "1 unknown" in text
-    assert "open at step 1" in text
+    [open_problem] = doc["open_problems"]
+    assert open_problem["stopped"] == "exponent bound 64 reached"
+    assert open_problem["problem"]["type"] == "extended"
+    assert render_verdict(verdict, "text") == (
+        "UNKNOWN: undecided for strategy outermost\n"
+        "  checked 2 problems: 1 unsolvable, 0 solvable, 1 unknown (bound 64)\n"
+        "  open at step 1, family pattern-below-context, position eps,"
+        " pattern s(s(b)) @ eps : b, n0 0\n"
+        "    problem: s([])[f(y,y)(s([]),{x/y})^m] mu^k matches s(s(b))\n"
+        "    stopped: exponent bound 64 reached\n"
+    )
+    # Each open problem says which limit stopped it.
+    capped = decide_loop(stalled, stalled_loop, spec, DeciderConfig(max_term_size=5))
+    assert "    stopped: state size limit reached\n" in render_verdict(capped, "text")
+    [open_problem] = json.loads(render_verdict(capped, "json"))["open_problems"]
+    assert open_problem["stopped"] == "state size limit reached"
 
 
 def test_verdict_rendering_is_deterministic(collapse, collapse_loop):
@@ -407,13 +419,14 @@ def test_verdict_rendering_is_deterministic(collapse, collapse_loop):
     assert render_once() == render_once()
 
 
-def test_bound_appears_in_the_document(shift, shift_loop):
+def test_bound_appears_in_the_document(stalled, stalled_loop):
     verdict = decide_loop(
-        shift, shift_loop, StrategySpec("leftmost"), DeciderConfig(bound=4)
+        stalled, stalled_loop, StrategySpec("outermost"), DeciderConfig(bound=4)
     )
     doc = json.loads(render_verdict(verdict, "json"))
     assert doc["bound"] == 4
     assert doc["verdict"] == "unknown"
+    assert doc["open_problems"][0]["stopped"] == "exponent bound 4 reached"
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from loopcert import (
     Variable,
     apply_context_substitution,
     apply_substitution,
+    exponent_bound,
     parse_term,
     solve_extended,
     solve_matching,
@@ -176,39 +177,78 @@ def test_variable_orbit_certificate():
     assert result.reason is UnsolvableReason.VARIABLE_ORBIT
 
 
-def test_cycle_certificate():
+def test_exponent_bound_certificate():
     # The identity residual (x, y) steps to (s(x), s(y)) and decomposes back
-    # to itself, so the state space is a proven cycle.
+    # to itself forever; no witness up to |{x, y}| * (1 + 1) = 4 refutes it.
     problem = matching(
         app("f", v("x"), v("y")),
         app("f", v("w"), v("w")),
         Substitution({"x": app("s", v("x")), "y": app("s", v("y"))}),
     )
+    assert exponent_bound(problem) == 4
     result = solve_matching(problem)
     assert isinstance(result, Unsolvable)
-    assert result.reason is UnsolvableReason.CYCLE
+    assert result.reason is UnsolvableReason.EXPONENT_BOUND
     assert brute_force_check(problem, 32) is None
+
+
+def test_exponent_bound_counts_closure_variables_and_pattern_depth(rotate_problem):
+    # V = {x, y, z} (y and z are reached through mu), d = 4.
+    assert exponent_bound(rotate_problem) == 15
+    # Identities only: d = 0; unmapped and ground sides add nothing.
+    chain = identity(v("x"), v("y"), Substitution({"x": v("y"), "y": app("a")}))
+    assert exponent_bound(chain) == 2
+    assert exponent_bound(identity(app("a"), app("b"), EMPTY_SUBSTITUTION)) == 0
+
+
+def test_least_witness_can_sit_at_the_exponent_bound():
+    # x -> y -> a: x mu^n = y mu^n first holds at n = 2 = |{x, y}|.
+    chain = identity(v("x"), v("y"), Substitution({"x": v("y"), "y": app("a")}))
+    assert solve_matching(chain).witness.n == 2 == exponent_bound(chain)
+
+
+def test_matching_ignores_the_configured_bound(rotate_problem):
+    # The configured bound is for extended problems only.
+    for bound in (0, 4, 128):
+        assert solve_matching(rotate_problem, DeciderConfig(bound=bound)).witness.n == 9
 
 
 def test_matching_honest_unknown():
-    # Sides grow at different speeds: no cycle, no certificate, no witness.
+    # y reaches t4, the tree of d's four levels deep over x, after four
+    # steps, when x has grown the same tree: solvable at 4.  x's tree
+    # outgrows a state size limit of 10 before that, and the solver must
+    # then say unknown, not refute.
+    t2 = app("d", app("d", v("x"), v("x")), app("d", v("x"), v("x")))
+    t4 = app("d", app("d", t2, t2), app("d", t2, t2))
     problem = matching(
         app("g", v("x"), v("y")),
         app("g", v("w"), v("w")),
-        Substitution({"x": app("s", app("s", v("x"))), "y": app("s", v("y"))}),
+        Substitution({
+            "x": app("d", v("x"), v("x")),
+            "y": v("y1"), "y1": v("y2"), "y2": v("y3"), "y3": t4,
+        }),
     )
-    assert isinstance(solve_matching(problem), Unknown)
-    assert isinstance(solve_matching(problem, DeciderConfig(bound=128)), Unknown)
-    assert brute_force_check(problem, 32) is None
+    oracle = brute_force_check(problem, exponent_bound(problem))
+    assert oracle.n == 4
+    assert solve_matching(problem).witness == oracle
+    result = solve_matching(problem, DeciderConfig(max_term_size=10))
+    assert result == Unknown("state size limit reached")
 
 
 def test_matching_size_guard_reports_its_limit():
+    # x doubles every step while y's tree grows one level every two steps,
+    # so the identity never holds and the state grows until the exponent
+    # bound |{x, y, z}| * (1 + 1) = 6 refutes it, or a small limit stops it.
     problem = matching(
         app("g", v("x"), v("y")),
         app("g", v("w"), v("w")),
-        Substitution({"x": app("s", app("s", v("x"))), "y": app("s", v("y"))}),
+        Substitution({
+            "x": app("d", v("x"), v("x")), "y": v("z"), "z": app("d", v("y"), v("y")),
+        }),
     )
-    result = solve_matching(problem, DeciderConfig(bound=10_000, max_term_size=50))
+    assert solve_matching(problem) == Unsolvable(UnsolvableReason.EXPONENT_BOUND)
+    assert brute_force_check(problem, exponent_bound(problem) + 8) is None
+    result = solve_matching(problem, DeciderConfig(max_term_size=10))
     assert isinstance(result, Unknown)
     assert "limit" in result.note
 
@@ -219,7 +259,7 @@ def test_solver_depth_overflow_is_a_limit(monkeypatch, swap_problem):
 
     monkeypatch.setattr(problems, "solve_matching", too_deep)
     result = solve_problem(swap_problem, DeciderConfig(bound=7))
-    assert result == Unknown(7, "term depth limit reached")
+    assert result == Unknown("term depth limit reached")
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +402,25 @@ def test_solver_agrees_with_oracle_randomized():
         problem = genlib.random_problem(rng)
         failures.extend(genlib.solver_oracle_failures(problem))
     assert failures == []
+
+
+def test_identity_chains_stay_within_the_exponent_bound():
+    # Identities over up to 7 variables with variable chains and
+    # duplicating images: searching 4 exponents past N never finds a
+    # least witness above N, and the solver agrees with the search to N.
+    rng = random.Random(7)
+    at_bound = 0
+    failures = []
+    for _ in range(2000):
+        problem = genlib.random_identity_chain_problem(rng)
+        bound = exponent_bound(problem)
+        oracle = brute_force_check(problem, bound + 4)
+        if oracle is not None:
+            assert oracle.n <= bound, problem
+            at_bound += oracle.n == bound
+        failures.extend(genlib.solver_oracle_failures(problem))
+    assert failures == []
+    assert at_bound > 50  # the bound is often tight
 
 
 def test_size_limit_answers_agree_with_oracle():
