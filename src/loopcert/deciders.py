@@ -142,15 +142,7 @@ class _Shared:
         self.c_mu = c.substitute(mu)
         # C restricted to each strict prefix of its hole position, shortest first.
         self.subcontexts = [c.subcontext(c.hole_pos[:cut]) for cut in range(len(c.hole_pos))]
-        self._towers: dict[Term, list[Term]] = {}
         self._images: dict[Term, list[Term]] = {}
-
-    def tower(self, t: Term, n: int) -> Term:
-        """t(C, mu)^n; each level is built once."""
-        row = self._towers.setdefault(t, [t])
-        while len(row) <= n:
-            row.append(apply_context_substitution(row[-1], self.c, self.mu, 1))
-        return row[n]
 
     def images(self, u: Term) -> list[Term]:
         """Subterms of x mu in preorder, for x over u's variable closure by name."""
@@ -239,7 +231,8 @@ def _here_frame(sh: _Shared, t: Term, q: Position, o: Position, family="pattern-
     if sol is None:
         return []
     n0, o0prime = sol
-    return [(family, n0, o0prime, subterm_at(sh.tower(t, n0), o0prime), None)]
+    base = apply_context_substitution(t, sh.c, sh.mu, n0)
+    return [(family, n0, o0prime, subterm_at(base, o0prime), None)]
 
 
 def _above_frame(sh: _Shared, t: Term, q: Position, o: Position):
@@ -248,15 +241,13 @@ def _above_frame(sh: _Shared, t: Term, q: Position, o: Position):
         raise VariableRedex(f"subterm at {format_position(q)} of {t} is a variable")
     p = sh.c.hole_pos
     n0 = _least_n0(p, q, o)
-    base = sh.tower(t, n0)
-    redex_pos = p * n0 + q
-    anchors: set[Position] = set()
-    for q2 in positions(redex):
-        tip = redex_pos + q2
-        for cut in range(len(tip) + 1):
-            o2 = tip[:cut]
-            if is_strict_prefix(redex_pos, o2 + o):
-                anchors.add(o2)
+    base = apply_context_substitution(t, sh.c, sh.mu, n0)
+    # Anchors o2 on a path into the redex with the redex position rp strictly
+    # below o2 o: the prefixes of rp whose rest is a strict prefix of o, and
+    # every position strictly inside the redex.
+    rp = p * n0 + q
+    anchors = [rp[:cut] for cut in range(len(rp) + 1) if is_strict_prefix(rp[cut:], o)]
+    anchors += [rp + q2 for q2 in positions(redex) if q2]
     frame = [
         ("pattern-above-term", n0, o2, subterm_at(base, o2), None) for o2 in sorted(anchors)
     ]
@@ -274,11 +265,10 @@ def _below_frame(sh: _Shared, t: Term, q: Position, o: Position):
     p = sh.c.hole_pos
     for d in sh.subcontexts:
         p2 = d.hole_pos
-        n0 = 0
-        while len(p2) + n0 * len(p) <= len(o):
-            n0 += 1
+        # Least n0 with |p2| + n0 |p| > |o|; p2 is never the root here.
+        n0 = _least_n0(p, p2[1:], o)
         if is_strict_prefix(o, p2 + p * n0):
-            subject = sh.mu.apply(sh.tower(t, n0))
+            subject = sh.mu.apply(apply_context_substitution(t, sh.c, sh.mu, n0))
             frame.append(("pattern-below-context", n0, None, subject, d))
     return frame
 
@@ -389,9 +379,10 @@ def _confirm_violation(
     found up to the level cap or before a level's terms outgrow max_size or
     nest deeper than the term walks recurse."""
     checks = concrete_checks(spec)
+    unrolled = None
     try:
         for n in range(levels + 1):
-            unrolled = unroll_loop(loop, n)
+            unrolled = unroll_loop(loop, n, below=unrolled)
             if any(term_size(t) > max_size for t in unrolled.terms):
                 return None
             for j, step in enumerate(unrolled.steps):

@@ -103,14 +103,19 @@ class UnrolledDerivation:
     steps: tuple[Step, ...]
 
 
-def unroll_loop(loop: ValidatedLoop, n: int) -> UnrolledDerivation:
-    """Iteration n of the loop: terms t_i(C, mu)^n, positions prefixed by p^n."""
+def unroll_loop(loop: ValidatedLoop, n: int, below=None) -> UnrolledDerivation:
+    """Iteration n of the loop: terms t_i(C, mu)^n, positions prefixed by p^n.
+
+    Given iteration n - 1 as *below*, each term is one pump t -> C[t mu] of
+    its term there, instead of n pumps of t_i.
+    """
     if n < 0:
         raise ValueError("unroll level must be nonnegative")
     cert = loop.certificate
-    prefix = cert.context.hole_pos * n
+    base, pumps = (loop.terms, n) if below is None else (below.terms, 1)
     terms = tuple(
-        apply_context_substitution(t, cert.context, cert.subst, n) for t in loop.terms
+        apply_context_substitution(t, cert.context, cert.subst, pumps) for t in base
     )
+    prefix = cert.context.hole_pos * n
     steps = tuple(tuple((prefix + q, i) for q, i in step) for step in cert.steps)
     return UnrolledDerivation(terms, steps)

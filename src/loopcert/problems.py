@@ -184,9 +184,11 @@ def _simplify(
         if orbit_root(u.name, mu) is None:
             return Unsolvable(UnsolvableReason.VARIABLE_ORBIT)
         out.match.append((u, l))
+    # Equal identity pairs would double at every step, so each is kept once.
+    kept: set[tuple[Term, Term]] = set()
     while ident_work:
         a, b = ident_work.pop()
-        if a == b:
+        if a == b or (a, b) in kept:
             continue
         if isinstance(a, Application) and isinstance(b, Application):
             if a.symbol != b.symbol or len(a.args) != len(b.args):
@@ -198,6 +200,7 @@ def _simplify(
             if orbit_root(x.name, mu) is None:
                 # x stays a variable while the other side's root never changes.
                 return Unsolvable(UnsolvableReason.VARIABLE_ORBIT)
+        kept.add((a, b))
         out.ident.append((a, b))
     # A binding whose pattern variable is gone from every remaining pattern
     # can never conflict again; dropping it keeps it out of the state's

@@ -82,9 +82,22 @@ class Application:
         return f"Application(symbol={self.symbol!r}, args={self.args!r})"
 
     def __str__(self) -> str:
-        if not self.args:
-            return self.symbol
-        return f"{self.symbol}({','.join(str(a) for a in self.args)})"
+        # An explicit stack of terms and punctuation, so any depth renders.
+        out: list[str] = []
+        stack: list = [self]
+        while stack:
+            u = stack.pop()
+            if u.__class__ is not Application:
+                out.append(u if u.__class__ is str else u.name)
+            elif not u.args:
+                out.append(u.symbol)
+            else:
+                out.append(u.symbol + "(")
+                stack.append(")")
+                for a in reversed(u.args[1:]):
+                    stack += (a, ",")
+                stack.append(u.args[0])
+        return "".join(out)
 
 
 Term = Union[Variable, Application]

@@ -19,6 +19,7 @@ from loopcert import (
     DeciderConfig,
     ExtendedMatchingProblem,
     HOLE,
+    LoopCertificate,
     MatchingProblem,
     Rule,
     Solvable,
@@ -49,6 +50,7 @@ from loopcert import (
     subterm_at,
     unroll_loop,
     validate_loop,
+    variable_closure,
 )
 from loopcert.rewriting import match_pattern, redex_positions
 
@@ -472,6 +474,31 @@ def coherence_corpus(rng: random.Random, want: int):
             if len(out) >= want:
                 break
     return out
+
+
+def power(trs: Trs, loop, k: int):
+    """The k-fold power of a validated loop: one certificate that runs it k times.
+
+    The steps of iteration j are prefixed by p^j for p the hole position of
+    C; the closing pair is (C_k, mu^k) with C_k = [](C, mu)^k, whose hole
+    sits at p^k, and mu^k taken over the variable closure of mu's domain.
+    A power is a loop exactly when the loop is, under every strategy.
+    """
+    cert = loop.certificate
+    c, mu = cert.context, cert.subst
+    steps = tuple(
+        tuple((c.hole_pos * j + q, i) for q, i in step)
+        for j in range(k)
+        for step in cert.steps
+    )
+    body = apply_context_substitution(HOLE, c, mu, k)
+    domain = Application("", tuple(Variable(x) for x in sorted(mu.domain())))
+    mu_k = Substitution(
+        {x: apply_substitution(Variable(x), mu, k) for x in variable_closure(domain, mu)}
+    )
+    return validate_loop(
+        trs, LoopCertificate(cert.start, steps, Context(body, c.hole_pos * k), mu_k)
+    )
 
 
 SEQUENTIAL_COHERENCE = (

@@ -91,6 +91,32 @@ def test_solver_terms_past_the_depth_limit_exit_two(capsys, tmp_path):
     assert [p["stopped"] for p in doc["open_problems"]] == ["term depth limit reached"]
 
 
+def test_a_decided_verdict_renders_at_any_depth(capsys, tmp_path):
+    # The witness binds w to s^300(x), deeper than a recursive renderer
+    # reaches, so a decided no must still print instead of exiting 3.
+    deep = "s(" * 150 + "x" + ")" * 150
+    (tmp_path / "deep.trs").write_text(
+        f"(VAR x y z w v)\n(RULES\n  f(x,y,z) -> h(g(x,y),f({deep},s(y),z))\n"
+        "  g(w,s(s(v))) -> v\n)\n"
+    )
+    (tmp_path / "deep.json").write_text(json.dumps({
+        "start": "f(x,y,z)",
+        "steps": [[{"pos": [], "rule": 0}]],
+        "context": "h(g(x,y),[])",
+        "subst": {"x": deep, "y": "s(y)"},
+    }))
+    code, out, err = check(capsys, tmp_path, "deep.trs", "deep.json", "leftmost")
+    assert (code, err) == (EXIT_NO, "")
+    assert "concrete violation at unrolling level 3, step 1" in out
+    code, out, err = check(
+        capsys, tmp_path, "deep.trs", "deep.json", "leftmost", "--format", "json"
+    )
+    assert (code, err) == (EXIT_NO, "")
+    evidence = json.loads(out)["evidence"]
+    assert evidence["witness"] == {"n": 2}
+    assert evidence["confirmed"] == {"level": 3, "step": 1}
+
+
 def test_unknown_strategy_exits_three(capsys, data_dir):
     code, out, err = check(
         capsys, data_dir, "factorial.trs", "factorial_loop.json", "bogus"

@@ -18,6 +18,7 @@ from loopcert.cli import resolve_strategy
 from loopcert import (
     STRATEGIES,
     Application,
+    Context,
     DeciderConfig,
     EMPTY_SUBSTITUTION,
     ForbiddenPattern,
@@ -40,6 +41,7 @@ from loopcert import (
     concrete_checks,
     decide_loop,
     exponent_bound,
+    is_strict_prefix,
     match_pattern,
     parse_loop_certificate,
     parse_term,
@@ -50,6 +52,7 @@ from loopcert import (
     solve_problem,
     step_problems,
     subterm_at,
+    subterms,
     term_size,
     unroll_loop,
     validate_loop,
@@ -108,6 +111,87 @@ def test_solve_position_equation_yields_the_suffix_split():
         # Larger exponents extend the head by copies of p.
         if p:
             assert p * (n0 + 2) + q == (p * 2 + head) + o
+
+
+# ---------------------------------------------------------------------------
+# Pattern frames against enumerations of their definitions
+
+
+def reference_here(c, mu, t, q, o, family):
+    # The least n0 with p^n0 q = o0' o for some o0', by trying each n0.
+    p = c.hole_pos
+    for n0 in range(len(o) + 1):
+        full = p * n0 + q
+        if len(full) >= len(o) and full[len(full) - len(o):] == o:
+            o0prime = full[: len(full) - len(o)]
+            base = apply_context_substitution(t, c, mu, n0)
+            return [(family, n0, o0prime, subterm_at(base, o0prime), None)]
+    return []
+
+
+def reference_above(sh, t, q, o):
+    # Every prefix o2 of every position of the redex with the redex
+    # position strictly below o2 o, at the least n0 with |p^n0 q| >= |o|.
+    c, mu, redex = sh.c, sh.mu, subterm_at(t, q)
+    p = c.hole_pos
+    n0 = 0
+    while p and len(p) * n0 + len(q) < len(o):
+        n0 += 1
+    base = apply_context_substitution(t, c, mu, n0)
+    redex_pos = p * n0 + q
+    anchors = set()
+    for q2 in positions(redex):
+        tip = redex_pos + q2
+        for cut in range(len(tip) + 1):
+            if is_strict_prefix(redex_pos, tip[:cut] + o):
+                anchors.add(tip[:cut])
+    frame = [
+        ("pattern-above-term", n0, o2, subterm_at(base, o2), None) for o2 in sorted(anchors)
+    ]
+    return frame + [("pattern-above-image", n0, None, u, None) for u in sh.images(redex)]
+
+
+def reference_below(sh, t, q, o):
+    # Here-frames at the strict prefixes of q, then one extended problem per
+    # strict prefix of p at the least n0 with |p2| + n0 |p| > |o|.
+    c, mu = sh.c, sh.mu
+    p = c.hole_pos
+    frame = []
+    for cut in range(len(q)):
+        frame += reference_here(c, mu, t, q[:cut], o, "pattern-below-prefix")
+    for cut in range(len(p)):
+        d = c.subcontext(p[:cut])
+        p2 = d.hole_pos
+        n0 = 0
+        while len(p2) + n0 * len(p) <= len(o):
+            n0 += 1
+        if is_strict_prefix(o, p2 + p * n0):
+            subject = mu.apply(apply_context_substitution(t, c, mu, n0))
+            frame.append(("pattern-below-context", n0, None, subject, d))
+    return frame
+
+
+def test_above_and_below_frames_match_their_definitions():
+    rng = random.Random(41)
+    seen = Counter()
+    for _ in range(600):
+        c = genlib.random_context(rng, genlib.VARS, rng.randint(1, 3))
+        sh = deciders._Shared(c, genlib.random_substitution(rng))
+        t = genlib.random_term(rng, genlib.VARS, 3)
+        q = rng.choice([q for q, u in subterms(t) if isinstance(u, Application)] or [()])
+        o = tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 4)))
+        below = deciders._below_frame(sh, t, q, o)
+        assert below == reference_below(sh, t, q, o)
+        if isinstance(subterm_at(t, q), Variable):
+            continue
+        above = deciders._above_frame(sh, t, q, o)
+        assert above == reference_above(sh, t, q, o)
+        seen.update(entry[0] for entry in above + below)
+    # Every family the two frames emit was exercised.
+    assert min(seen[f] for f in (
+        "pattern-above-term", "pattern-above-image",
+        "pattern-below-prefix", "pattern-below-context",
+    )) >= 50, seen
 
 
 # ---------------------------------------------------------------------------
@@ -266,13 +350,40 @@ def test_confirmation_stops_where_terms_outgrow_the_size_limit():
 def test_confirmation_stops_where_terms_nest_too_deeply(
     monkeypatch, factorial, factorial_inner_loop
 ):
-    def too_deep(loop, n):
+    def too_deep(loop, n, below=None):
         raise RecursionError
 
     monkeypatch.setattr(deciders, "unroll_loop", too_deep)
     verdict = decide_loop(factorial, factorial_inner_loop, StrategySpec("outermost"))
     assert verdict.answer == "no"
     assert verdict.evidence.level is None
+
+
+def test_confirmation_pumps_each_level_once(monkeypatch, shift, shift_loop):
+    # Level n is one pump t -> C[t mu] of each term of level n - 1, so no
+    # level plugs C more than once per term.
+    plug, unroll = Context.plug, deciders.unroll_loop
+    pumps, inside = Counter(), []
+
+    def counted_plug(c, t):
+        if inside:
+            pumps[inside[-1]] += 1
+        return plug(c, t)
+
+    def traced_unroll(loop, n, *args, **kwargs):
+        inside.append(n)
+        try:
+            return unroll(loop, n, *args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(Context, "plug", counted_plug)
+    monkeypatch.setattr(deciders, "unroll_loop", traced_unroll)
+    verdict = decide_loop(shift, shift_loop, StrategySpec("leftmost"))
+    level = verdict.evidence.level
+    assert level >= 3
+    assert set(pumps) == set(range(1, level + 1))
+    assert all(count <= len(shift_loop.terms) for count in pumps.values())
 
 
 def test_parallel_loop_verdicts(
@@ -504,6 +615,35 @@ def test_variable_renaming_keeps_every_corpus_verdict(corpus, stream, stream_pat
             assert verdict_summary(trs, loop, spec, rho) == verdict_summary(
                 new_trs, new_loop, new_spec
             ), (str(loop.certificate.start), spec.name)
+
+
+def power_answer(trs, loop, name):
+    try:
+        return decide_loop(trs, loop, StrategySpec(name)).answer
+    except ShapeMismatch:
+        return "shape mismatch"
+
+
+def test_k_fold_powers_keep_every_answer(corpus):
+    # Running a loop k times in one certificate is the same loop, so it
+    # keeps its answer under every strategy; a power's hole sits at p^k.
+    names = [name for name in STRATEGIES if name != "forbidden"]
+    for trs, loop in corpus:
+        for k in (2, 4):
+            powered = genlib.power(trs, loop, k)
+            assert powered.certificate.context.hole_pos == (
+                loop.certificate.context.hole_pos * k
+            )
+            for name in names:
+                assert power_answer(trs, powered, name) == power_answer(
+                    trs, loop, name
+                ), (str(loop.certificate.start), k, name)
+    for trs, loop in genlib.coherence_corpus(random.Random(29), 100):
+        powered = genlib.power(trs, loop, 2)
+        for name in genlib.SEQUENTIAL_COHERENCE:
+            assert power_answer(trs, powered, name) == power_answer(
+                trs, loop, name
+            ), (str(loop.certificate.start), name)
 
 
 # Problem families each strategy component may emit, by family-name prefix.

@@ -176,3 +176,11 @@ def test_unroll_replays_and_closes_at_every_level(corpus):
                 current = parallel_rewrite(current, step, trs)
                 assert current == unrolled.terms[j + 1]
             assert current == apply_context_substitution(loop.terms[0], *cs, n + 1)
+
+
+def test_unroll_from_the_level_below_equals_unrolling_from_scratch(corpus):
+    for _, loop in corpus:
+        below = unroll_loop(loop, 0)
+        for n in range(1, 7):
+            below = unroll_loop(loop, n, below)
+            assert below == unroll_loop(loop, n)

@@ -253,6 +253,22 @@ def test_matching_size_guard_reports_its_limit():
     assert "limit" in result.note
 
 
+def test_equal_identity_pairs_are_kept_once():
+    # x and y double in step, so (x, y) reappears as several equal pairs at
+    # every offset; kept once each, the state stays under a size limit of 10
+    # until the exponent bound |{x, y}| * (1 + 1) = 4 refutes the problem.
+    problem = matching(
+        app("g", v("x"), v("y")),
+        app("g", v("w"), v("w")),
+        Substitution({"x": app("d", v("x"), v("x")), "y": app("d", v("y"), v("y"))}),
+    )
+    assert exponent_bound(problem) == 4
+    assert brute_force_check(problem, exponent_bound(problem) + 8) is None
+    for cap in (10, 100_000):
+        result = solve_matching(problem, DeciderConfig(max_term_size=cap))
+        assert result == Unsolvable(UnsolvableReason.EXPONENT_BOUND)
+
+
 def test_solver_depth_overflow_is_a_limit(monkeypatch, swap_problem):
     def too_deep(problem, config):
         raise RecursionError
