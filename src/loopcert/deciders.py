@@ -156,45 +156,25 @@ class _Shared:
         return out
 
 
-def _leftmost(sh: _Shared, step: int, t: Term, q: Position, trs: Trs):
-    hole = sh.c.hole_pos
-    term_side = lambda q2: is_left_of(q2, q)
-    ctx_side = lambda p2: is_left_of(p2, hole)
-    return _split_families(sh, step, t, trs, term_side, ctx_side, "left")
-
-
-def _max_parallel(sh: _Shared, step: int, t: Term, qs: list[Position], trs: Trs):
-    hole = sh.c.hole_pos
-    term_side = lambda q2: all(are_parallel(q2, q) for q in qs)
-    ctx_side = lambda p2: are_parallel(p2, hole)
-    return _split_families(sh, step, t, trs, term_side, ctx_side, "parallel")
-
-
-def _split_families(
-    sh: _Shared, step: int, t: Term, trs: Trs, term_side, ctx_side, prefix: str
-) -> list[ProblemInstance]:
+def _split_rows(sh: _Shared, t: Term, qs: list[Position], prefix: str, beside):
+    """Rows of the leftmost or max-parallel families: subjects at spots p with
+    beside(p, q) for every contracted q of the step, or for the hole in C."""
     # Per side: the subterms themselves, then the pumped images below them.
-    out: list[ProblemInstance] = []
-    for body, side, families in (
-        (t, term_side, (f"{prefix}-term", f"{prefix}-image")),
-        (sh.c.body, ctx_side, (f"{prefix}-context", f"{prefix}-context-image")),
+    rows = []
+    for body, at, families in (
+        (t, qs, (f"{prefix}-term", f"{prefix}-image")),
+        (sh.c.body, (sh.c.hole_pos,), (f"{prefix}-context", f"{prefix}-context-image")),
     ):
-        spots = [(p, u) for p, u in subterms(body) if side(p)]
+        spots = [(p, u) for p, u in subterms(body) if all(beside(p, q) for q in at)]
         for family, subjects_of in zip(families, (lambda u: (u,), sh.images)):
             seen: set[Term] = set()
             for p, u in spots:
                 for v in subjects_of(u):
                     # A repeated subject only repeats problems posed above.
-                    if v in seen:
-                        continue
-                    seen.add(v)
-                    for ri, rule in enumerate(trs.rules):
-                        out.append(
-                            ProblemInstance(
-                                MatchingProblem(((v, rule.lhs),), sh.mu), family, step, p, ri
-                            )
-                        )
-    return out
+                    if v not in seen:
+                        seen.add(v)
+                        rows.append((family, p, None, None, v, None))
+    return rows
 
 
 def solve_position_equation(
@@ -220,19 +200,22 @@ def _least_n0(p: Position, q: Position, o: Position) -> int:
     return max(0, math.ceil(max(0, len(o) - len(q)) / len(p)))
 
 
-# A frame is the pattern-independent part of one pattern family at one step
-# position: (family, n0, o0', subject, D) per problem, with D the subcontext
-# of an extended problem and None for a matching problem.  Crossing a frame
-# with a pattern's left-hand side gives the problems.
+# A row is the left-hand-side-independent part of one problem instance:
+# (family, position, n0, o0', subject, D), with D the subcontext of an
+# extended problem and None for a matching problem.  Crossing rows with
+# left-hand sides gives the instances.  A pattern family's rows at one step
+# position form a frame, shared by every pattern of the same kind and spot.
 
 
-def _here_frame(sh: _Shared, t: Term, q: Position, o: Position, family="pattern-here"):
-    sol = solve_position_equation(sh.c.hole_pos, q, o)
+def _here_frame(sh: _Shared, t: Term, q: Position, o: Position, cut: int | None = None):
+    # With a cut, the anchor sits at the step's own prefix q[:cut] instead.
+    sol = solve_position_equation(sh.c.hole_pos, q[:cut], o)
     if sol is None:
         return []
     n0, o0prime = sol
     base = apply_context_substitution(t, sh.c, sh.mu, n0)
-    return [(family, n0, o0prime, subterm_at(base, o0prime), None)]
+    family = "pattern-here" if cut is None else "pattern-below-prefix"
+    return [(family, q, n0, o0prime, subterm_at(base, o0prime), None)]
 
 
 def _above_frame(sh: _Shared, t: Term, q: Position, o: Position):
@@ -249,9 +232,10 @@ def _above_frame(sh: _Shared, t: Term, q: Position, o: Position):
     anchors = [rp[:cut] for cut in range(len(rp) + 1) if is_strict_prefix(rp[cut:], o)]
     anchors += [rp + q2 for q2 in positions(redex) if q2]
     frame = [
-        ("pattern-above-term", n0, o2, subterm_at(base, o2), None) for o2 in sorted(anchors)
+        ("pattern-above-term", q, n0, o2, subterm_at(base, o2), None)
+        for o2 in sorted(anchors)
     ]
-    frame += [("pattern-above-image", n0, None, u, None) for u in sh.images(redex)]
+    frame += [("pattern-above-image", q, n0, None, u, None) for u in sh.images(redex)]
     return frame
 
 
@@ -261,7 +245,7 @@ def _below_frame(sh: _Shared, t: Term, q: Position, o: Position):
     # context copies become extended problems that pump the context too.
     frame = []
     for cut in range(len(q)):
-        frame += _here_frame(sh, t, q[:cut], o, "pattern-below-prefix")
+        frame += _here_frame(sh, t, q, o, cut)
     p = sh.c.hole_pos
     for d in sh.subcontexts:
         p2 = d.hole_pos
@@ -269,7 +253,7 @@ def _below_frame(sh: _Shared, t: Term, q: Position, o: Position):
         n0 = _least_n0(p, p2[1:], o)
         if is_strict_prefix(o, p2 + p * n0):
             subject = sh.mu.apply(apply_context_substitution(t, sh.c, sh.mu, n0))
-            frame.append(("pattern-below-context", n0, None, subject, d))
+            frame.append(("pattern-below-context", q, n0, None, subject, d))
     return frame
 
 
@@ -280,32 +264,19 @@ _FRAMES = {
 }
 
 
-def _cross(
-    sh: _Shared, step: int, q: Position, pattern: ForbiddenPattern, frame
-) -> list[ProblemInstance]:
-    mu, lhs = sh.mu, pattern.lhs
+def _cross(sh: _Shared, step: int, rows, lhss) -> list[ProblemInstance]:
+    """Each row against each (lhs, rule index, pattern), rows outermost."""
+    mu = sh.mu
     return [
         ProblemInstance(
             MatchingProblem(((u, lhs),), mu)
             if d is None
             else ExtendedMatchingProblem(d, lhs, sh.c_mu, u, mu),
-            family, step, q, None, pattern, n0, o0prime,
+            family, step, pos, ri, pat, n0, o0prime,
         )
-        for family, n0, o0prime, u, d in frame
+        for family, pos, n0, o0prime, u, d in rows
+        for lhs, ri, pat in lhss
     ]
-
-
-def _pattern_problems(
-    sh: _Shared, step: int, t: Term, q: Position, patterns: Iterable[ForbiddenPattern]
-) -> list[ProblemInstance]:
-    frames: dict = {}
-    out: list[ProblemInstance] = []
-    for pat in patterns:
-        key = (pat.kind, pat.pos)
-        if key not in frames:
-            frames[key] = _FRAMES[pat.kind](sh, t, q, pat.pos)
-        out += _cross(sh, step, q, pat, frames[key])
-    return out
 
 
 def step_problems(
@@ -325,6 +296,10 @@ def step_problems(
             f"strategy {spec.label} applies to single-redex steps only"
         )
     sh = _Shared(cert.context, cert.subst)
+    rules = [(rule.lhs, ri, None) for ri, rule in enumerate(trs.rules)]
+    # Leftmost and max-parallel pose every rule at the spots a redex may not
+    # occupy: left of, or parallel to, what the step contracts.
+    split = {"leftmost": ("left", is_left_of), "max-parallel": ("parallel", are_parallel)}
     builtin = {"innermost": innermost_patterns, "outermost": outermost_patterns}
     patterns = {c: builtin[c](trs.lhss()) for c in components if c in builtin}
     patterns["forbidden"] = spec.patterns
@@ -334,13 +309,16 @@ def step_problems(
         qs = [q for q, _ in step]
         found: list[ProblemInstance] = []
         for component in components:
-            if component == "leftmost":
-                found += _leftmost(sh, i, t, qs[0], trs)
-            elif component == "max-parallel":
-                found += _max_parallel(sh, i, t, qs, trs)
-            else:
-                for q in qs:
-                    found += _pattern_problems(sh, i, t, q, patterns[component])
+            if component in split:
+                found += _cross(sh, i, _split_rows(sh, t, qs, *split[component]), rules)
+                continue
+            for q in qs:
+                frames: dict = {}
+                for pat in patterns[component]:
+                    key = (pat.kind, pat.pos)
+                    if key not in frames:
+                        frames[key] = _FRAMES[pat.kind](sh, t, q, pat.pos)
+                    found += _cross(sh, i, frames[key], [(pat.lhs, None, pat)])
         out += _dedup(found)
     return tuple(out)
 

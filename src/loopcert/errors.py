@@ -59,9 +59,10 @@ class RuleIndexOutOfRange(LoopcertError):
 
 
 class ParseError(LoopcertError):
-    """Input text is not well-formed; carries a 1-based line and column."""
+    """Input text is not well-formed; line and column are 1-based, or None."""
 
-    def __init__(self, message, line, col):
-        super().__init__(f"{message} (line {line}, column {col})")
+    def __init__(self, message, line=None, col=None):
+        where = "" if line is None else f" (line {line}, column {col})"
+        super().__init__(message + where)
         self.line = line
         self.col = col

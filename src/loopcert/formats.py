@@ -39,7 +39,7 @@ from .problems import (
     Problem,
     Witness,
 )
-from .rewriting import ForbiddenPattern, PatternKind, Rule, Trs
+from .rewriting import ForbiddenPattern, PatternKind, Rule, Trs, replacement_map_error
 from .terms import (
     Application,
     Context,
@@ -227,8 +227,10 @@ def parse_replacement_map(text: str, trs: Trs) -> dict[str, tuple[int, ...]]:
     """Lines of ``symbol: 1,3``; a bare ``symbol:`` allows no arguments.
 
     Only the blanks ``tokenize`` skips are trimmed, so any other whitespace
-    is part of a name or an index and fails there with its location.
+    is part of a name or an index and fails there with its location.  A
+    symbol the system lacks, or an index past its arity, fails there too.
     """
+    arities = dict(trs.signature)
     out: dict[str, tuple[int, ...]] = {}
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip(_BLANKS)
@@ -241,16 +243,20 @@ def parse_replacement_map(text: str, trs: Trs) -> dict[str, tuple[int, ...]]:
         at = len(raw) - len(raw.lstrip(_BLANKS)) + 1  # column of the name
         if not _IDENT_NAME.fullmatch(name):
             raise ParseError(f"bad symbol name {name!r}", lineno, at)
+        if (error := replacement_map_error(name, (), arities)) is not None:
+            raise _located(ArityMismatch(error), lineno, at)
         indices: list[int] = []
         if rest.strip(_BLANKS):
             col = raw.index(":") + 2  # column just after the colon
             for part in rest.split(","):
                 digits = part.strip(_BLANKS)
+                spot = col + len(part) - len(part.lstrip(_BLANKS))
                 # ASCII digits only: '²'.isdigit() holds, but int('²') raises.
                 if not (digits.isascii() and digits.isdigit()):
-                    at = col + len(part) - len(part.lstrip(_BLANKS))
-                    raise ParseError(f"bad argument index {digits!r}", lineno, at)
+                    raise ParseError(f"bad argument index {digits!r}", lineno, spot)
                 indices.append(int(digits))
+                if (error := replacement_map_error(name, indices[-1:], arities)) is not None:
+                    raise _located(ArityMismatch(error), lineno, spot)
                 col += len(part) + 1
         if name in out:
             raise ParseError(f"symbol {name!r} listed twice", lineno, at)
@@ -258,8 +264,16 @@ def parse_replacement_map(text: str, trs: Trs) -> dict[str, tuple[int, ...]]:
     return out
 
 
-def _cert_error(msg: str) -> ParseError:
-    return ParseError(msg, 1, 1)
+def _term_field(field: str, value, trs: Trs, allow_hole: bool = False) -> Term:
+    """A certificate field's term string, parsed.  An error names the field,
+    since the line and column of a term error count within the string."""
+    if not isinstance(value, str):
+        raise ParseError(f"{field} must be a term string")
+    try:
+        return parse_term(value, trs, allow_hole)
+    except LoopcertError as e:
+        e.args = (f"{field}: {e}",)
+        raise
 
 
 def parse_loop_certificate(text: str, trs: Trs) -> LoopCertificate:
@@ -268,19 +282,17 @@ def parse_loop_certificate(text: str, trs: Trs) -> LoopCertificate:
     except json.JSONDecodeError as e:
         raise ParseError(e.msg, e.lineno, e.colno) from None
     if not isinstance(doc, dict):
-        raise _cert_error("certificate must be a JSON object")
+        raise ParseError("certificate must be a JSON object")
     missing = {"start", "steps", "context", "subst"} - set(doc)
     if missing:
-        raise _cert_error(f"certificate misses keys {sorted(missing)}")
-    if not isinstance(doc["start"], str):
-        raise _cert_error("start must be a term string")
-    start = parse_term(doc["start"], trs)
+        raise ParseError(f"certificate misses keys {sorted(missing)}")
+    start = _term_field("start", doc["start"], trs)
     if not isinstance(doc["steps"], list) or not doc["steps"]:
-        raise _cert_error("steps must be a nonempty list")
+        raise ParseError("steps must be a nonempty list")
     steps: list[Step] = []
     for i, entry in enumerate(doc["steps"], start=1):
         if not isinstance(entry, list) or not entry:
-            raise _cert_error(f"step {i}: each step must be a nonempty list of redexes")
+            raise ParseError(f"step {i}: each step must be a nonempty list of redexes")
         step = []
         for j, redex in enumerate(entry, start=1):
             if (
@@ -294,7 +306,7 @@ def parse_loop_certificate(text: str, trs: Trs) -> LoopCertificate:
                 or not isinstance(redex["rule"], int)
                 or isinstance(redex["rule"], bool)
             ):
-                raise _cert_error(
+                raise ParseError(
                     f"step {i}, redex {j}: each redex must be"
                     ' {"pos": [indices >= 1], "rule": index}'
                 )
@@ -305,18 +317,14 @@ def parse_loop_certificate(text: str, trs: Trs) -> LoopCertificate:
                 )
             step.append((tuple(redex["pos"]), redex["rule"]))
         steps.append(tuple(step))
-    if not isinstance(doc["context"], str):
-        raise _cert_error("context must be a term string containing []")
-    context = Context.from_term(parse_term(doc["context"], trs, allow_hole=True))
+    context = Context.from_term(_term_field("context", doc["context"], trs, True))
     if not isinstance(doc["subst"], dict):
-        raise _cert_error("subst must be an object mapping variables to terms")
+        raise ParseError("subst must be an object mapping variables to terms")
     mapping = {}
     for name, value in doc["subst"].items():
         if name not in trs.variables:
-            raise _cert_error(f"subst binds {name!r}, which is not a declared variable")
-        if not isinstance(value, str):
-            raise _cert_error(f"subst image of {name!r} must be a term string")
-        mapping[name] = parse_term(value, trs)
+            raise ParseError(f"subst binds {name!r}, which is not a declared variable")
+        mapping[name] = _term_field(f"subst {name}", value, trs)
     return LoopCertificate(start, tuple(steps), context, Substitution(mapping))
 
 

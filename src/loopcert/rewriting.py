@@ -138,7 +138,10 @@ def _match_into(pattern: Term, subject: Term, env: dict[str, Term]) -> bool:
         return False
     if pattern.symbol != subject.symbol or len(pattern.args) != len(subject.args):
         return False
-    return all(_match_into(p, s, env) for p, s in zip(pattern.args, subject.args))
+    for p, s in zip(pattern.args, subject.args):
+        if not _match_into(p, s, env):
+            return False
+    return True
 
 
 def redex_positions(t: Term, trs: Trs) -> tuple[tuple[Position, int], ...]:
@@ -288,6 +291,17 @@ def outermost_patterns(lhss: Iterable[Term]) -> tuple[ForbiddenPattern, ...]:
     return tuple(ForbiddenPattern(l, (), PatternKind.BELOW) for l in lhss)
 
 
+def replacement_map_error(
+    f: str, indices: Iterable[int], arities: Mapping[str, int]
+) -> str | None:
+    """Why ``f: indices`` is no replacement-map entry for these arities, or None."""
+    n = arities.get(f)
+    if n is None:
+        return f"replacement map names unknown symbol {f!r}"
+    bad = [i for i in indices if not 1 <= i <= n]
+    return f"replacement map for {f!r} (arity {n}) lists arguments {bad}" if bad else None
+
+
 def context_sensitive_patterns(
     mapping: Mapping[str, Iterable[int]], trs: Trs
 ) -> tuple[ForbiddenPattern, ...]:
@@ -299,14 +313,8 @@ def context_sensitive_patterns(
     given = {f: sorted(set(ix)) for f, ix in sorted(mapping.items())}
     arities = dict(trs.signature)
     for f, allowed in given.items():
-        n = arities.get(f)
-        if n is None:
-            raise ArityMismatch(f"replacement map names unknown symbol {f!r}")
-        bad = [i for i in allowed if not 1 <= i <= n]
-        if bad:
-            raise ArityMismatch(
-                f"replacement map for {f!r} (arity {n}) lists arguments {bad}"
-            )
+        if (error := replacement_map_error(f, allowed, arities)) is not None:
+            raise ArityMismatch(error)
     out = []
     for f, n in trs.signature:
         allowed = set(given.get(f, range(1, n + 1)))

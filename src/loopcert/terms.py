@@ -190,7 +190,7 @@ def term_size(t: Term) -> int:
         return 1
     n = t._size
     if not n:
-        n = t._size = 1 + sum(term_size(a) for a in t.args)
+        n = t._size = 1 + sum(map(term_size, t.args))
     return n
 
 
@@ -230,7 +230,7 @@ class Substitution:
             return self._map.get(t.name, t)
         if not t.args:
             return t
-        args = tuple([self.apply(a) for a in t.args])
+        args = tuple(map(self.apply, t.args))
         for a, b in zip(args, t.args):
             if a is not b:
                 return Application(t.symbol, args)

@@ -117,15 +117,16 @@ def test_solve_position_equation_yields_the_suffix_split():
 # Pattern frames against enumerations of their definitions
 
 
-def reference_here(c, mu, t, q, o, family):
-    # The least n0 with p^n0 q = o0' o for some o0', by trying each n0.
+def reference_here(c, mu, t, anchor, o, family, q):
+    # The least n0 with p^n0 anchor = o0' o for some o0', by trying each n0;
+    # the row names the step position q it was posed for.
     p = c.hole_pos
     for n0 in range(len(o) + 1):
-        full = p * n0 + q
+        full = p * n0 + anchor
         if len(full) >= len(o) and full[len(full) - len(o):] == o:
             o0prime = full[: len(full) - len(o)]
             base = apply_context_substitution(t, c, mu, n0)
-            return [(family, n0, o0prime, subterm_at(base, o0prime), None)]
+            return [(family, q, n0, o0prime, subterm_at(base, o0prime), None)]
     return []
 
 
@@ -146,9 +147,10 @@ def reference_above(sh, t, q, o):
             if is_strict_prefix(redex_pos, tip[:cut] + o):
                 anchors.add(tip[:cut])
     frame = [
-        ("pattern-above-term", n0, o2, subterm_at(base, o2), None) for o2 in sorted(anchors)
+        ("pattern-above-term", q, n0, o2, subterm_at(base, o2), None)
+        for o2 in sorted(anchors)
     ]
-    return frame + [("pattern-above-image", n0, None, u, None) for u in sh.images(redex)]
+    return frame + [("pattern-above-image", q, n0, None, u, None) for u in sh.images(redex)]
 
 
 def reference_below(sh, t, q, o):
@@ -158,7 +160,7 @@ def reference_below(sh, t, q, o):
     p = c.hole_pos
     frame = []
     for cut in range(len(q)):
-        frame += reference_here(c, mu, t, q[:cut], o, "pattern-below-prefix")
+        frame += reference_here(c, mu, t, q[:cut], o, "pattern-below-prefix", q)
     for cut in range(len(p)):
         d = c.subcontext(p[:cut])
         p2 = d.hole_pos
@@ -167,7 +169,7 @@ def reference_below(sh, t, q, o):
             n0 += 1
         if is_strict_prefix(o, p2 + p * n0):
             subject = mu.apply(apply_context_substitution(t, c, mu, n0))
-            frame.append(("pattern-below-context", n0, None, subject, d))
+            frame.append(("pattern-below-context", q, n0, None, subject, d))
     return frame
 
 

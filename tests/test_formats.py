@@ -255,6 +255,19 @@ def test_parse_replacement_map_errors(factorial):
     assert parse_replacement_map(" \ttimes :\r1 ,2\r\n\r", factorial) == {"times": (1, 2)}
 
 
+def test_replacement_map_entries_fit_the_system_where_read(factorial):
+    # An unknown symbol is reported at its name, an argument index outside
+    # the symbol's arity at that index.
+    for text, message, line, col in (
+        ("times: 1\nfoo: 1", "replacement map names unknown symbol 'foo'", 2, 1),
+        ("times: 7", "replacement map for 'times' (arity 2) lists arguments [7]", 1, 8),
+        ("\n fact: 2, 0,3", "replacement map for 'fact' (arity 2) lists arguments [0]", 2, 11),
+    ):
+        with pytest.raises(ArityMismatch) as err:
+            parse_replacement_map(text, factorial)
+        assert str(err.value) == f"{message} (line {line}, column {col})"
+
+
 # ---------------------------------------------------------------------------
 # Loop certificates
 
@@ -340,7 +353,26 @@ def test_certificate_terms_report_arity_locations(factorial, data_dir):
     doc["start"] = "fact(x,\n  s(x, y))"
     with pytest.raises(ArityMismatch) as err:
         parse_loop_certificate(json.dumps(doc), factorial)
-    assert str(err.value) == "s used with 2 arguments, expected 1 (line 2, column 3)"
+    assert str(err.value) == "start: s used with 2 arguments, expected 1 (line 2, column 3)"
+
+
+def test_certificate_errors_name_their_field(factorial, data_dir):
+    # A term string's error is led by its field; a structural error names
+    # its field in the message and has no line or column to report.
+    unclosed = "expected rparen, found 'end of input'"
+    for key, value, message in (
+        ("start", "fact(x", f"start: {unclosed} (line 1, column 7)"),
+        ("context", "s([],x", f"context: {unclosed} (line 1, column 7)"),
+        ("subst", {"x": "s(x"}, f"subst x: {unclosed} (line 1, column 4)"),
+        ("subst", {"q": "x"}, "subst binds 'q', which is not a declared variable"),
+        ("subst", {"x": 7}, "subst x must be a term string"),
+        ("steps", [], "steps must be a nonempty list"),
+    ):
+        doc = json.loads((data_dir / "factorial_loop.json").read_text())
+        doc[key] = value
+        with pytest.raises(ParseError) as err:
+            parse_loop_certificate(json.dumps(doc, indent=2), factorial)
+        assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------
