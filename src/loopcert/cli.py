@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--bound",
         type=_count,
         default=DeciderConfig.bound,
-        help="exponent bound for extended problems",
+        help="cap on the context exponent m of extended problems",
     )
     check.add_argument(
         "--unroll",

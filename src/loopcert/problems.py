@@ -12,11 +12,12 @@ variables forever refute the problem outright, and a fully decomposed set is
 a solution at exactly that exponent.  The state is then stepped by mu, up to
 the exponent bound that `exponent_bound` computes from the problem and
 proves sufficient; no witness up to it refutes the problem.  An extended
-problem is scanned for a refuting clash and otherwise searched by bounded
-enumeration of (m, k) up to the configured exponent bound.  Answers are
-three-valued: Solvable carries the least witness, Unsolvable carries a
-finite certificate, Unknown says why the search stopped: the configured
-exponent bound (extended problems only), or the size or depth limit.
+problem is scanned for a refuting clash and otherwise solved one slice at a
+time: slice m, D[t(C, mu)^m] mu^k = l sigma in k alone, is a matching
+problem, and the configured bound caps m only.  Answers are three-valued:
+Solvable carries the least witness (by m + k, then m), Unsolvable a finite
+certificate, Unknown why the search stopped: the bound on m (extended
+problems only), or the size or depth limit.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .terms import (
     variable_closure,
     variables_of,
 )
-from .rewriting import match_many, match_pattern
+from .rewriting import match_many
 
 
 @dataclass(frozen=True)
@@ -110,7 +111,7 @@ SolverResult = Union[Solvable, Unsolvable, Unknown]
 
 @dataclass(frozen=True)
 class DeciderConfig:
-    bound: int = 64  # exponent bound for extended problems
+    bound: int = 64  # cap on an extended problem's context exponent m
     unroll: int | None = None  # cap for the concrete-violation search
     max_term_size: int = 100_000
 
@@ -365,28 +366,25 @@ def solve_extended(
 ) -> SolverResult:
     if _extended_scan(problem.d.body, problem.lhs, problem, config):
         return Unsolvable(UnsolvableReason.ROOT_CLASH)
-    # rows[m] = D[t(C,mu)^m] mu^(total - m); tower = t(C,mu)^(len(rows) - 1).
-    rows: list[Term] = []
-    tower = problem.t
-    capped = False
-    for total in range(config.bound + 1):
-        for m in range(total + 1):
-            if m == len(rows):
-                if rows:
-                    # Towers only grow, so once one is over budget stop building.
-                    if term_size(tower) > config.max_term_size:
-                        capped = True
-                        break
-                    tower = apply_context_substitution(tower, problem.c, problem.mu, 1)
-                rows.append(problem.d.plug(tower))
-            u = rows[m]
-            if term_size(u) > config.max_term_size:
+    # No slice at or past the best witness's m + k holds a lesser one.
+    best, capped = None, False
+    tower, m = problem.t, 0
+    while m < (config.bound + 1 if best is None else best.m + best.k):
+        if m:
+            # Towers only grow, so once one is over budget stop building.
+            if term_size(tower) > config.max_term_size:
                 capped = True
-                continue
-            sigma = match_pattern(problem.lhs, u)
-            rows[m] = problem.mu.apply(u)
-            if sigma is not None:
-                return Solvable(Witness(m=m, k=total - m, sigma=sigma))
+                break
+            tower = apply_context_substitution(tower, problem.c, problem.mu, 1)
+        pair = (problem.d.plug(tower), problem.lhs)
+        res = solve_matching(MatchingProblem((pair,), problem.mu), config)
+        capped = capped or isinstance(res, Unknown)
+        w = res.witness if isinstance(res, Solvable) else None
+        if w is not None and (best is None or m + w.n < best.m + best.k):
+            best = Witness(m=m, k=w.n, sigma=w.sigma)
+        m += 1
+    if best is not None:
+        return Solvable(best)
     if capped:
         return Unknown("state size limit reached")
     return Unknown(f"exponent bound {config.bound} reached")

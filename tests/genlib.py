@@ -296,7 +296,7 @@ def random_identity_chain_problem(rng: random.Random) -> MatchingProblem:
 
 
 def random_extended_problem(rng: random.Random) -> ExtendedMatchingProblem:
-    # Kept tiny on purpose: the exhaustive layer scans the whole m+k grid,
+    # Kept tiny on purpose: brute_force_check scans the whole m+k grid,
     # so the tower at m = 32 must still be a small term.
     mu = random_substitution(rng, ("x", "y"), wild=0.0, depth=1)
     return ExtendedMatchingProblem(
@@ -375,14 +375,18 @@ def reverify_witness(problem, w: Witness) -> bool:
 def solver_oracle_failures(problem, bound: int = 32) -> list[str]:
     """Compare the solver against exhaustive search.
 
-    Extended problems are searched to *bound*.  Matching problems are
-    searched to their exponent bound, past which no least witness lies, so
-    a refutation is checked exhaustively and a witness is checked least.
+    Extended problems are searched to *bound*, or to the m + k of the
+    solver's witness when that is larger (bound caps only m), so a witness
+    is always checked least.  Matching problems are searched to their
+    exponent bound, past which no least witness lies, so a refutation is
+    checked exhaustively and a witness is checked least.
     """
     failures: list[str] = []
     res = solve_problem(problem, DeciderConfig(bound=bound))
     if isinstance(problem, MatchingProblem):
         bound = exponent_bound(problem)
+    elif isinstance(res, Solvable):
+        bound = max(bound, res.witness.m + res.witness.k)
     oracle = brute_force_check(problem, bound)
     if isinstance(res, Solvable):
         w = res.witness

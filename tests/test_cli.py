@@ -293,6 +293,26 @@ def test_bound_flag_reaches_the_solver(capsys, data_dir, stalled_files):
         assert json.loads(out)["evidence"]["witness"] == {"n": 9}
 
 
+def test_bound_caps_the_context_exponent_only(capsys, tmp_path):
+    # The pattern sits below s^3 and f over g^8: the least witness is
+    # m = 2, k = 5, past --bound 4 in m + k but not in m.
+    trs, loop = tmp_path / "pump.trs", tmp_path / "pump.json"
+    patterns = tmp_path / "patterns.txt"
+    trs.write_text("(VAR x y) (RULES f(x) -> s(f(g(x))))\n")
+    loop.write_text(json.dumps({
+        "start": "f(x)", "steps": [[{"pos": [], "rule": 0}]],
+        "context": "s([])", "subst": {"x": "g(x)"},
+    }))
+    patterns.write_text("s(s(s(f(" + "g(" * 8 + "y" + ")" * 8 + ")))) @ eps : b\n")
+    code, out, _ = check(
+        capsys, tmp_path, trs.name, loop.name, f"forbidden:{patterns}",
+        "--bound", "4",
+    )
+    assert code == EXIT_NO
+    assert "  witness: m=2, k=5, sigma={y/x}\n" in out
+    assert "concrete violation at unrolling level 8, step 1" in out
+
+
 def test_negative_numeric_options_exit_three(capsys, data_dir, tmp_path):
     for flag in ("--bound", "--unroll"):
         code, out, err = check(

@@ -389,6 +389,27 @@ def test_solve_extended_size_guard_reports_its_limit():
     assert brute_force_check(problem, 10) is None
 
 
+def test_solve_extended_decides_k_past_the_bound():
+    # bound caps m only: slice m = 1 is f(g(x)) mu^k against f(g^5(y)),
+    # which the matching solver settles at k = 4 although m + k = 5 > 4.
+    g5 = v("y")
+    for _ in range(5):
+        g5 = app("g", g5)
+    problem = ExtendedMatchingProblem(
+        d=Context.from_term(HOLE),
+        lhs=app("f", g5),
+        c=Context.from_term(app("f", HOLE)),
+        t=v("x"),
+        mu=Substitution({"x": app("g", v("x"))}),
+    )
+    result = solve_extended(problem, DeciderConfig(bound=4))
+    assert isinstance(result, Solvable)
+    w = result.witness
+    assert (w.m, w.k, w.sigma) == (1, 4, Substitution({"y": v("x")}))
+    assert w == brute_force_check(problem, 8)
+    assert genlib.reverify_witness(problem, w)
+
+
 # ---------------------------------------------------------------------------
 # Dispatch and randomized agreement
 
