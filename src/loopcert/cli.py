@@ -208,12 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=DeciderConfig.bound,
         help="cap on the context exponent m of extended problems",
     )
-    check.add_argument(
-        "--unroll",
-        type=_count,
-        default=None,
-        help="cap for the concrete-violation search (default: witness-derived)",
-    )
     check.add_argument("--format", choices=["text", "json"], default="text")
     check.set_defaults(func=cmd_check)
 
@@ -222,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     find.add_argument("--depth", type=_count, default=5, help="search depth in steps")
     find.add_argument("--max-size", type=_count, default=80, help="largest term explored")
     find.add_argument("--start", default=None, help="start term (default: each lhs)")
-    find.add_argument("--format", choices=["json"], default="json")
     find.set_defaults(func=cmd_find)
     return parser
 
@@ -232,9 +225,7 @@ def cmd_check(args) -> int:
     cert = parse_loop_certificate(Path(args.loop).read_text(), trs)
     loop = validate_loop(trs, cert)
     spec = resolve_strategy(args.strategy, trs)
-    verdict = decide_loop(
-        trs, loop, spec, DeciderConfig(bound=args.bound, unroll=args.unroll)
-    )
+    verdict = decide_loop(trs, loop, spec, DeciderConfig(bound=args.bound))
     sys.stdout.write(render_verdict(verdict, args.format))
     return EXIT_BY_ANSWER[verdict.answer]
 

@@ -403,12 +403,8 @@ def decide_loop(
     if solvable:
         inst, res = solvable[0]
         w = res.witness
-        exponent = w.n if w.n is not None else (w.m or 0) + (w.k or 0)
-        levels = (
-            config.unroll
-            if config.unroll is not None
-            else exponent + len(loop.certificate.steps) + 4
-        )
+        exponent = w.n if w.n is not None else w.m + w.k
+        levels = exponent + len(loop.certificate.steps) + 4
         confirmed = _confirm_violation(trs, loop, spec, levels, config.max_term_size)
         level, vstep = confirmed if confirmed is not None else (None, None)
         return Verdict(

@@ -469,7 +469,7 @@ def _evidence_to_document(ev: Evidence) -> dict:
     return {
         "instance": _instance_to_document(ev.instance),
         "witness": _witness_to_document(w),
-        "sigma": _subst_to_document(w.sigma) if w.sigma is not None else None,
+        "sigma": _subst_to_document(w.sigma),
         "confirmed": (
             {"level": ev.level, "step": ev.violation_step}
             if ev.level is not None
@@ -524,14 +524,12 @@ def render_verdict(v: Verdict, fmt: str = "text") -> str:
         ev = v.evidence
         w = ev.result.witness
         witness = ", ".join(f"{k}={n}" for k, n in _witness_to_document(w).items())
-        if w.sigma is not None:
-            witness += f", sigma={w.sigma}"
         lines = [
             f"NO: not a loop under strategy {v.strategy}",
             f"  {stats}",
             f"  evidence at {_instance_to_text(ev.instance)}",
             f"  problem: {ev.instance.problem}",
-            f"  witness: {witness}",
+            f"  witness: {witness}, sigma={w.sigma}",
         ]
         if ev.level is not None:
             lines.append(

@@ -85,10 +85,10 @@ class UnsolvableReason(enum.Enum):
 
 @dataclass(frozen=True)
 class Witness:
-    n: int | None = None
-    m: int | None = None
+    sigma: Substitution
+    n: int | None = None  # matching problems
+    m: int | None = None  # extended problems, with k
     k: int | None = None
-    sigma: Substitution | None = None
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,6 @@ SolverResult = Union[Solvable, Unsolvable, Unknown]
 @dataclass(frozen=True)
 class DeciderConfig:
     bound: int = 64  # cap on an extended problem's context exponent m
-    unroll: int | None = None  # cap for the concrete-violation search
     max_term_size: int = 100_000
 
 

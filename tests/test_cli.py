@@ -314,7 +314,7 @@ def test_bound_caps_the_context_exponent_only(capsys, tmp_path):
 
 
 def test_negative_numeric_options_exit_three(capsys, data_dir, tmp_path):
-    for flag in ("--bound", "--unroll"):
+    for flag in ("--bound",):
         code, out, err = check(
             capsys, data_dir, "shift.trs", "shift_loop.json", "leftmost", flag, "-5"
         )
@@ -331,6 +331,20 @@ def test_negative_numeric_options_exit_three(capsys, data_dir, tmp_path):
     )
     assert code == EXIT_INVALID
     assert "invalid int value: 'x'" in err
+
+
+def test_removed_options_exit_three(capsys, data_dir):
+    # The replay depth comes from the witness, and find only writes JSON.
+    code, out, err = check(
+        capsys, data_dir, "shift.trs", "shift_loop.json", "leftmost", "--unroll", "3"
+    )
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err == "error: unrecognized arguments: --unroll 3\n"
+    code, out, err = run(
+        capsys, "find", "--trs", str(data_dir / "factorial.trs"), "--format", "json"
+    )
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err == "error: unrecognized arguments: --format json\n"
 
 
 def test_forbidden_pattern_strategy_from_file(capsys, data_dir):
