@@ -1,6 +1,7 @@
 """First-order terms, positions, substitutions, contexts.
 
-Terms are immutable trees built from variables and function applications.
+Terms are immutable trees built from variables and function applications,
+hash-consed so that equal terms are one object and equality is identity.
 Positions address subterms as tuples of 1-based argument indices; the empty
 tuple is the root.  A substitution maps finitely many variable names to
 terms and can be applied in powers.  A context is a term containing exactly
@@ -17,27 +18,42 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Union
+from weakref import KeyedRef
 
 from .errors import MalformedContext, PositionOutOfTerm
 
 HOLE_SYMBOL = "[]"
 
 
+# The one live node of each term, by key: a variable's name, or an
+# application's (symbol, args) of nodes, which hashes and compares in
+# O(arity).  Entries are weak: a node leaves with its last reference.
+_table: dict = {}
+
+
+def _forget(entry: KeyedRef, table: dict = _table) -> None:
+    # A node built later under the same key may already own the entry.
+    if table.get(entry.key) is entry:
+        del table[entry.key]
+
+
 class Variable:
     """A variable.  Terms are immutable once built: never assign to one."""
 
-    __slots__ = ("name",)
+    __slots__ = ("name", "__weakref__")
+    _size = 1
 
-    def __init__(self, name: str):
-        self.name = name
+    def __new__(cls, name: str):
+        entry = _table.get(name)
+        node = entry and entry()
+        if node is None:
+            node = object.__new__(cls)
+            node.name = name
+            _table[name] = KeyedRef(node, _forget, name)
+        return node
 
-    def __eq__(self, other):
-        if other.__class__ is not Variable:
-            return NotImplemented
-        return self.name == other.name
-
-    def __hash__(self) -> int:
-        return hash(self.name)
+    def __reduce__(self):
+        return Variable, (self.name,)
 
     def __repr__(self) -> str:
         return f"Variable(name={self.name!r})"
@@ -47,36 +63,28 @@ class Variable:
 
 
 class Application:
-    """A function symbol applied to argument terms.
+    """A function symbol applied to argument terms, with its node count."""
 
-    Equality is structural.  The hash and the node count are computed on
-    first use and cached on the node, so hashing a term built from hashed
-    subterms, or comparing two terms whose hashes differ, costs O(arity).
-    """
+    __slots__ = ("symbol", "args", "_size", "__weakref__")
 
-    __slots__ = ("symbol", "args", "_hash", "_size")
+    def __new__(cls, symbol: str, args: tuple["Term", ...] = ()):
+        key = (symbol, args)
+        entry = _table.get(key)
+        node = entry and entry()
+        if node is None:
+            node = object.__new__(cls)
+            node.symbol = symbol
+            node.args = args
+            size = 1
+            for a in args:
+                size += a._size
+            node._size = size
+            _table[key] = KeyedRef(node, _forget, key)
+        return node
 
-    def __init__(self, symbol: str, args: tuple["Term", ...] = ()):
-        self.symbol = symbol
-        self.args = args
-        self._hash = None
-        self._size = 0
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not Application:
-            return NotImplemented
-        h, g = self._hash, other._hash
-        if h is not None and g is not None and h != g:
-            return False
-        return self.symbol == other.symbol and self.args == other.args
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = self._hash = hash((self.symbol, self.args))
-        return h
+    def __reduce__(self):
+        # Copies and unpickled terms are looked up in the table too.
+        return Application, (self.symbol, self.args)
 
     def __repr__(self) -> str:
         return f"Application(symbol={self.symbol!r}, args={self.args!r})"
@@ -185,13 +193,8 @@ def variables_of(t: Term) -> frozenset[str]:
 
 
 def term_size(t: Term) -> int:
-    """Node count; cached on the term, so O(1) after the first call."""
-    if isinstance(t, Variable):
-        return 1
-    n = t._size
-    if not n:
-        n = t._size = 1 + sum(map(term_size, t.args))
-    return n
+    """Node count, set when the node is built."""
+    return t._size
 
 
 @dataclass(frozen=True)
@@ -225,16 +228,12 @@ class Substitution:
 
     def apply(self, t: Term) -> Term:
         """t with every variable replaced by its image; t itself when no
-        variable of t is bound, so untouched subterms keep their cached facts."""
+        variable of t is bound, since terms are hash-consed."""
         if isinstance(t, Variable):
             return self._map.get(t.name, t)
         if not t.args:
             return t
-        args = tuple(map(self.apply, t.args))
-        for a, b in zip(args, t.args):
-            if a is not b:
-                return Application(t.symbol, args)
-        return t
+        return Application(t.symbol, tuple(map(self.apply, t.args)))
 
     def __str__(self) -> str:
         inner = ", ".join(f"{x}/{u}" for x, u in self.bindings)

@@ -9,8 +9,18 @@ import os
 import subprocess
 import sys
 
+import genlib
 import loopcert.cli
-from loopcert import InternalError, parse_loop_certificate, parse_term, validate_loop
+from loopcert import (
+    InternalError,
+    StrategySpec,
+    exponent_bound,
+    parse_loop_certificate,
+    parse_term,
+    parse_trs,
+    step_problems,
+    validate_loop,
+)
 from loopcert.cli import main
 
 EXIT_YES = 0
@@ -67,11 +77,11 @@ def test_unknown_exits_two(capsys, stalled_files):
     assert "    stopped: exponent bound 64 reached\n" in out
 
 
-def test_solver_terms_past_the_depth_limit_exit_two(capsys, tmp_path):
-    # The image of x is 150 levels deep, so the open matching problem's
-    # state nests about 150 levels deeper per exponent, past what the
-    # recursive term walks handle before its exponent bound of 6.
-    deep = "s(" * 150 + "x" + ")" * 150
+def write_open_loop(tmp_path, depth):
+    """A loop whose substitution binds x to s^depth(x); under leftmost its one
+    hard problem, g(x,y) against g(w,w) at position 1, nests about depth
+    levels deeper per exponent up to its exponent bound of 6."""
+    deep = "s(" * depth + "x" + ")" * depth
     (tmp_path / "deep.trs").write_text(
         f"(VAR x y z w)\n(RULES\n  f(x,y,z) -> h(g(x,y),f({deep},s(z),s(y)))\n"
         "  g(w,w) -> w\n)\n"
@@ -82,6 +92,12 @@ def test_solver_terms_past_the_depth_limit_exit_two(capsys, tmp_path):
         "context": "h(g(x,y),[])",
         "subst": {"x": deep, "y": "s(z)", "z": "s(y)"},
     }))
+
+
+def test_solver_terms_past_the_depth_limit_exit_two(capsys, tmp_path):
+    # At s^250 the problem's state outgrows what the recursive term walks
+    # handle before its exponent bound.
+    write_open_loop(tmp_path, 250)
     code, out, err = check(
         capsys, tmp_path, "deep.trs", "deep.json", "leftmost", "--format", "json"
     )
@@ -89,6 +105,24 @@ def test_solver_terms_past_the_depth_limit_exit_two(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["verdict"] == "unknown"
     assert [p["stopped"] for p in doc["open_problems"]] == ["term depth limit reached"]
+
+
+def test_solver_terms_below_the_depth_limit_answer_yes(capsys, tmp_path):
+    # At s^150 the solver refutes the hard problem at its exponent bound, and
+    # the brute-force oracle finds no witness up to that bound either.
+    write_open_loop(tmp_path, 150)
+    code, out, err = check(capsys, tmp_path, "deep.trs", "deep.json", "leftmost")
+    assert (code, err) == (EXIT_YES, "")
+    assert out.startswith("YES: loop under strategy leftmost")
+    trs = parse_trs((tmp_path / "deep.trs").read_text())
+    loop = validate_loop(trs, parse_loop_certificate((tmp_path / "deep.json").read_text(), trs))
+    [problem] = [
+        i.problem
+        for i in step_problems(loop, trs, StrategySpec("leftmost"))
+        if (i.family, i.position, i.rule_index) == ("left-context", (1,), 1)
+    ]
+    assert exponent_bound(problem) == 6
+    assert genlib.brute_force_check(problem, 6) is None
 
 
 def write_deep_loop(tmp_path, depth):
@@ -135,6 +169,27 @@ def test_a_deep_violation_is_confirmed(capsys, tmp_path):
     )
     assert (code, err) == (EXIT_NO, "")
     assert json.loads(out)["evidence"]["confirmed"] == {"level": 3, "step": 1}
+
+
+def test_a_violation_past_the_replay_depth_exits_one(capsys, tmp_path):
+    # The closing comparison of validate_loop meets terms 343 levels deep.
+    write_deep_loop(tmp_path, 340)
+    code, out, err = check(
+        capsys, tmp_path, "deep.trs", "deep.json", "leftmost", "--format", "json"
+    )
+    assert (code, err) == (EXIT_NO, "")
+    assert json.loads(out)["evidence"]["witness"]["n"] == 2
+
+
+def test_find_keeps_deep_terms_that_max_size_allows(capsys, tmp_path):
+    # Every rewritten term is hashed into the visited set.
+    trs_file = tmp_path / "deep.trs"
+    trs_file.write_text("(VAR x)\n(RULES f(x) -> " + "g(" * 300 + "f(x)" + ")" * 300 + ")\n")
+    code, out, err = run(
+        capsys, "find", "--trs", str(trs_file), "--depth", "2", "--max-size", "100000"
+    )
+    assert (code, err) == (EXIT_YES, "")
+    assert [len(c["steps"]) for c in json.loads(out)] == [1, 2]
 
 
 def test_find_rewrites_with_a_deep_right_hand_side(capsys, tmp_path):
@@ -467,6 +522,17 @@ def test_output_bytes_do_not_depend_on_hash_seed(data_dir):
     first = run_module(argv, "0")
     second = run_module(argv, "1")
     assert first.returncode == second.returncode == EXIT_YES
+    assert first.stdout == second.stdout
+
+    argv = [
+        "check",
+        "--trs", str(data_dir / "collapse.trs"),
+        "--loop", str(data_dir / "collapse_loop.json"),
+        "--strategy", "leftmost",
+    ]
+    first = run_module(argv, "0")
+    second = run_module(argv, "1")
+    assert first.returncode == second.returncode == EXIT_NO
     assert first.stdout == second.stdout
 
     argv = ["find", "--trs", str(data_dir / "factorial.trs"), "--depth", "5"]

@@ -5,6 +5,8 @@ decider reduction leans on them, so they get both pinned examples and a
 randomized sweep.
 """
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import genlib
+from loopcert import terms
 from loopcert import (
     EMPTY_SUBSTITUTION,
     LoopCertificate,
@@ -307,7 +310,7 @@ def shape(t):
 
 
 def copy_of(t):
-    """A structurally equal term that shares no node with t."""
+    """t rebuilt by a constructor call per node."""
     if isinstance(t, Variable):
         return Variable(t.name)
     return Application(t.symbol, tuple(copy_of(a) for a in t.args))
@@ -350,7 +353,41 @@ def test_equality_is_structural_whatever_is_cached(t, u, hash_t, hash_u):
 @given(term_st)
 def test_term_size_counts_nodes(t):
     assert term_size(t) == count_nodes(t)
-    assert term_size(copy_of(t)) == term_size(t)  # fresh nodes, no cache yet
+    assert term_size(copy_of(t)) == term_size(t)
+
+
+@given(term_st)
+def test_equal_terms_are_one_node(t):
+    assert copy_of(t) is t
+
+
+def test_deep_terms_are_one_node_with_their_size():
+    # Past the depth that any recursive walk reaches, equality, hashing and
+    # the node count still read one node.
+    def tower(n):
+        t = v("x")
+        for _ in range(n):
+            t = app("g", app("a"), t)
+        return t
+
+    t, u = tower(3000), tower(3000)
+    assert t is u and t == u and hash(t) == hash(u)
+    assert term_size(t) == sum(1 for _ in positions(t)) == 6001
+
+
+@given(term_st)
+def test_copied_and_unpickled_terms_are_the_term_itself(t):
+    assert copy.copy(t) is t
+    assert copy.deepcopy(t) is t
+    assert pickle.loads(pickle.dumps(t)) is t
+
+
+def test_a_term_leaves_the_table_with_its_last_reference():
+    before = len(terms._table)
+    t = app("fresh", v("fresh_x"), app("fresh_c"))
+    assert len(terms._table) == before + 3
+    del t
+    assert len(terms._table) == before
 
 
 @given(term_st, st.dictionaries(st.sampled_from(["x", "y", "z", "w"]), term_st, max_size=3))
