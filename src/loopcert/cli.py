@@ -5,7 +5,7 @@
 
 check exits 0 when the certificate is a loop under the strategy, 1 when it
 is refuted, 2 when undecided (an extended problem reached the exponent
-bound, or a problem reached the size or depth limit), 3 on invalid input.
+bound, or a problem reached the size limit), 3 on invalid input.
 find exits 0 when it discovers at least one loop, 1 when none, 3 on
 invalid input.  Both exit 4 on an internal error, with the traceback on
 stderr.
@@ -252,9 +252,6 @@ def main(argv: Iterable[str] | None = None) -> int:
         return EXIT_INVALID
     except UnicodeDecodeError as e:
         print(f"error: input is not UTF-8 text: {e}", file=sys.stderr)
-        return EXIT_INVALID
-    except RecursionError:
-        print("error: input nests too deeply to process", file=sys.stderr)
         return EXIT_INVALID
     except Exception:
         # A crash must never read as an answer: exit 1 means "refuted".

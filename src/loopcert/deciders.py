@@ -354,24 +354,20 @@ def _confirm_violation(
     trs: Trs, loop: ValidatedLoop, spec: StrategySpec, levels: int, max_size: int
 ) -> tuple[int, int] | None:
     """Level and step of the first concrete violation, or None when none is
-    found up to the level cap or before a level's terms outgrow max_size or
-    nest deeper than the term walks recurse."""
+    found up to the level cap or before a level's terms outgrow max_size."""
     checks = concrete_checks(spec)
     unrolled = None
-    try:
-        for n in range(levels + 1):
-            unrolled = unroll_loop(loop, n, below=unrolled)
-            if any(term_size(t) > max_size for t in unrolled.terms):
-                return None
-            for j, step in enumerate(unrolled.steps):
-                qs = [q for q, _ in step]
-                if not all(
-                    strategy_allows(unrolled.terms[j], qs, trs, chk, spec.patterns)
-                    for chk in checks
-                ):
-                    return n, j + 1
-    except RecursionError:
-        pass  # a level nests deeper than the term walks recurse
+    for n in range(levels + 1):
+        unrolled = unroll_loop(loop, n, below=unrolled)
+        if any(term_size(t) > max_size for t in unrolled.terms):
+            return None
+        for j, step in enumerate(unrolled.steps):
+            qs = [q for q, _ in step]
+            if not all(
+                strategy_allows(unrolled.terms[j], qs, trs, chk, spec.patterns)
+                for chk in checks
+            ):
+                return n, j + 1
     return None
 
 

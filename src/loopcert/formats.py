@@ -60,6 +60,10 @@ _SCANNER = re.compile(
 )
 _IDENT_NAME = re.compile(_IDENT)
 _BLANKS = " \t\r"  # the space group of _SCANNER
+# The deepest argument position a parsed term may have.  Matching walks a
+# pattern, and parsing walks its input, one interpreter frame per level; this
+# keeps both well inside CPython's default recursion limit of 1,000.
+MAX_NESTING = 512
 
 
 def tokenize(text: str) -> list[tuple[str, str, int, int]]:
@@ -107,10 +111,12 @@ def _parse_term(
     variables: frozenset[str],
     allow_hole: bool,
     arities: dict[str, int],
+    depth: int = 0,
 ) -> Term:
-    """Read one term.  Every application must keep the arity recorded in
-    *arities*, and a new symbol is recorded by its first application read to
-    its end: an argument before the application around it."""
+    """Read one term, *depth* levels below the root.  Every application must
+    keep the arity recorded in *arities*, and a new symbol is recorded by its
+    first application read to its end: an argument before the application
+    around it.  No argument may sit deeper than MAX_NESTING."""
     kind, name, line, col = ts.next()
     if kind == "hole":
         if not allow_hole:
@@ -124,10 +130,12 @@ def _parse_term(
             raise ParseError(f"variable {name!r} cannot take arguments", line, col)
         ts.next()
         if ts.peek() != "rparen":
-            args.append(_parse_term(ts, variables, allow_hole, arities))
+            if depth == MAX_NESTING:
+                raise ParseError(f"term nests deeper than {MAX_NESTING} levels", line, col)
+            args.append(_parse_term(ts, variables, allow_hole, arities, depth + 1))
             while ts.peek() == "comma":
                 ts.next()
-                args.append(_parse_term(ts, variables, allow_hole, arities))
+                args.append(_parse_term(ts, variables, allow_hole, arities, depth + 1))
         ts.expect("rparen")
     elif name in variables:
         return Variable(name)
@@ -281,6 +289,8 @@ def parse_loop_certificate(text: str, trs: Trs) -> LoopCertificate:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(e.msg, e.lineno, e.colno) from None
+    except RecursionError:
+        raise ParseError("certificate nests too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError("certificate must be a JSON object")
     missing = {"start", "steps", "context", "subst"} - set(doc)

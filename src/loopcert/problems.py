@@ -17,7 +17,7 @@ time: slice m, D[t(C, mu)^m] mu^k = l sigma in k alone, is a matching
 problem, and the configured bound caps m only.  Answers are three-valued:
 Solvable carries the least witness (by m + k, then m), Unsolvable a finite
 certificate, Unknown why the search stopped: the bound on m (extended
-problems only), or the size or depth limit.
+problems only), or the size limit.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .terms import (
     Variable,
     apply_context_substitution,
     apply_substitution,
+    positions,
     term_size,
     variable_closure,
     variables_of,
@@ -228,20 +229,15 @@ def _recheck_matching(problem: MatchingProblem, n: int) -> Substitution:
     return sigma
 
 
-def _depth(t: Term) -> int:
-    if isinstance(t, Variable) or not t.args:
-        return 0
-    return 1 + max(map(_depth, t.args))
-
-
 def exponent_bound(problem: MatchingProblem) -> int:
     """N = |V| * (d + 1), a bound on the least witness of a matching problem.
 
     V is the variable closure, under x -> vars(x mu), of the subjects and
     identity sides, so every u mu^n and a mu^n is a term over V; d is the
-    largest pattern depth (a variable or a constant has depth 0, f(t1..tk)
-    has depth 1 + max depth(ti)).  Claim: a problem solvable at some n is
-    solvable at N, so one with no witness n <= N has none at all.
+    largest pattern depth, the length of a pattern's longest position (a
+    variable or a constant has depth 0, f(t1..tk) has depth 1 + max
+    depth(ti)).  Claim: a problem solvable at some n is solvable at N, so
+    one with no witness n <= N has none at all.
 
     (1) Solutions are upward-closed in n.  u mu^n = l sigma gives
         u mu^(n+1) = l (sigma mu), and a mu^n = b mu^n gives
@@ -300,7 +296,7 @@ def exponent_bound(problem: MatchingProblem) -> int:
     sides += [s for pair in problem.identities for s in pair]
     # A term with every side as an argument has the closure of them all.
     closure = variable_closure(Application("", tuple(sides)), problem.mu)
-    depth = max((_depth(l) for _, l in problem.pairs), default=0)
+    depth = max((len(p) for _, l in problem.pairs for p in positions(l)), default=0)
     return len(closure) * (depth + 1)
 
 
@@ -390,10 +386,6 @@ def solve_extended(
 
 
 def solve_problem(problem: Problem, config: DeciderConfig = DeciderConfig()) -> SolverResult:
-    try:
-        if isinstance(problem, MatchingProblem):
-            return solve_matching(problem, config)
-        return solve_extended(problem, config)
-    except RecursionError:
-        # The solver's own terms nest deeper than the term walks recurse.
-        return Unknown("term depth limit reached")
+    if isinstance(problem, MatchingProblem):
+        return solve_matching(problem, config)
+    return solve_extended(problem, config)

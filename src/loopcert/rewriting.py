@@ -76,9 +76,23 @@ class Trs:
         rules = tuple(rules)
         variables = frozenset(variables)
         arities: dict[str, int] = {}
-        for r in rules:
-            for t in (r.lhs, r.rhs):
-                _collect_signature(t, variables, arities)
+        # Each rule's sides in preorder, left to right: the first fault is reported.
+        stack = [side for r in reversed(rules) for side in (r.rhs, r.lhs)]
+        while stack:
+            u = stack.pop()
+            if u.__class__ is Variable:
+                if u.name not in variables:
+                    raise ArityMismatch(f"undeclared variable {u.name!r}")
+                continue
+            f, args = u.symbol, u.args
+            if f == HOLE_SYMBOL:
+                raise ArityMismatch("the hole symbol [] is reserved and cannot appear in rules")
+            if f in variables:
+                raise ArityMismatch(f"{f!r} is declared as a variable but used as a symbol")
+            seen = arities.setdefault(f, len(args))
+            if seen != len(args):
+                raise ArityMismatch(f"symbol {f!r} used with arities {seen} and {len(args)}")
+            stack += args[::-1]
         return Trs(rules, variables, tuple(sorted(arities.items())))
 
     def lhss(self) -> tuple[Term, ...]:
@@ -91,23 +105,6 @@ class Trs:
         for i, rule in enumerate(self.rules):
             out.setdefault(rule.lhs.symbol, []).append((i, rule))
         return {f: tuple(rules) for f, rules in out.items()}
-
-
-def _collect_signature(t: Term, variables: frozenset[str], arities: dict[str, int]):
-    if isinstance(t, Variable):
-        if t.name not in variables:
-            raise ArityMismatch(f"undeclared variable {t.name!r}")
-        return
-    if t.symbol == HOLE_SYMBOL:
-        raise ArityMismatch("the hole symbol [] is reserved and cannot appear in rules")
-    if t.symbol in variables:
-        raise ArityMismatch(f"{t.symbol!r} is declared as a variable but used as a symbol")
-    n = len(t.args)
-    seen = arities.setdefault(t.symbol, n)
-    if seen != n:
-        raise ArityMismatch(f"symbol {t.symbol!r} used with arities {seen} and {n}")
-    for a in t.args:
-        _collect_signature(a, variables, arities)
 
 
 def match_pattern(pattern: Term, subject: Term) -> Substitution | None:

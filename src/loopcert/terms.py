@@ -227,13 +227,31 @@ class Substitution:
         return self.bindings
 
     def apply(self, t: Term) -> Term:
-        """t with every variable replaced by its image; t itself when no
-        variable of t is bound, since terms are hash-consed."""
-        if isinstance(t, Variable):
-            return self._map.get(t.name, t)
+        """t with every variable replaced by its image, walked on an explicit
+        stack so any depth works; t itself when no variable of t is bound,
+        since terms are hash-consed."""
+        get = self._map.get
+        if t.__class__ is Variable:
+            return get(t.name, t)
         if not t.args:
             return t
-        return Application(t.symbol, tuple(map(self.apply, t.args)))
+        stack = [(t.symbol, iter(t.args), [])]
+        while True:
+            symbol, rest, done = stack[-1]
+            for a in rest:
+                if a.__class__ is Variable:
+                    done.append(get(a.name, a))
+                elif a.args:
+                    stack.append((a.symbol, iter(a.args), []))
+                    break
+                else:
+                    done.append(a)
+            else:
+                stack.pop()
+                image = Application(symbol, tuple(done))
+                if not stack:
+                    return image
+                stack[-1][2].append(image)
 
     def __str__(self) -> str:
         inner = ", ".join(f"{x}/{u}" for x, u in self.bindings)

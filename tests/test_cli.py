@@ -94,35 +94,26 @@ def write_open_loop(tmp_path, depth):
     }))
 
 
-def test_solver_terms_past_the_depth_limit_exit_two(capsys, tmp_path):
-    # At s^250 the problem's state outgrows what the recursive term walks
-    # handle before its exponent bound.
-    write_open_loop(tmp_path, 250)
-    code, out, err = check(
-        capsys, tmp_path, "deep.trs", "deep.json", "leftmost", "--format", "json"
-    )
-    assert (code, err) == (EXIT_UNKNOWN, "")
-    doc = json.loads(out)
-    assert doc["verdict"] == "unknown"
-    assert [p["stopped"] for p in doc["open_problems"]] == ["term depth limit reached"]
-
-
 def test_solver_terms_below_the_depth_limit_answer_yes(capsys, tmp_path):
-    # At s^150 the solver refutes the hard problem at its exponent bound, and
-    # the brute-force oracle finds no witness up to that bound either.
-    write_open_loop(tmp_path, 150)
-    code, out, err = check(capsys, tmp_path, "deep.trs", "deep.json", "leftmost")
-    assert (code, err) == (EXIT_YES, "")
-    assert out.startswith("YES: loop under strategy leftmost")
-    trs = parse_trs((tmp_path / "deep.trs").read_text())
-    loop = validate_loop(trs, parse_loop_certificate((tmp_path / "deep.json").read_text(), trs))
-    [problem] = [
-        i.problem
-        for i in step_problems(loop, trs, StrategySpec("leftmost"))
-        if (i.family, i.position, i.rule_index) == ("left-context", (1,), 1)
-    ]
-    assert exponent_bound(problem) == 6
-    assert genlib.brute_force_check(problem, 6) is None
+    # Up to s^510, whose rule puts x 512 levels deep, the solver refutes the
+    # hard problem at its exponent bound, and the brute-force oracle finds no
+    # witness up to that bound either.
+    for depth in (150, 250, 510):
+        write_open_loop(tmp_path, depth)
+        code, out, err = check(capsys, tmp_path, "deep.trs", "deep.json", "leftmost")
+        assert (code, err) == (EXIT_YES, "")
+        assert out.startswith("YES: loop under strategy leftmost")
+        trs = parse_trs((tmp_path / "deep.trs").read_text())
+        loop = validate_loop(
+            trs, parse_loop_certificate((tmp_path / "deep.json").read_text(), trs)
+        )
+        [problem] = [
+            i.problem
+            for i in step_problems(loop, trs, StrategySpec("leftmost"))
+            if (i.family, i.position, i.rule_index) == ("left-context", (1,), 1)
+        ]
+        assert exponent_bound(problem) == 6
+        assert genlib.brute_force_check(problem, 6) is None
 
 
 def write_deep_loop(tmp_path, depth):
@@ -172,13 +163,16 @@ def test_a_deep_violation_is_confirmed(capsys, tmp_path):
 
 
 def test_a_violation_past_the_replay_depth_exits_one(capsys, tmp_path):
-    # The closing comparison of validate_loop meets terms 343 levels deep.
+    # The closing comparison of validate_loop meets terms 343 levels deep,
+    # and level 3 of the replay holds terms over 1,000 levels deep.
     write_deep_loop(tmp_path, 340)
     code, out, err = check(
         capsys, tmp_path, "deep.trs", "deep.json", "leftmost", "--format", "json"
     )
     assert (code, err) == (EXIT_NO, "")
-    assert json.loads(out)["evidence"]["witness"]["n"] == 2
+    evidence = json.loads(out)["evidence"]
+    assert evidence["witness"]["n"] == 2
+    assert evidence["confirmed"] == {"level": 3, "step": 1}
 
 
 def test_find_keeps_deep_terms_that_max_size_allows(capsys, tmp_path):
@@ -299,13 +293,103 @@ def test_non_utf8_input_exits_three(capsys, data_dir, tmp_path):
         assert err.count("\n") == 1
 
 
+def tower(depth, inner="x"):
+    return "g(" * depth + inner + ")" * depth
+
+
 def test_deeply_nested_input_exits_three(capsys, data_dir, tmp_path):
+    # Just past the limit x sits 513 levels deep, and far past it 3,000;
+    # either way the application at depth 512 is located.
     deep = tmp_path / "deep.trs"
-    deep.write_text("(VAR x)\n(RULES f(x) -> " + "g(" * 3000 + "x" + ")" * 3000 + ")\n")
-    for argv in both_commands(data_dir, deep):
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (EXIT_INVALID, "")
-        assert err == "error: input nests too deeply to process\n"
+    message = "error: term nests deeper than 512 levels (line 2, column 1040)\n"
+    for rhs in (tower(512, "f(x)"), tower(3000)):
+        deep.write_text("(VAR x)\n(RULES f(x) -> " + rhs + ")\n")
+        for argv in both_commands(data_dir, deep):
+            assert run(capsys, *argv) == (EXIT_INVALID, "", message)
+
+
+def test_system_terms_at_the_limit_are_read(capsys, tmp_path):
+    # In f(x) -> g^511(f(x)) x sits 512 levels deep, the most a term may nest.
+    rule = "f(x) -> " + tower(511, "f(x)")
+    (tmp_path / "tower.trs").write_text(f"(VAR x)\n(RULES {rule})\n")
+    (tmp_path / "tower.json").write_text(json.dumps({
+        "start": "f(x)",
+        "steps": [[{"pos": [], "rule": 0}]],
+        "context": tower(511, "[]"),
+        "subst": {},
+    }))
+    code, out, err = check(capsys, tmp_path, "tower.trs", "tower.json", "leftmost")
+    assert (code, err) == (EXIT_YES, "")
+    code, out, err = run(
+        capsys, "find", "--trs", str(tmp_path / "tower.trs"), "--depth", "2",
+        "--max-size", "100000",
+    )
+    assert (code, err) == (EXIT_YES, "")
+    assert [len(c["steps"]) for c in json.loads(out)] == [1, 2]
+
+
+def write_tower_loop(tmp_path, start):
+    """f(x) -> g(f(x)) with a certificate from *start*, closing with g([])."""
+    (tmp_path / "tower.trs").write_text("(VAR x)\n(RULES f(x) -> g(f(x)))\n")
+    (tmp_path / "tower.json").write_text(json.dumps({
+        "start": start,
+        "steps": [[{"pos": [], "rule": 0}]],
+        "context": "g([])",
+        "subst": {},
+    }))
+
+
+def test_certificate_terms_nest_to_the_limit(capsys, tmp_path):
+    # The error names its field, and its location counts within the string.
+    write_tower_loop(tmp_path, "f(" + tower(511) + ")")
+    code, out, err = check(capsys, tmp_path, "tower.trs", "tower.json", "leftmost")
+    assert (code, err) == (EXIT_YES, "")
+    write_tower_loop(tmp_path, "f(" + tower(512) + ")")
+    assert check(capsys, tmp_path, "tower.trs", "tower.json", "leftmost") == (
+        EXIT_INVALID,
+        "",
+        "error: start: term nests deeper than 512 levels (line 1, column 1025)\n",
+    )
+
+
+def test_start_terms_nest_to_the_limit(capsys, tmp_path):
+    write_tower_loop(tmp_path, "f(x)")
+    argv = ["find", "--trs", str(tmp_path / "tower.trs"), "--depth", "1"]
+    argv += ["--max-size", "1000", "--start"]
+    code, out, err = run(capsys, *argv, "f(" + tower(511) + ")")
+    assert (code, err) == (EXIT_YES, "")
+    assert len(json.loads(out)) == 1
+    assert run(capsys, *argv, "f(" + tower(512) + ")") == (
+        EXIT_INVALID, "", "error: term nests deeper than 512 levels (line 1, column 1025)\n"
+    )
+
+
+def test_pattern_file_terms_nest_to_the_limit(capsys, tmp_path):
+    # A forbidden pattern and a q-restricted left-hand side of depth 512 are
+    # read; at 513 each file is refused at its location.
+    write_tower_loop(tmp_path, "f(x)")
+    cases = {
+        "forbidden:": ("f({}) @ eps : h\n", "line 1, column 1025"),
+        "q-restricted:": ("(VAR x)\n(RULES f({}) -> x)\n", "line 2, column 1032"),
+    }
+    path = tmp_path / "strategy.txt"
+    for prefix, (text, where) in cases.items():
+        path.write_text(text.format(tower(511)))
+        code, out, err = check(capsys, tmp_path, "tower.trs", "tower.json", prefix + str(path))
+        assert (code, err) == (EXIT_YES, "")
+        path.write_text(text.format(tower(512)))
+        assert check(capsys, tmp_path, "tower.trs", "tower.json", prefix + str(path)) == (
+            EXIT_INVALID, "", f"error: term nests deeper than 512 levels ({where})\n"
+        )
+
+
+def test_deeply_nested_certificate_exits_three(capsys, tmp_path):
+    # The JSON reader itself recurses per level of nesting.
+    write_tower_loop(tmp_path, "f(x)")
+    (tmp_path / "tower.json").write_text("[" * 100_000 + "]" * 100_000)
+    assert check(capsys, tmp_path, "tower.trs", "tower.json", "leftmost") == (
+        EXIT_INVALID, "", "error: certificate nests too deeply\n"
+    )
 
 
 def test_internal_error_exits_four_with_a_traceback(capsys, data_dir, monkeypatch):

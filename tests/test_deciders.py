@@ -349,18 +349,6 @@ def test_confirmation_stops_where_terms_outgrow_the_size_limit():
     assert capped.evidence.level is None
 
 
-def test_confirmation_stops_where_terms_nest_too_deeply(
-    monkeypatch, factorial, factorial_inner_loop
-):
-    def too_deep(loop, n, below=None):
-        raise RecursionError
-
-    monkeypatch.setattr(deciders, "unroll_loop", too_deep)
-    verdict = decide_loop(factorial, factorial_inner_loop, StrategySpec("outermost"))
-    assert verdict.answer == "no"
-    assert verdict.evidence.level is None
-
-
 def test_confirmation_pumps_each_level_once(monkeypatch, shift, shift_loop):
     # Level n is one pump t -> C[t mu] of each term of level n - 1, so no
     # level plugs C more than once per term.

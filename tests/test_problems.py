@@ -269,15 +269,6 @@ def test_equal_identity_pairs_are_kept_once():
         assert result == Unsolvable(UnsolvableReason.EXPONENT_BOUND)
 
 
-def test_solver_depth_overflow_is_a_limit(monkeypatch, swap_problem):
-    def too_deep(problem, config):
-        raise RecursionError
-
-    monkeypatch.setattr(problems, "solve_matching", too_deep)
-    result = solve_problem(swap_problem, DeciderConfig(bound=7))
-    assert result == Unknown("term depth limit reached")
-
-
 # ---------------------------------------------------------------------------
 # Identity constraints alone
 
