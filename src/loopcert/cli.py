@@ -20,7 +20,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable
 
-from .deciders import STRATEGIES, DeciderConfig, StrategySpec, decide_loop
+from .deciders import STRATEGIES, StrategySpec, decide_loop
 from .errors import LoopcertError
 # certificate_to_document is unused here but stays bound: bench/tracer.py
 # times the document renderer through loopcert.cli.
@@ -35,6 +35,7 @@ from .formats import (
     render_verdict,
 )
 from .loops import LoopCertificate, validate_loop
+from .problems import DEFAULT_BOUND
 from .rewriting import (
     Trs,
     context_sensitive_patterns,
@@ -205,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--bound",
         type=_count,
-        default=DeciderConfig.bound,
+        default=DEFAULT_BOUND,
         help="cap on the context exponent m of extended problems",
     )
     check.add_argument("--format", choices=["text", "json"], default="text")
@@ -225,7 +226,7 @@ def cmd_check(args) -> int:
     cert = parse_loop_certificate(Path(args.loop).read_text(), trs)
     loop = validate_loop(trs, cert)
     spec = resolve_strategy(args.strategy, trs)
-    verdict = decide_loop(trs, loop, spec, DeciderConfig(bound=args.bound))
+    verdict = decide_loop(trs, loop, spec, args.bound)
     sys.stdout.write(render_verdict(verdict, args.format))
     return EXIT_BY_ANSWER[verdict.answer]
 

@@ -23,18 +23,21 @@ Innermost and outermost are the forbidden-pattern encodings over the
 system's own left-hand sides; the parallel variants check each contracted
 position separately and add the maximal-parallel families when required.
 STRATEGIES below says which of these components each named strategy uses.
+
+A step poses each problem once, under the first family to reach it, and
+decide_loop solves each distinct problem once per decision.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
+from . import problems
 from .errors import ShapeMismatch, VariableRedex
 from .loops import ValidatedLoop, unroll_loop
 from .problems import (
-    DeciderConfig,
+    DEFAULT_BOUND,
     ExtendedMatchingProblem,
     MatchingProblem,
     Problem,
@@ -124,14 +127,6 @@ class ProblemInstance:
     o0prime: Position | None = None
 
 
-def _dedup(instances: Iterable[ProblemInstance]) -> tuple[ProblemInstance, ...]:
-    """The first instance of each distinct problem, in order."""
-    first: dict[Problem, ProblemInstance] = {}
-    for inst in instances:
-        first.setdefault(inst.problem, inst)
-    return tuple(first.values())
-
-
 class _Shared:
     """What problem generation needs of the closing pair (C, mu), built once
     per decision and shared by every step, strategy component and pattern."""
@@ -167,13 +162,9 @@ def _split_rows(sh: _Shared, t: Term, qs: list[Position], prefix: str, beside):
     ):
         spots = [(p, u) for p, u in subterms(body) if all(beside(p, q) for q in at)]
         for family, subjects_of in zip(families, (lambda u: (u,), sh.images)):
-            seen: set[Term] = set()
-            for p, u in spots:
-                for v in subjects_of(u):
-                    # A repeated subject only repeats problems posed above.
-                    if v not in seen:
-                        seen.add(v)
-                        rows.append((family, p, None, None, v, None))
+            rows += [
+                (family, p, None, None, v, None) for p, u in spots for v in subjects_of(u)
+            ]
     return rows
 
 
@@ -264,19 +255,25 @@ _FRAMES = {
 }
 
 
-def _cross(sh: _Shared, step: int, rows, lhss) -> list[ProblemInstance]:
-    """Each row against each (lhs, rule index, pattern), rows outermost."""
+def _cross(sh: _Shared, step: int, rows, lhss, posed: set) -> list[ProblemInstance]:
+    """Each row against each (lhs, rule index, pattern), rows outermost, for
+    the problems the step has not posed yet.  C and mu are fixed per decision,
+    so the triple (subject, lhs, D) in posed fixes a problem."""
     mu = sh.mu
-    return [
-        ProblemInstance(
-            MatchingProblem(((u, lhs),), mu)
-            if d is None
-            else ExtendedMatchingProblem(d, lhs, sh.c_mu, u, mu),
-            family, step, pos, ri, pat, n0, o0prime,
-        )
-        for family, pos, n0, o0prime, u, d in rows
-        for lhs, ri, pat in lhss
-    ]
+    out = []
+    for family, pos, n0, o0prime, u, d in rows:
+        for lhs, ri, pat in lhss:
+            key = (u, lhs, d)
+            if key in posed:
+                continue
+            posed.add(key)
+            problem = (
+                MatchingProblem(((u, lhs),), mu)
+                if d is None
+                else ExtendedMatchingProblem(d, lhs, sh.c_mu, u, mu)
+            )
+            out.append(ProblemInstance(problem, family, step, pos, ri, pat, n0, o0prime))
+    return out
 
 
 def step_problems(
@@ -286,8 +283,9 @@ def step_problems(
 ) -> tuple[ProblemInstance, ...]:
     """All problem instances for the loop under the strategy, in report order.
 
-    Equal problems within one step are reported once; across steps they
-    repeat, and each repeat counts as an instance.
+    Each step poses a problem once, under the first row and component to
+    reach it; across steps problems repeat, and each repeat counts as an
+    instance.
     """
     cert = loop.certificate
     sequential, components = STRATEGIES[spec.name]
@@ -307,10 +305,11 @@ def step_problems(
     for i, step in enumerate(cert.steps, start=1):
         t = loop.terms[i - 1]
         qs = [q for q, _ in step]
-        found: list[ProblemInstance] = []
+        posed: set = set()
         for component in components:
             if component in split:
-                found += _cross(sh, i, _split_rows(sh, t, qs, *split[component]), rules)
+                rows = _split_rows(sh, t, qs, *split[component])
+                out += _cross(sh, i, rows, rules, posed)
                 continue
             for q in qs:
                 frames: dict = {}
@@ -318,8 +317,7 @@ def step_problems(
                     key = (pat.kind, pat.pos)
                     if key not in frames:
                         frames[key] = _FRAMES[pat.kind](sh, t, q, pat.pos)
-                    found += _cross(sh, i, frames[key], [(pat.lhs, None, pat)])
-        out += _dedup(found)
+                    out += _cross(sh, i, frames[key], [(pat.lhs, None, pat)], posed)
     return tuple(out)
 
 
@@ -351,15 +349,16 @@ def concrete_checks(spec: StrategySpec) -> tuple[str, ...]:
 
 
 def _confirm_violation(
-    trs: Trs, loop: ValidatedLoop, spec: StrategySpec, levels: int, max_size: int
+    trs: Trs, loop: ValidatedLoop, spec: StrategySpec, levels: int
 ) -> tuple[int, int] | None:
     """Level and step of the first concrete violation, or None when none is
-    found up to the level cap or before a level's terms outgrow max_size."""
+    found up to the level cap or before a level's terms outgrow the size
+    limit."""
     checks = concrete_checks(spec)
     unrolled = None
     for n in range(levels + 1):
         unrolled = unroll_loop(loop, n, below=unrolled)
-        if any(term_size(t) > max_size for t in unrolled.terms):
+        if any(term_size(t) > problems.MAX_TERM_SIZE for t in unrolled.terms):
             return None
         for j, step in enumerate(unrolled.steps):
             qs = [q for q, _ in step]
@@ -375,7 +374,7 @@ def decide_loop(
     trs: Trs,
     loop: ValidatedLoop,
     spec: StrategySpec,
-    config: DeciderConfig = DeciderConfig(),
+    bound: int = DEFAULT_BOUND,
 ) -> Verdict:
     instances = step_problems(loop, trs, spec)
     # Steps repeat problems; each distinct one is solved once per decision.
@@ -384,7 +383,7 @@ def decide_loop(
     for inst in instances:
         res = solved.get(inst.problem)
         if res is None:
-            res = solved[inst.problem] = solve_problem(inst.problem, config)
+            res = solved[inst.problem] = solve_problem(inst.problem, bound)
         results.append((inst, res))
     solvable = [(i, r) for i, r in results if isinstance(r, Solvable)]
     unknown = [(i, r) for i, r in results if isinstance(r, Unknown)]
@@ -394,14 +393,14 @@ def decide_loop(
         unsolvable=n_unsolvable,
         solvable=len(solvable),
         unknown=len(unknown),
-        bound=config.bound,
+        bound=bound,
     )
     if solvable:
         inst, res = solvable[0]
         w = res.witness
         exponent = w.n if w.n is not None else w.m + w.k
         levels = exponent + len(loop.certificate.steps) + 4
-        confirmed = _confirm_violation(trs, loop, spec, levels, config.max_term_size)
+        confirmed = _confirm_violation(trs, loop, spec, levels)
         level, vstep = confirmed if confirmed is not None else (None, None)
         return Verdict(
             "no",

@@ -190,8 +190,11 @@ def parse_trs(text: str) -> Trs:
             raise ParseError(f"unknown section {head!r}, expected VAR or RULES", line, col)
     if not saw_rules:
         raise ParseError("missing (RULES ...) section", *ts.next()[2:])
-    # The whole-system check: a VAR section may follow rules that used its names.
-    return Trs.from_rules(rules, variables)
+    # _parse_term has checked every arity and refused holes, so only a VAR
+    # section after rules that used its names as symbols is left to check.
+    if variables.isdisjoint(arities):
+        return Trs(tuple(rules), frozenset(variables), tuple(sorted(arities.items())))
+    return Trs.from_rules(rules, variables)  # names the first clash in preorder
 
 
 def _parse_position_text(text: str, line: int, col: int) -> Position:

@@ -14,10 +14,10 @@ the exponent bound that `exponent_bound` computes from the problem and
 proves sufficient; no witness up to it refutes the problem.  An extended
 problem is scanned for a refuting clash and otherwise solved one slice at a
 time: slice m, D[t(C, mu)^m] mu^k = l sigma in k alone, is a matching
-problem, and the configured bound caps m only.  Answers are three-valued:
-Solvable carries the least witness (by m + k, then m), Unsolvable a finite
-certificate, Unknown why the search stopped: the bound on m (extended
-problems only), or the size limit.
+problem, and the caller's bound (DEFAULT_BOUND unless given) caps m only.
+Answers are three-valued: Solvable carries the least witness (by m + k, then
+m), Unsolvable a finite certificate, Unknown why the search stopped: the
+bound on m (extended problems only), or MAX_TERM_SIZE, the size limit.
 """
 
 from __future__ import annotations
@@ -110,10 +110,11 @@ class Unknown:
 SolverResult = Union[Solvable, Unsolvable, Unknown]
 
 
-@dataclass(frozen=True)
-class DeciderConfig:
-    bound: int = 64  # cap on an extended problem's context exponent m
-    max_term_size: int = 100_000
+# Cap on an extended problem's context exponent m unless the caller gives one.
+DEFAULT_BOUND = 64
+# Largest term a solver state, an extended tower or a confirmation replay
+# may grow to; past it the answer is Unknown.  Read at each check.
+MAX_TERM_SIZE = 100_000
 
 
 def orbit_root(name: str, mu: Substitution) -> str | None:
@@ -300,9 +301,7 @@ def exponent_bound(problem: MatchingProblem) -> int:
     return len(closure) * (depth + 1)
 
 
-def solve_matching(
-    problem: MatchingProblem, config: DeciderConfig = DeciderConfig()
-) -> SolverResult:
+def solve_matching(problem: MatchingProblem) -> SolverResult:
     mu = problem.mu
     state = _simplify({}, list(problem.pairs), list(problem.identities), mu)
     offset, last = 0, None
@@ -315,7 +314,7 @@ def solve_matching(
             last = exponent_bound(problem)
         if offset == last:
             return Unsolvable(UnsolvableReason.EXPONENT_BOUND)
-        if state.size() > config.max_term_size:
+        if state.size() > MAX_TERM_SIZE:
             return Unknown("state size limit reached")
         state = _simplify(*state.step(mu), mu)
         offset += 1
@@ -333,9 +332,7 @@ def _tower_roots(problem: ExtendedMatchingProblem) -> frozenset[str]:
     return frozenset(roots - {None})
 
 
-def _extended_scan(
-    dn: Term, ln: Term, problem: ExtendedMatchingProblem, config: DeciderConfig
-) -> bool:
+def _extended_scan(dn: Term, ln: Term, problem: ExtendedMatchingProblem) -> bool:
     """Walk D against the pattern; whether a refuting clash exists.
 
     Only necessary conditions are checked: rigid symbols of D must agree with
@@ -349,30 +346,28 @@ def _extended_scan(
     if isinstance(dn, Application):
         if dn.symbol != ln.symbol or len(dn.args) != len(ln.args):
             return True
-        return any(
-            _extended_scan(da, la, problem, config) for da, la in zip(dn.args, ln.args)
-        )
-    sub = solve_matching(MatchingProblem(((dn, ln),), problem.mu), config)
+        return any(_extended_scan(da, la, problem) for da, la in zip(dn.args, ln.args))
+    sub = solve_matching(MatchingProblem(((dn, ln),), problem.mu))
     return isinstance(sub, Unsolvable)
 
 
 def solve_extended(
-    problem: ExtendedMatchingProblem, config: DeciderConfig = DeciderConfig()
+    problem: ExtendedMatchingProblem, bound: int = DEFAULT_BOUND
 ) -> SolverResult:
-    if _extended_scan(problem.d.body, problem.lhs, problem, config):
+    if _extended_scan(problem.d.body, problem.lhs, problem):
         return Unsolvable(UnsolvableReason.ROOT_CLASH)
     # No slice at or past the best witness's m + k holds a lesser one.
     best, capped = None, False
     tower, m = problem.t, 0
-    while m < (config.bound + 1 if best is None else best.m + best.k):
+    while m < (bound + 1 if best is None else best.m + best.k):
         if m:
             # Towers only grow, so once one is over budget stop building.
-            if term_size(tower) > config.max_term_size:
+            if term_size(tower) > MAX_TERM_SIZE:
                 capped = True
                 break
             tower = apply_context_substitution(tower, problem.c, problem.mu, 1)
         pair = (problem.d.plug(tower), problem.lhs)
-        res = solve_matching(MatchingProblem((pair,), problem.mu), config)
+        res = solve_matching(MatchingProblem((pair,), problem.mu))
         capped = capped or isinstance(res, Unknown)
         w = res.witness if isinstance(res, Solvable) else None
         if w is not None and (best is None or m + w.n < best.m + best.k):
@@ -382,10 +377,10 @@ def solve_extended(
         return Solvable(best)
     if capped:
         return Unknown("state size limit reached")
-    return Unknown(f"exponent bound {config.bound} reached")
+    return Unknown(f"exponent bound {bound} reached")
 
 
-def solve_problem(problem: Problem, config: DeciderConfig = DeciderConfig()) -> SolverResult:
+def solve_problem(problem: Problem, bound: int = DEFAULT_BOUND) -> SolverResult:
     if isinstance(problem, MatchingProblem):
-        return solve_matching(problem, config)
-    return solve_extended(problem, config)
+        return solve_matching(problem)
+    return solve_extended(problem, bound)

@@ -16,7 +16,6 @@ import random
 from loopcert import (
     Application,
     Context,
-    DeciderConfig,
     ExtendedMatchingProblem,
     HOLE,
     LoopCertificate,
@@ -382,7 +381,7 @@ def solver_oracle_failures(problem, bound: int = 32) -> list[str]:
     checked exhaustively and a witness is checked least.
     """
     failures: list[str] = []
-    res = solve_problem(problem, DeciderConfig(bound=bound))
+    res = solve_problem(problem, bound)
     if isinstance(problem, MatchingProblem):
         bound = exponent_bound(problem)
     elif isinstance(res, Solvable):
@@ -418,8 +417,8 @@ def solver_oracle_failures(problem, bound: int = 32) -> list[str]:
 def monotonicity_failures(problem, low: int = 8, high: int = 32) -> list[str]:
     """Raising the bound may settle Unknown but never flips a definite answer."""
     failures: list[str] = []
-    res_low = solve_problem(problem, DeciderConfig(bound=low))
-    res_high = solve_problem(problem, DeciderConfig(bound=high))
+    res_low = solve_problem(problem, low)
+    res_high = solve_problem(problem, high)
     if isinstance(res_low, Solvable) and not isinstance(res_high, Solvable):
         failures.append(f"Solvable at {low} but not at {high}: {problem}")
     if isinstance(res_low, Unsolvable) and not isinstance(res_high, Unsolvable):
@@ -534,11 +533,10 @@ def coherence_failures(
     three verdicts are definite.
     """
     failures: list[str] = []
-    config = DeciderConfig(bound=bound)
     verdicts = {}
     for name in names:
         spec = StrategySpec(name)
-        v = decide_loop(trs, loop, spec, config)
+        v = decide_loop(trs, loop, spec, bound)
         verdicts[name] = v.answer
         checks = concrete_checks(spec)
         if v.answer == "yes":
@@ -576,7 +574,7 @@ def coherence_failures(
             trs,
             loop,
             StrategySpec("forbidden", encoding(trs.lhss())),
-            config,
+            bound,
         )
         if enc.answer != verdicts[name]:
             failures.append(

@@ -13,7 +13,6 @@ from collections import Counter
 
 import genlib
 from loopcert import (
-    DeciderConfig,
     StrategySpec,
     Substitution,
     Variable,
@@ -111,9 +110,7 @@ def test_c04_shifted_blocker_at_exponent_nine(shift, shift_loop):
     assert verdict.evidence.result.witness.n == 9
     # The witness sits past a configured bound of 4, which only extended
     # problems read: the matching problem's own exponent bound still finds it.
-    shallow = decide_loop(
-        shift, shift_loop, StrategySpec("leftmost"), DeciderConfig(bound=4)
-    )
+    shallow = decide_loop(shift, shift_loop, StrategySpec("leftmost"), 4)
     assert shallow.answer == "no"
     assert shallow.evidence.result.witness.n == 9
 

@@ -13,13 +13,12 @@ from collections import Counter
 import pytest
 
 import genlib
-from loopcert import deciders
+from loopcert import deciders, problems
 from loopcert.cli import resolve_strategy
 from loopcert import (
     STRATEGIES,
     Application,
     Context,
-    DeciderConfig,
     EMPTY_SUBSTITUTION,
     ForbiddenPattern,
     LoopCertificate,
@@ -68,10 +67,8 @@ def app(symbol: str, *args) -> Application:
     return Application(symbol, tuple(args))
 
 
-def answers(trs, loop, *names, config=DeciderConfig()):
-    return tuple(
-        decide_loop(trs, loop, StrategySpec(name), config).answer for name in names
-    )
+def answers(trs, loop, *names):
+    return tuple(decide_loop(trs, loop, StrategySpec(name)).answer for name in names)
 
 
 def one_step_loop(t, q, c, mu):
@@ -316,15 +313,13 @@ def test_shift_loop_needs_exponent_nine(shift, shift_loop):
     assert verdict.evidence.result.witness.n == 9
 
     # The configured bound is for extended problems; this one is matching.
-    low = decide_loop(
-        shift, shift_loop, StrategySpec("leftmost"), DeciderConfig(bound=4)
-    )
+    low = decide_loop(shift, shift_loop, StrategySpec("leftmost"), 4)
     assert low.answer == "no"
     assert low.evidence.result.witness.n == 9
     assert low.open_problems == ()
 
 
-def test_confirmation_stops_where_terms_outgrow_the_size_limit():
+def test_confirmation_stops_where_terms_outgrow_the_size_limit(monkeypatch):
     # mu doubles x, so level n of the unrolled loop holds 2^n copies of it,
     # while the witness puts the first violation at level 15 (g(s^14(y))
     # turns up left of the step), far past the level the limit stops at.
@@ -340,9 +335,8 @@ def test_confirmation_stops_where_terms_outgrow_the_size_limit():
     loop = validate_loop(trs, cert)
     assert term_size(unroll_loop(loop, 10).terms[0]) > 1000
     began = time.perf_counter()
-    capped = decide_loop(
-        trs, loop, StrategySpec("leftmost"), DeciderConfig(max_term_size=1000)
-    )
+    monkeypatch.setattr(problems, "MAX_TERM_SIZE", 1000)
+    capped = decide_loop(trs, loop, StrategySpec("leftmost"))
     assert time.perf_counter() - began < 0.5
     assert capped.answer == "no"
     assert capped.evidence.result.witness.n == 14
@@ -493,7 +487,6 @@ def condition_one_hits(t, q, c, mu, pattern, levels):
 
 def test_h_problems_match_direct_evaluation():
     rng = random.Random(29)
-    config = DeciderConfig(bound=24)
     compared = 0
     while compared < 200:
         t = genlib.random_term(rng, depth=2)
@@ -506,7 +499,7 @@ def test_h_problems_match_direct_evaluation():
 
         loop = one_step_loop(t, q, c, mu)
         instances = step_problems(loop, NO_RULES, StrategySpec("forbidden", (pattern,)))
-        results = [solve_matching(inst.problem, config) for inst in instances]
+        results = [solve_matching(inst.problem) for inst in instances]
         if any(isinstance(r, Unknown) for r in results):
             continue
         compared += 1
@@ -670,6 +663,35 @@ def test_decider_is_deterministic(factorial, factorial_inner_loop):
     assert verdict_to_document(first) == verdict_to_document(second)
 
 
+def test_no_step_poses_a_problem_twice(corpus, stream, stream_patterns):
+    for trs, loop in corpus:
+        specs = [StrategySpec(name) for name in STRATEGIES if name != "forbidden"]
+        if trs is stream:
+            specs.append(StrategySpec("forbidden", stream_patterns))
+        for spec in specs:
+            try:
+                instances = step_problems(loop, trs, spec)
+            except ShapeMismatch:
+                continue
+            posed = Counter((inst.step, inst.problem) for inst in instances)
+            assert max(posed.values(), default=1) == 1, (str(loop.certificate.start), spec)
+
+
+def test_a_shared_problem_is_reported_under_the_first_component(collapse, collapse_loop):
+    # Leftmost's left-context rows and innermost's pattern-above-term rows
+    # reach four of the same problems here; leftmost is listed first.
+    def family_problems(name, family):
+        instances = step_problems(collapse_loop, collapse, StrategySpec(name))
+        return {inst.problem for inst in instances if inst.family == family}
+
+    shared = family_problems("leftmost", "left-context") & family_problems(
+        "innermost", "pattern-above-term"
+    )
+    assert len(shared) == 4
+    both = step_problems(collapse_loop, collapse, StrategySpec("leftmost-innermost"))
+    assert [inst.family for inst in both if inst.problem in shared] == ["left-context"] * 4
+
+
 def test_each_distinct_problem_is_solved_once_per_decision(
     monkeypatch, factorial, factorial_loop
 ):
@@ -681,9 +703,9 @@ def test_each_distinct_problem_is_solved_once_per_decision(
     solved = []
     solve = deciders.solve_problem
 
-    def counting(problem, config):
+    def counting(problem, bound):
         solved.append(problem)
-        return solve(problem, config)
+        return solve(problem, bound)
 
     monkeypatch.setattr(deciders, "solve_problem", counting)
     verdict = decide_loop(factorial, factorial_loop, spec)

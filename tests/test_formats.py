@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 import genlib
 from loopcert import (
     ArityMismatch,
-    DeciderConfig,
     EMPTY_SUBSTITUTION,
     ExtraRhsVariable,
     ForbiddenPattern,
@@ -41,6 +40,7 @@ from loopcert import (
     parse_trs,
     render_verdict,
 )
+from loopcert import problems
 from loopcert.formats import _json
 
 
@@ -90,9 +90,11 @@ def test_parse_trs_locates_rule_and_arity_errors():
             parse_trs(text)
         assert str(err.value) == message
     # A name declared a variable only after rules used it as a symbol is
-    # caught once the whole system is read.
-    with pytest.raises(ArityMismatch, match="'x' is declared as a variable"):
-        parse_trs("(RULES f(x) -> x) (VAR x)")
+    # caught once the whole system is read.  The clash named is the first in
+    # preorder: x, not y, whose arity the parser records first.
+    for text in ("(RULES f(x) -> x) (VAR x)", "(RULES f(x(y)) -> a) (VAR x y)"):
+        with pytest.raises(ArityMismatch, match="^'x' is declared as a variable but used"):
+            parse_trs(text)
 
 
 def test_parse_trs_requires_a_rules_section():
@@ -419,7 +421,7 @@ def test_no_verdict_json_document(collapse, collapse_loop):
     assert ev["instance"]["problem"]["mu"] == {"x": "y", "y": "z"}
 
 
-def test_unknown_verdict_rendering(stalled, stalled_loop):
+def test_unknown_verdict_rendering(stalled, stalled_loop, monkeypatch):
     spec = StrategySpec("outermost")
     verdict = decide_loop(stalled, stalled_loop, spec)
     doc = json.loads(render_verdict(verdict, "json"))
@@ -437,7 +439,8 @@ def test_unknown_verdict_rendering(stalled, stalled_loop):
         "    stopped: exponent bound 64 reached\n"
     )
     # Each open problem says which limit stopped it.
-    capped = decide_loop(stalled, stalled_loop, spec, DeciderConfig(max_term_size=5))
+    monkeypatch.setattr(problems, "MAX_TERM_SIZE", 5)
+    capped = decide_loop(stalled, stalled_loop, spec)
     assert "    stopped: state size limit reached\n" in render_verdict(capped, "text")
     [open_problem] = json.loads(render_verdict(capped, "json"))["open_problems"]
     assert open_problem["stopped"] == "state size limit reached"
@@ -452,9 +455,7 @@ def test_verdict_rendering_is_deterministic(collapse, collapse_loop):
 
 
 def test_bound_appears_in_the_document(stalled, stalled_loop):
-    verdict = decide_loop(
-        stalled, stalled_loop, StrategySpec("outermost"), DeciderConfig(bound=4)
-    )
+    verdict = decide_loop(stalled, stalled_loop, StrategySpec("outermost"), 4)
     doc = json.loads(render_verdict(verdict, "json"))
     assert doc["bound"] == 4
     assert doc["verdict"] == "unknown"

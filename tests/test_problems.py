@@ -17,7 +17,6 @@ from loopcert.errors import InternalError, LoopcertError
 from loopcert import (
     Application,
     Context,
-    DeciderConfig,
     EMPTY_SUBSTITUTION,
     ExtendedMatchingProblem,
     HOLE,
@@ -210,10 +209,10 @@ def test_least_witness_can_sit_at_the_exponent_bound():
 def test_matching_ignores_the_configured_bound(rotate_problem):
     # The configured bound is for extended problems only.
     for bound in (0, 4, 128):
-        assert solve_matching(rotate_problem, DeciderConfig(bound=bound)).witness.n == 9
+        assert solve_problem(rotate_problem, bound).witness.n == 9
 
 
-def test_matching_honest_unknown():
+def test_matching_honest_unknown(monkeypatch):
     # y reaches t4, the tree of d's four levels deep over x, after four
     # steps, when x has grown the same tree: solvable at 4.  x's tree
     # outgrows a state size limit of 10 before that, and the solver must
@@ -231,11 +230,12 @@ def test_matching_honest_unknown():
     oracle = brute_force_check(problem, exponent_bound(problem))
     assert oracle.n == 4
     assert solve_matching(problem).witness == oracle
-    result = solve_matching(problem, DeciderConfig(max_term_size=10))
+    monkeypatch.setattr(problems, "MAX_TERM_SIZE", 10)
+    result = solve_matching(problem)
     assert result == Unknown("state size limit reached")
 
 
-def test_matching_size_guard_reports_its_limit():
+def test_matching_size_guard_reports_its_limit(monkeypatch):
     # x doubles every step while y's tree grows one level every two steps,
     # so the identity never holds and the state grows until the exponent
     # bound |{x, y, z}| * (1 + 1) = 6 refutes it, or a small limit stops it.
@@ -248,12 +248,13 @@ def test_matching_size_guard_reports_its_limit():
     )
     assert solve_matching(problem) == Unsolvable(UnsolvableReason.EXPONENT_BOUND)
     assert brute_force_check(problem, exponent_bound(problem) + 8) is None
-    result = solve_matching(problem, DeciderConfig(max_term_size=10))
+    monkeypatch.setattr(problems, "MAX_TERM_SIZE", 10)
+    result = solve_matching(problem)
     assert isinstance(result, Unknown)
     assert "limit" in result.note
 
 
-def test_equal_identity_pairs_are_kept_once():
+def test_equal_identity_pairs_are_kept_once(monkeypatch):
     # x and y double in step, so (x, y) reappears as several equal pairs at
     # every offset; kept once each, the state stays under a size limit of 10
     # until the exponent bound |{x, y}| * (1 + 1) = 4 refutes the problem.
@@ -265,7 +266,8 @@ def test_equal_identity_pairs_are_kept_once():
     assert exponent_bound(problem) == 4
     assert brute_force_check(problem, exponent_bound(problem) + 8) is None
     for cap in (10, 100_000):
-        result = solve_matching(problem, DeciderConfig(max_term_size=cap))
+        monkeypatch.setattr(problems, "MAX_TERM_SIZE", cap)
+        result = solve_matching(problem)
         assert result == Unsolvable(UnsolvableReason.EXPONENT_BOUND)
 
 
@@ -363,7 +365,7 @@ def test_solve_extended_scan_catches_rigid_clashes():
     assert result.reason is UnsolvableReason.ROOT_CLASH
 
 
-def test_solve_extended_size_guard_reports_its_limit():
+def test_solve_extended_size_guard_reports_its_limit(monkeypatch):
     # Every root the scan can see is compatible, so enumeration runs; the
     # duplicating mu then blows the tower past the budget and the solver
     # must stop with an explicit limit note instead of grinding on.
@@ -374,7 +376,8 @@ def test_solve_extended_size_guard_reports_its_limit():
         t=v("x"),
         mu=Substitution({"x": app("f", v("x"), v("x"))}),
     )
-    result = solve_extended(problem, DeciderConfig(bound=64, max_term_size=500))
+    monkeypatch.setattr(problems, "MAX_TERM_SIZE", 500)
+    result = solve_extended(problem, 64)
     assert isinstance(result, Unknown)
     assert "limit" in result.note
     assert brute_force_check(problem, 10) is None
@@ -393,7 +396,7 @@ def test_solve_extended_decides_k_past_the_bound():
         t=v("x"),
         mu=Substitution({"x": app("g", v("x"))}),
     )
-    result = solve_extended(problem, DeciderConfig(bound=4))
+    result = solve_extended(problem, 4)
     assert isinstance(result, Solvable)
     w = result.witness
     assert (w.m, w.k, w.sigma) == (1, 4, Substitution({"y": v("x")}))
@@ -451,7 +454,7 @@ def test_identity_chains_stay_within_the_exponent_bound():
     assert at_bound > 50  # the bound is often tight
 
 
-def test_size_limit_answers_agree_with_oracle():
+def test_size_limit_answers_agree_with_oracle(monkeypatch):
     # Images that duplicate variables make states grow, so small caps stop
     # some searches before the bound: those may say Unknown, never guess.
     rng = random.Random(3)
@@ -461,7 +464,8 @@ def test_size_limit_answers_agree_with_oracle():
         problem = genlib.random_matching_problem(rng, wild=0.6)
         oracle = brute_force_check(problem, bound)
         for cap in (2, 5, 12):
-            result = solve_problem(problem, DeciderConfig(bound=bound, max_term_size=cap))
+            monkeypatch.setattr(problems, "MAX_TERM_SIZE", cap)
+            result = solve_problem(problem, bound)
             if isinstance(result, Solvable):
                 assert genlib.reverify_witness(problem, result.witness), problem
                 assert result.witness == oracle, problem
