@@ -68,7 +68,7 @@ _PATTERN_SOURCES = {
     "context-sensitive:": lambda text, trs: context_sensitive_patterns(
         parse_replacement_map(text, trs), trs
     ),
-    "q-restricted:": lambda text, trs: innermost_patterns(parse_trs(text).lhss()),
+    "q-restricted:": lambda text, trs: innermost_patterns(parse_trs(text, trs.signature).lhss()),
 }
 
 
@@ -78,6 +78,8 @@ def resolve_strategy(text: str, trs: Trs) -> StrategySpec:
         return StrategySpec(text)
     for prefix, patterns_from in _PATTERN_SOURCES.items():
         if text.startswith(prefix):
+            if text == prefix:
+                raise LoopcertError(f"strategy {prefix} needs a file name: {prefix}<file>")
             patterns = patterns_from(Path(text[len(prefix):]).read_text(), trs)
             return StrategySpec("forbidden", patterns, label=text)
     names = ", ".join(sorted(set(STRATEGIES) - {"forbidden"}))
@@ -100,7 +102,9 @@ def find_loops(
     instance of the start at position p, emit the certificate closing with
     context s[p <- hole] and the matching substitution.  Rewriting and
     matching commute with variable renaming, so a start that is a variant of
-    an earlier one would only yield renamed copies: it is skipped.
+    an earlier one would only yield renamed copies: it is skipped.  Each term
+    is explored once per start, so a derivation that returns to a term
+    already reached, the start included, is not reported.
 
     Each explored term carries its redexes and its start matches in preorder,
     which is tuple order on positions.  For s2 = s[q <- c], hits parallel to

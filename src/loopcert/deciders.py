@@ -127,44 +127,24 @@ class ProblemInstance:
     o0prime: Position | None = None
 
 
-class _Shared:
-    """What problem generation needs of the closing pair (C, mu), built once
-    per decision and shared by every step, strategy component and pattern."""
-
-    def __init__(self, c: Context, mu: Substitution):
-        self.c = c
-        self.mu = mu
-        self.c_mu = c.substitute(mu)
-        # C restricted to each strict prefix of its hole position, shortest first.
-        self.subcontexts = [c.subcontext(c.hole_pos[:cut]) for cut in range(len(c.hole_pos))]
-        self._images: dict[Term, list[Term]] = {}
-
-    def images(self, u: Term) -> list[Term]:
-        """Subterms of x mu in preorder, for x over u's variable closure by name."""
-        out = self._images.get(u)
-        if out is None:
-            out = self._images[u] = [
-                s
-                for x in sorted(variable_closure(u, self.mu))
-                for _, s in subterms(self.mu.apply(Variable(x)))
-            ]
-        return out
+def _images(u: Term, mu: Substitution) -> list[Term]:
+    """Subterms of x mu in preorder, for x over u's variable closure by name."""
+    closure = sorted(variable_closure(u, mu))
+    return [s for x in closure for _, s in subterms(mu.apply(Variable(x)))]
 
 
-def _split_rows(sh: _Shared, t: Term, qs: list[Position], prefix: str, beside):
+def _split_rows(c: Context, mu: Substitution, t: Term, qs: list[Position], prefix: str, beside):
     """Rows of the leftmost or max-parallel families: subjects at spots p with
     beside(p, q) for every contracted q of the step, or for the hole in C."""
     # Per side: the subterms themselves, then the pumped images below them.
     rows = []
-    for body, at, families in (
-        (t, qs, (f"{prefix}-term", f"{prefix}-image")),
-        (sh.c.body, (sh.c.hole_pos,), (f"{prefix}-context", f"{prefix}-context-image")),
+    for body, at, family, image_family in (
+        (t, qs, f"{prefix}-term", f"{prefix}-image"),
+        (c.body, (c.hole_pos,), f"{prefix}-context", f"{prefix}-context-image"),
     ):
         spots = [(p, u) for p, u in subterms(body) if all(beside(p, q) for q in at)]
-        for family, subjects_of in zip(families, (lambda u: (u,), sh.images)):
-            rows += [
-                (family, p, None, None, v, None) for p, u in spots for v in subjects_of(u)
-            ]
+        rows += [(family, p, None, None, u, None) for p, u in spots]
+        rows += [(image_family, p, None, None, v, None) for p, u in spots for v in _images(u, mu)]
     return rows
 
 
@@ -198,24 +178,26 @@ def _least_n0(p: Position, q: Position, o: Position) -> int:
 # position form a frame, shared by every pattern of the same kind and spot.
 
 
-def _here_frame(sh: _Shared, t: Term, q: Position, o: Position, cut: int | None = None):
+def _here_frame(
+    c: Context, mu: Substitution, t: Term, q: Position, o: Position, cut: int | None = None
+):
     # With a cut, the anchor sits at the step's own prefix q[:cut] instead.
-    sol = solve_position_equation(sh.c.hole_pos, q[:cut], o)
+    sol = solve_position_equation(c.hole_pos, q[:cut], o)
     if sol is None:
         return []
     n0, o0prime = sol
-    base = apply_context_substitution(t, sh.c, sh.mu, n0)
+    base = apply_context_substitution(t, c, mu, n0)
     family = "pattern-here" if cut is None else "pattern-below-prefix"
     return [(family, q, n0, o0prime, subterm_at(base, o0prime), None)]
 
 
-def _above_frame(sh: _Shared, t: Term, q: Position, o: Position):
+def _above_frame(c: Context, mu: Substitution, t: Term, q: Position, o: Position):
     redex = subterm_at(t, q)
     if isinstance(redex, Variable):
         raise VariableRedex(f"subterm at {format_position(q)} of {t} is a variable")
-    p = sh.c.hole_pos
+    p = c.hole_pos
     n0 = _least_n0(p, q, o)
-    base = apply_context_substitution(t, sh.c, sh.mu, n0)
+    base = apply_context_substitution(t, c, mu, n0)
     # Anchors o2 on a path into the redex with the redex position rp strictly
     # below o2 o: the prefixes of rp whose rest is a strict prefix of o, and
     # every position strictly inside the redex.
@@ -226,24 +208,25 @@ def _above_frame(sh: _Shared, t: Term, q: Position, o: Position):
         ("pattern-above-term", q, n0, o2, subterm_at(base, o2), None)
         for o2 in sorted(anchors)
     ]
-    frame += [("pattern-above-image", q, n0, None, u, None) for u in sh.images(redex)]
+    frame += [("pattern-above-image", q, n0, None, u, None) for u in _images(redex, mu)]
     return frame
 
 
-def _below_frame(sh: _Shared, t: Term, q: Position, o: Position):
+def _below_frame(c: Context, mu: Substitution, t: Term, q: Position, o: Position):
     # Anchors weakly above the contracted position reduce to here-problems at
     # the step's own prefixes; anchors crossing the hole spine into outer
     # context copies become extended problems that pump the context too.
     frame = []
     for cut in range(len(q)):
-        frame += _here_frame(sh, t, q, o, cut)
-    p = sh.c.hole_pos
-    for d in sh.subcontexts:
+        frame += _here_frame(c, mu, t, q, o, cut)
+    p = c.hole_pos
+    for cut in range(len(p)):
+        d = c.subcontext(p[:cut])
         p2 = d.hole_pos
         # Least n0 with |p2| + n0 |p| > |o|; p2 is never the root here.
         n0 = _least_n0(p, p2[1:], o)
         if is_strict_prefix(o, p2 + p * n0):
-            subject = sh.mu.apply(apply_context_substitution(t, sh.c, sh.mu, n0))
+            subject = mu.apply(apply_context_substitution(t, c, mu, n0))
             frame.append(("pattern-below-context", q, n0, None, subject, d))
     return frame
 
@@ -255,11 +238,12 @@ _FRAMES = {
 }
 
 
-def _cross(sh: _Shared, step: int, rows, lhss, posed: set) -> list[ProblemInstance]:
+def _cross(
+    c_mu: Context, mu: Substitution, step: int, rows, lhss, posed: set
+) -> list[ProblemInstance]:
     """Each row against each (lhs, rule index, pattern), rows outermost, for
     the problems the step has not posed yet.  C and mu are fixed per decision,
     so the triple (subject, lhs, D) in posed fixes a problem."""
-    mu = sh.mu
     out = []
     for family, pos, n0, o0prime, u, d in rows:
         for lhs, ri, pat in lhss:
@@ -270,7 +254,7 @@ def _cross(sh: _Shared, step: int, rows, lhss, posed: set) -> list[ProblemInstan
             problem = (
                 MatchingProblem(((u, lhs),), mu)
                 if d is None
-                else ExtendedMatchingProblem(d, lhs, sh.c_mu, u, mu)
+                else ExtendedMatchingProblem(d, lhs, c_mu, u, mu)
             )
             out.append(ProblemInstance(problem, family, step, pos, ri, pat, n0, o0prime))
     return out
@@ -293,13 +277,14 @@ def step_problems(
         raise ShapeMismatch(
             f"strategy {spec.label} applies to single-redex steps only"
         )
-    sh = _Shared(cert.context, cert.subst)
+    c, mu = cert.context, cert.subst
+    c_mu = c.substitute(mu)
     rules = [(rule.lhs, ri, None) for ri, rule in enumerate(trs.rules)]
     # Leftmost and max-parallel pose every rule at the spots a redex may not
     # occupy: left of, or parallel to, what the step contracts.
     split = {"leftmost": ("left", is_left_of), "max-parallel": ("parallel", are_parallel)}
     builtin = {"innermost": innermost_patterns, "outermost": outermost_patterns}
-    patterns = {c: builtin[c](trs.lhss()) for c in components if c in builtin}
+    patterns = {k: builtin[k](trs.lhss()) for k in components if k in builtin}
     patterns["forbidden"] = spec.patterns
     out: list[ProblemInstance] = []
     for i, step in enumerate(cert.steps, start=1):
@@ -308,16 +293,16 @@ def step_problems(
         posed: set = set()
         for component in components:
             if component in split:
-                rows = _split_rows(sh, t, qs, *split[component])
-                out += _cross(sh, i, rows, rules, posed)
+                rows = _split_rows(c, mu, t, qs, *split[component])
+                out += _cross(c_mu, mu, i, rows, rules, posed)
                 continue
             for q in qs:
                 frames: dict = {}
                 for pat in patterns[component]:
                     key = (pat.kind, pat.pos)
                     if key not in frames:
-                        frames[key] = _FRAMES[pat.kind](sh, t, q, pat.pos)
-                    out += _cross(sh, i, frames[key], [(pat.lhs, None, pat)], posed)
+                        frames[key] = _FRAMES[pat.kind](c, mu, t, q, pat.pos)
+                    out += _cross(c_mu, mu, i, frames[key], [(pat.lhs, None, pat)], posed)
     return tuple(out)
 
 
@@ -360,7 +345,7 @@ def _confirm_violation(
         unrolled = unroll_loop(loop, n, below=unrolled)
         if any(term_size(t) > problems.MAX_TERM_SIZE for t in unrolled.terms):
             return None
-        for j, step in enumerate(unrolled.steps):
+        for j, step in enumerate(unrolled.certificate.steps):
             qs = [q for q, _ in step]
             if not all(
                 strategy_allows(unrolled.terms[j], qs, trs, chk, spec.patterns)

@@ -160,10 +160,11 @@ def _located(error: LoopcertError, line: int, col: int) -> LoopcertError:
     return type(error)(f"{error} (line {line}, column {col})")
 
 
-def parse_trs(text: str) -> Trs:
+def parse_trs(text: str, signature: tuple[tuple[str, int], ...] = ()) -> Trs:
+    """Read a system whose symbols keep any arity *signature* gives them."""
     ts = _Tokens(tokenize(text))
     variables: set[str] = set()
-    arities: dict[str, int] = {}
+    arities = dict(signature)
     rules: list[Rule] = []
     saw_rules = False
     while ts.peek() != "eof":

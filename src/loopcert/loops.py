@@ -2,9 +2,9 @@
 
 A certificate names a start term t1, a list of (possibly parallel) rewrite
 steps, and a closing pair (C, mu) with t_{m+1} = t1(C, mu).  Once validated,
-the loop can be unrolled: iteration n runs the same step sequence inside n
+the loop can be unrolled: level n runs the same step sequence inside n
 nested copies of C, with every position prefixed by p^n for p the hole
-position of C.
+position of C, and is again a loop closed by (C, mu).
 """
 
 from __future__ import annotations
@@ -97,25 +97,18 @@ def validate_loop(
     return ValidatedLoop(cert, tuple(terms))
 
 
-@dataclass(frozen=True)
-class UnrolledDerivation:
-    terms: tuple[Term, ...]
-    steps: tuple[Step, ...]
+def unroll_loop(loop: ValidatedLoop, n: int, below: ValidatedLoop | None = None) -> ValidatedLoop:
+    """Level n: the loop closed by (C, mu) whose terms are t_i(C, mu)^n and
+    whose positions are those of the certificate, prefixed by p^n.
 
-
-def unroll_loop(loop: ValidatedLoop, n: int, below=None) -> UnrolledDerivation:
-    """Iteration n of the loop: terms t_i(C, mu)^n, positions prefixed by p^n.
-
-    Given iteration n - 1 as *below*, each term is one pump t -> C[t mu] of
-    its term there, instead of n pumps of t_i.
+    Given level n - 1 as *below*, each term is one pump t -> C[t mu] of its
+    term there, instead of n pumps of t_i.
     """
     if n < 0:
         raise ValueError("unroll level must be nonnegative")
     cert = loop.certificate
     base, pumps = (loop.terms, n) if below is None else (below.terms, 1)
-    terms = tuple(
-        apply_context_substitution(t, cert.context, cert.subst, pumps) for t in base
-    )
+    terms = tuple(apply_context_substitution(t, cert.context, cert.subst, pumps) for t in base)
     prefix = cert.context.hole_pos * n
     steps = tuple(tuple((prefix + q, i) for q, i in step) for step in cert.steps)
-    return UnrolledDerivation(terms, steps)
+    return ValidatedLoop(LoopCertificate(terms[0], steps, cert.context, cert.subst), terms)

@@ -542,7 +542,7 @@ def coherence_failures(
         if v.answer == "yes":
             for n in range(levels + 1):
                 unrolled = unroll_loop(loop, n)
-                for j, step in enumerate(unrolled.steps):
+                for j, step in enumerate(unrolled.certificate.steps):
                     qs = [q for q, _ in step]
                     if not all(
                         strategy_allows(unrolled.terms[j], qs, trs, chk, spec.patterns)
@@ -555,7 +555,7 @@ def coherence_failures(
         elif v.answer == "no" and v.evidence.level is not None:
             n, j = v.evidence.level, v.evidence.violation_step
             unrolled = unroll_loop(loop, n)
-            qs = [q for q, _ in unrolled.steps[j - 1]]
+            qs = [q for q, _ in unrolled.certificate.steps[j - 1]]
             if all(
                 strategy_allows(unrolled.terms[j - 1], qs, trs, chk, spec.patterns)
                 for chk in checks

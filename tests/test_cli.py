@@ -222,21 +222,40 @@ def test_shape_mismatch_exits_three(capsys, data_dir):
 
 
 def test_bad_strategy_files_exit_three(capsys, data_dir, tmp_path):
-    # A replacement map with a non-ASCII digit, and a pattern that can never
-    # match because it gives inf two arguments.
-    cases = {
-        "context-sensitive:": ("inf: ²\n", "error: bad argument index '²' (line 1, column 6)\n"),
-        "forbidden:": (
+    # A replacement map with a non-ASCII digit, a pattern that can never
+    # match because it gives inf two arguments, a pattern position with a
+    # 0 index, and a Q rule that gives the binary cons one argument.
+    cases = (
+        ("context-sensitive:", "inf: ²\n", "error: bad argument index '²' (line 1, column 6)\n"),
+        (
+            "forbidden:",
             "inf(x,y) @ eps : h\n",
             "error: inf used with 2 arguments, expected 1 (line 1, column 1)\n",
         ),
-    }
-    for prefix, (text, message) in cases.items():
+        (
+            "forbidden:",
+            "inf(x) @ 0 : h\n",
+            "error: position indices start at 1: '0' (line 1, column 10)\n",
+        ),
+        (
+            "q-restricted:",
+            "(VAR x)\n(RULES cons(x) -> x)\n",
+            "error: cons used with 1 arguments, expected 2 (line 2, column 8)\n",
+        ),
+    )
+    for prefix, text, message in cases:
         path = tmp_path / "strategy.txt"
         path.write_text(text, encoding="utf-8")
         code, out, err = check(
             capsys, data_dir, "stream.trs", "stream_loop.json", prefix + str(path)
         )
+        assert (code, out, err) == (EXIT_INVALID, "", message)
+
+
+def test_strategy_files_need_a_name(capsys, data_dir):
+    for prefix in ("forbidden:", "context-sensitive:", "q-restricted:"):
+        code, out, err = check(capsys, data_dir, "stream.trs", "stream_loop.json", prefix)
+        message = f"error: strategy {prefix} needs a file name: {prefix}<file>\n"
         assert (code, out, err) == (EXIT_INVALID, "", message)
 
 
@@ -254,6 +273,8 @@ def test_bad_system_files_exit_three(capsys, data_dir, tmp_path):
             "error: f used with 2 arguments, expected 1 (line 1, column 24)\n",
         "(RULES f(x) -> x) (VAR x)\n":
             "error: 'x' is declared as a variable but used as a symbol\n",
+        "(VAR x)(RULES f(x(a)) -> a)\n":
+            "error: variable 'x' cannot take arguments (line 1, column 17)\n",
     }
     path = tmp_path / "bad.trs"
     for text, message in cases.items():
@@ -281,6 +302,16 @@ def test_bad_certificate_steps_name_their_location(capsys, data_dir, tmp_path):
         path.write_text(json.dumps(doc))
         code, out, err = check(capsys, data_dir, "factorial.trs", path, "leftmost")
         assert (code, out, err) == (EXIT_INVALID, "", message)
+
+
+def test_a_substitution_that_is_not_an_object_exits_three(capsys, data_dir, tmp_path):
+    doc = json.loads((data_dir / "factorial_loop.json").read_text())
+    doc["subst"] = []
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = check(capsys, data_dir, "factorial.trs", path, "leftmost")
+    message = "error: subst must be an object mapping variables to terms\n"
+    assert (code, out, err) == (EXIT_INVALID, "", message)
 
 
 def test_non_utf8_input_exits_three(capsys, data_dir, tmp_path):
@@ -506,6 +537,12 @@ def test_restricted_strategy_from_file(capsys, data_dir, tmp_path):
     )
     assert code == EXIT_NO
     assert json.loads(out)["evidence"]["instance"]["step"] == 4
+    # Only the system's own symbols must keep their arity, as in pattern files.
+    lhss.write_text("(VAR x)\n(RULES foo(x) -> x)\n")
+    code, out, _ = check(
+        capsys, data_dir, "stream.trs", "stream_loop.json", f"q-restricted:{lhss}"
+    )
+    assert (code, out[:5]) == (EXIT_YES, "YES: ")
 
 
 def test_context_sensitive_strategy_from_file(capsys, data_dir, tmp_path):

@@ -127,10 +127,10 @@ def reference_here(c, mu, t, anchor, o, family, q):
     return []
 
 
-def reference_above(sh, t, q, o):
+def reference_above(c, mu, t, q, o):
     # Every prefix o2 of every position of the redex with the redex
     # position strictly below o2 o, at the least n0 with |p^n0 q| >= |o|.
-    c, mu, redex = sh.c, sh.mu, subterm_at(t, q)
+    redex = subterm_at(t, q)
     p = c.hole_pos
     n0 = 0
     while p and len(p) * n0 + len(q) < len(o):
@@ -147,13 +147,13 @@ def reference_above(sh, t, q, o):
         ("pattern-above-term", q, n0, o2, subterm_at(base, o2), None)
         for o2 in sorted(anchors)
     ]
-    return frame + [("pattern-above-image", q, n0, None, u, None) for u in sh.images(redex)]
+    images = deciders._images(redex, mu)
+    return frame + [("pattern-above-image", q, n0, None, u, None) for u in images]
 
 
-def reference_below(sh, t, q, o):
+def reference_below(c, mu, t, q, o):
     # Here-frames at the strict prefixes of q, then one extended problem per
     # strict prefix of p at the least n0 with |p2| + n0 |p| > |o|.
-    c, mu = sh.c, sh.mu
     p = c.hole_pos
     frame = []
     for cut in range(len(q)):
@@ -175,16 +175,16 @@ def test_above_and_below_frames_match_their_definitions():
     seen = Counter()
     for _ in range(600):
         c = genlib.random_context(rng, genlib.VARS, rng.randint(1, 3))
-        sh = deciders._Shared(c, genlib.random_substitution(rng))
+        mu = genlib.random_substitution(rng)
         t = genlib.random_term(rng, genlib.VARS, 3)
         q = rng.choice([q for q, u in subterms(t) if isinstance(u, Application)] or [()])
         o = tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 4)))
-        below = deciders._below_frame(sh, t, q, o)
-        assert below == reference_below(sh, t, q, o)
+        below = deciders._below_frame(c, mu, t, q, o)
+        assert below == reference_below(c, mu, t, q, o)
         if isinstance(subterm_at(t, q), Variable):
             continue
-        above = deciders._above_frame(sh, t, q, o)
-        assert above == reference_above(sh, t, q, o)
+        above = deciders._above_frame(c, mu, t, q, o)
+        assert above == reference_above(c, mu, t, q, o)
         seen.update(entry[0] for entry in above + below)
     # Every family the two frames emit was exercised.
     assert min(seen[f] for f in (

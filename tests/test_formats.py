@@ -386,6 +386,8 @@ def test_yes_verdict_text(factorial, factorial_loop):
     text = render_verdict(verdict, "text")
     assert text.startswith("YES: loop under strategy leftmost\n")
     assert "checked 0 problems" in text
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        render_verdict(verdict, "xml")
 
 
 def test_no_verdict_text_block(collapse, collapse_loop):

@@ -144,13 +144,15 @@ def test_validate_empty_certificates_rejected(factorial, factorial_loop):
 def test_unroll_level_zero_is_the_replay(factorial_loop):
     unrolled = unroll_loop(factorial_loop, 0)
     assert unrolled.terms == factorial_loop.terms
-    assert unrolled.steps == factorial_loop.certificate.steps
+    assert unrolled.certificate == factorial_loop.certificate
 
 
 def test_unroll_prefixes_positions(factorial_loop):
     unrolled = unroll_loop(factorial_loop, 2)
     prefix = factorial_loop.certificate.context.hole_pos * 2
-    for level_step, base_step in zip(unrolled.steps, factorial_loop.certificate.steps):
+    for level_step, base_step in zip(
+        unrolled.certificate.steps, factorial_loop.certificate.steps
+    ):
         assert level_step == tuple((prefix + q, i) for q, i in base_step)
 
 
@@ -172,10 +174,12 @@ def test_unroll_replays_and_closes_at_every_level(corpus):
                 loop.terms[0], *cs, n
             )
             current = unrolled.terms[0]
-            for j, step in enumerate(unrolled.steps):
+            for j, step in enumerate(unrolled.certificate.steps):
                 current = parallel_rewrite(current, step, trs)
                 assert current == unrolled.terms[j + 1]
             assert current == apply_context_substitution(loop.terms[0], *cs, n + 1)
+            # So level n is a loop of its own, closed by the same (C, mu).
+            assert validate_loop(trs, unrolled.certificate) == unrolled
 
 
 def test_unroll_from_the_level_below_equals_unrolling_from_scratch(corpus):

@@ -191,6 +191,10 @@ def test_strategy_allows_examples(factorial, stream, stream_patterns):
 
     s = parse_term("2nd(inf(0))", stream)
     assert strategy_allows(s, {(1,)}, stream, "forbidden", stream_patterns)
+    # Leftmost and forbidden contract one redex per step, never two.
+    u = parse_term("times(eq(x,y),eq(y,x))", factorial)
+    assert not strategy_allows(u, {(1,), (2,)}, factorial, "leftmost")
+    assert not strategy_allows(u, {(1,), (2,)}, factorial, "forbidden")
 
 
 def test_strategy_allows_requires_redexes(factorial):
@@ -200,6 +204,13 @@ def test_strategy_allows_requires_redexes(factorial):
             strategy_allows(t, {(1,)}, factorial, check)
     with pytest.raises(ValueError, match="unknown strategy component"):
         strategy_allows(t, {()}, factorial, "full")
+    with pytest.raises(NotParallel, match="at least one position"):
+        strategy_allows(t, set(), factorial, "leftmost")
+    with pytest.raises(ValueError, match="unknown strategy 'full-ish'"):
+        StrategySpec("full-ish")
+    pattern = ForbiddenPattern(t, (), PatternKind.HERE)
+    with pytest.raises(ValueError, match="only the forbidden strategy carries patterns"):
+        StrategySpec("leftmost", (pattern,))
 
 
 def test_leftmost_ignores_redexes_above(factorial):
@@ -228,11 +239,14 @@ def test_leftmost_allowed_positions_form_a_prefix_chain():
             assert not is_left_of(a, b) and not is_left_of(b, a)
 
 
-def test_max_parallel_requires_all_parallel_redexes():
+def test_max_parallel_requires_all_parallel_redexes(factorial):
     mini = Trs.from_rules([Rule(app("a"), app("b"))], ())
     t = app("f", app("a"), app("a"))
     assert strategy_allows(t, {(1,), (2,)}, mini, "max-parallel")
     assert not strategy_allows(t, {(1,)}, mini, "max-parallel")
+    # Nested redexes are not parallel, so no step may contract both.
+    u = parse_term("if(false,s(0),times(fact(s(x),y),s(x)))", factorial)
+    assert not strategy_allows(u, {(), (3, 1)}, factorial, "max-parallel")
 
 
 def test_outermost_rejects_redexes_above(factorial):
