@@ -252,7 +252,7 @@ def _cross(
                 continue
             posed.add(key)
             problem = (
-                MatchingProblem(((u, lhs),), mu)
+                MatchingProblem(u, lhs, mu)
                 if d is None
                 else ExtendedMatchingProblem(d, lhs, c_mu, u, mu)
             )

@@ -433,11 +433,9 @@ def _problem_to_document(problem: Problem) -> dict:
         return {
             "type": "matching",
             "pairs": [
-                {"subject": str(u), "pattern": str(l)} for u, l in problem.pairs
+                {"subject": str(problem.subject), "pattern": str(problem.pattern)}
             ],
-            "identities": [
-                {"left": str(a), "right": str(b)} for a, b in problem.identities
-            ],
+            "identities": [],
             "mu": _subst_to_document(problem.mu),
         }
     assert isinstance(problem, ExtendedMatchingProblem)

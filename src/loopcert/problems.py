@@ -1,10 +1,9 @@
 """Matching problems over pumped terms, and their solvers.
 
 A matching problem asks whether some power of a substitution sends a subject
-term onto an instance of a pattern: find n and sigma with u mu^n = l sigma
-(several pairs may share one n and sigma, and identity constraints
-a mu^n = b mu^n can ride along).  An extended problem additionally pumps the
-subject through a context: find m, k, sigma with D[t(C, mu)^m] mu^k = l sigma.
+term onto an instance of a pattern: find n and sigma with u mu^n = l sigma.
+An extended problem additionally pumps the subject through a context: find
+m, k, sigma with D[t(C, mu)^m] mu^k = l sigma.
 
 A matching problem is decided.  At each exponent its constraint set is
 simplified to a fixpoint: root clashes and variables that cycle through
@@ -41,22 +40,19 @@ from .terms import (
     variable_closure,
     variables_of,
 )
-from .rewriting import match_many
+from .rewriting import match_pattern
 
 
 @dataclass(frozen=True)
 class MatchingProblem:
-    """Find n, sigma with u mu^n = l sigma for all pairs (u, l), and
-    a mu^n = b mu^n for all identities (a, b)."""
+    """Find n, sigma with u mu^n = l sigma, u the subject and l the pattern."""
 
-    pairs: tuple[tuple[Term, Term], ...]
+    subject: Term
+    pattern: Term
     mu: Substitution
-    identities: tuple[tuple[Term, Term], ...] = ()
 
     def __str__(self) -> str:
-        parts = [f"{u} matches {l}" for u, l in self.pairs]
-        parts += [f"{a} equals {b}" for a, b in self.identities]
-        return "; ".join(parts) + f" under {self.mu}"
+        return f"{self.subject} matches {self.pattern} under {self.mu}"
 
 
 @dataclass(frozen=True)
@@ -152,7 +148,7 @@ class _State:
         return total
 
     def step(self, mu: Substitution):
-        """The state's bindings, matches and identities, each sent through mu."""
+        """The state's bindings, matches and identity pairs, each sent through mu."""
         return (
             {x: mu.apply(u) for x, u in self.bindings.items()},
             [(mu.apply(u), l) for u, l in self.match],
@@ -216,33 +212,26 @@ def _simplify(
 
 def _recheck_matching(problem: MatchingProblem, n: int) -> Substitution:
     """Independently confirm a witness exponent and extract sigma."""
-    pairs = [
-        (l, apply_substitution(u, problem.mu, n)) for u, l in problem.pairs
-    ]
-    sigma = match_many(pairs)
+    sigma = match_pattern(
+        problem.pattern, apply_substitution(problem.subject, problem.mu, n)
+    )
     if sigma is None:
         raise InternalError(f"witness n={n} failed recheck on {problem}")
-    for a, b in problem.identities:
-        lhs = apply_substitution(a, problem.mu, n)
-        rhs = apply_substitution(b, problem.mu, n)
-        if lhs != rhs:
-            raise InternalError(f"witness n={n} failed identity recheck on {problem}")
     return sigma
 
 
 def exponent_bound(problem: MatchingProblem) -> int:
     """N = |V| * (d + 1), a bound on the least witness of a matching problem.
 
-    V is the variable closure, under x -> vars(x mu), of the subjects and
-    identity sides, so every u mu^n and a mu^n is a term over V; d is the
-    largest pattern depth, the length of a pattern's longest position (a
-    variable or a constant has depth 0, f(t1..tk) has depth 1 + max
-    depth(ti)).  Claim: a problem solvable at some n is solvable at N, so
-    one with no witness n <= N has none at all.
+    V is the variable closure, under x -> vars(x mu), of the subject u, so
+    every u mu^n is a term over V; d is the depth of the pattern l, the
+    length of its longest position (a variable or a constant has depth 0,
+    f(t1..tk) has depth 1 + max depth(ti)).  Claim: a problem solvable at
+    some n is solvable at N, so one with no witness n <= N has none at all.
 
     (1) Solutions are upward-closed in n.  u mu^n = l sigma gives
-        u mu^(n+1) = l (sigma mu), and a mu^n = b mu^n gives
-        a mu^(n+1) = b mu^(n+1).
+        u mu^(n+1) = l (sigma mu), and s mu^n = t mu^n gives
+        s mu^(n+1) = t mu^(n+1).
 
     (2) Inner nodes are exposed by M = d |V|.  For x in V, the orbit x,
         x mu, x mu^2, ... either stays a variable forever (the
@@ -250,23 +239,23 @@ def exponent_bound(problem: MatchingProblem) -> int:
         the variables before it are distinct members of V, so e(x) <= |V|.
         Once s mu^n has an application at a position, every later power
         has the same symbol and arity there.  Let the problem be solvable
-        at some n, and let p be an inner node (one with arguments) of a
-        pattern l with subject u, so |p| <= d - 1 and u mu^n has l's
-        symbol at p.  Walk the path root = p_0, ..., p_h = p, and let n_i
-        be the first exponent at which u mu^(n_i) has an application at
-        p_i; it has l's symbol and arity there.  The subterm of u at the
-        root, and of u mu^(n_i) at p_(i+1), is an application or a
-        variable y of V that turns into one after e(y) <= |V| steps, so
+        at some n, and let p be an inner node (one with arguments) of the
+        pattern l, so |p| <= d - 1 and u mu^n has l's symbol at p.  Walk
+        the path root = p_0, ..., p_h = p, and let n_i be the first
+        exponent at which u mu^(n_i) has an application at p_i; it has
+        l's symbol and arity there.  The subterm of u at the root, and of
+        u mu^(n_i) at p_(i+1), is an application or a variable y of V that
+        turns into one after e(y) <= |V| steps, so
         n_0 <= |V|, n_(i+1) <= n_i + |V| and n_h <= (|p| + 1) |V| <= M.
         Hence u mu^(M+j) has l's symbol at p for every j >= 0.
 
-    (3) What remains is identities over V.  Given (2), for j >= 0 the
-        problem holds at M + j iff s mu^j = t mu^j for finitely many pairs
-        (s, t) of terms over V: s = u mu^M|q and t = u' mu^M|q' for two
-        occurrences q, q' of one pattern variable, s = u mu^M|q and t = c
-        for a constant leaf c of l at q, and s = a mu^M, t = b mu^M for
-        each identity (a, b).  Every such q exists in u mu^M: it is the
-        root, or its parent is an exposed inner node.
+    (3) What remains is identity constraints over V.  Given (2), for
+        j >= 0 the problem holds at M + j iff s mu^j = t mu^j for finitely
+        many pairs (s, t) of terms over V: s = u mu^M|q and t = u mu^M|q'
+        for two occurrences q, q' of one pattern variable, and
+        s = u mu^M|q and t = c for a constant leaf c of l at q.  Every such
+        q exists in u mu^M: it is the root, or its parent is an exposed
+        inner node.
 
     (4) Identity lemma: terms s, t over V with s mu^j = t mu^j for some j
         have s mu^|V| = t mu^|V|.  Let K_j be the set of pairs of terms
@@ -290,20 +279,17 @@ def exponent_bound(problem: MatchingProblem) -> int:
 
     (5) A problem solvable at some n >= M is solvable at M + |V| = N by
         (3) and (4), and one solvable at some n < M is solvable at N by
-        (1).  The bound is reached: with x -> y -> a, x mu^n = y mu^n
-        first holds at n = 2 = N.
+        (1).  The bound is reached: with x -> y -> a, x mu^n matches the
+        constant a first at n = 2 = N.
     """
-    sides = [u for u, _ in problem.pairs]
-    sides += [s for pair in problem.identities for s in pair]
-    # A term with every side as an argument has the closure of them all.
-    closure = variable_closure(Application("", tuple(sides)), problem.mu)
-    depth = max((len(p) for _, l in problem.pairs for p in positions(l)), default=0)
+    closure = variable_closure(problem.subject, problem.mu)
+    depth = max(len(p) for p in positions(problem.pattern))
     return len(closure) * (depth + 1)
 
 
 def solve_matching(problem: MatchingProblem) -> SolverResult:
     mu = problem.mu
-    state = _simplify({}, list(problem.pairs), list(problem.identities), mu)
+    state = _simplify({}, [(problem.subject, problem.pattern)], [], mu)
     offset, last = 0, None
     while isinstance(state, _State):
         if state.solved():
@@ -347,7 +333,7 @@ def _extended_scan(dn: Term, ln: Term, problem: ExtendedMatchingProblem) -> bool
         if dn.symbol != ln.symbol or len(dn.args) != len(ln.args):
             return True
         return any(_extended_scan(da, la, problem) for da, la in zip(dn.args, ln.args))
-    sub = solve_matching(MatchingProblem(((dn, ln),), problem.mu))
+    sub = solve_matching(MatchingProblem(dn, ln, problem.mu))
     return isinstance(sub, Unsolvable)
 
 
@@ -366,8 +352,8 @@ def solve_extended(
                 capped = True
                 break
             tower = apply_context_substitution(tower, problem.c, problem.mu, 1)
-        pair = (problem.d.plug(tower), problem.lhs)
-        res = solve_matching(MatchingProblem((pair,), problem.mu))
+        slice_m = MatchingProblem(problem.d.plug(tower), problem.lhs, problem.mu)
+        res = solve_matching(slice_m)
         capped = capped or isinstance(res, Unknown)
         w = res.witness if isinstance(res, Solvable) else None
         if w is not None and (best is None or m + w.n < best.m + best.k):

@@ -115,15 +115,6 @@ def match_pattern(pattern: Term, subject: Term) -> Substitution | None:
     return None
 
 
-def match_many(pairs: Iterable[tuple[Term, Term]]) -> Substitution | None:
-    """Joint match of (pattern, subject) pairs under one shared sigma."""
-    env: dict[str, Term] = {}
-    for pattern, subject in pairs:
-        if not _match_into(pattern, subject, env):
-            return None
-    return Substitution(env)
-
-
 def _match_into(pattern: Term, subject: Term, env: dict[str, Term]) -> bool:
     if isinstance(pattern, Variable):
         bound = env.get(pattern.name)

@@ -39,7 +39,6 @@ from loopcert import (
     find_loops,
     format_position,
     innermost_patterns,
-    match_many,
     outermost_patterns,
     positions,
     replace_at,
@@ -225,11 +224,22 @@ def _rule_vars(rule: Rule) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 # Solver versus brute-force oracle.
 
+# Two terms side by side, under a symbol that ARITIES lacks.  Against
+# pair(w, w), pair(a, b) poses the identity a mu^n = b mu^n; against
+# pair(l1, l2), pair(u1, u2) poses two matches with one shared sigma.
+IDENTITY_PATTERN = Application("pair", (Variable("w"), Variable("w")))
+
+
+def identity_problem(a: Term, b: Term, mu: Substitution) -> MatchingProblem:
+    """a mu^n = b mu^n, encoded as pair(a, b) against pair(w, w)."""
+    return MatchingProblem(Application("pair", (a, b)), IDENTITY_PATTERN, mu)
+
 
 def random_matching_problem(rng: random.Random, wild: float = 0.0) -> MatchingProblem:
     # Linear images by default: the solver and oracle pump these to exponent
     # 32.  A positive *wild* lets images duplicate variables, so terms grow
-    # until the solver's size limit stops them.
+    # until the solver's size limit stops them.  One problem in four poses
+    # two pairs side by side.
     mu = random_substitution(rng, wild=wild)
     pairs = []
     for _ in range(rng.choice((1, 1, 1, 2))):
@@ -249,7 +259,12 @@ def random_matching_problem(rng: random.Random, wild: float = 0.0) -> MatchingPr
         else:
             subject = random_term(rng)
         pairs.append((subject, pattern))
-    return MatchingProblem(tuple(pairs), mu)
+    if len(pairs) == 1:
+        return MatchingProblem(*pairs[0], mu)
+    (u1, l1), (u2, l2) = pairs
+    return MatchingProblem(
+        Application("pair", (u1, u2)), Application("pair", (l1, l2)), mu
+    )
 
 
 def _pattern_vars(t: Term) -> tuple[str, ...]:
@@ -257,7 +272,7 @@ def _pattern_vars(t: Term) -> tuple[str, ...]:
 
 
 def random_identity_problem(rng: random.Random) -> MatchingProblem:
-    """An identity constraint u mu^n = v mu^n alone: a matching problem with no pairs."""
+    """An identity constraint u mu^n = v mu^n alone."""
     mu = random_substitution(rng, wild=0.0)
     u = random_term(rng)
     if rng.random() < 0.5:
@@ -265,7 +280,7 @@ def random_identity_problem(rng: random.Random) -> MatchingProblem:
         v = replace_at(u, rng.choice(ps), random_term(rng, VARS, 1))
     else:
         v = random_term(rng)
-    return MatchingProblem((), mu, ((u, v),))
+    return identity_problem(u, v, mu)
 
 
 def random_identity_chain_problem(rng: random.Random) -> MatchingProblem:
@@ -291,7 +306,7 @@ def random_identity_chain_problem(rng: random.Random) -> MatchingProblem:
         a, b = (Variable(x) for x in rng.sample(names, 2))
     else:
         a, b = random_term(rng, names, 1), random_term(rng, names, 1)
-    return MatchingProblem((), Substitution(images), ((a, b),))
+    return identity_problem(a, b, Substitution(images))
 
 
 def random_extended_problem(rng: random.Random) -> ExtendedMatchingProblem:
@@ -323,16 +338,12 @@ def brute_force_check(problem, bound: int) -> Witness | None:
     the two can be tested against each other.
     """
     if isinstance(problem, MatchingProblem):
-        subjects = [u for u, _ in problem.pairs]
-        idents = list(problem.identities)
+        u = problem.subject
         for n in range(bound + 1):
-            sigma = match_many(
-                [(l, u) for (_, l), u in zip(problem.pairs, subjects)]
-            )
-            if sigma is not None and all(a == b for a, b in idents):
+            sigma = match_pattern(problem.pattern, u)
+            if sigma is not None:
                 return Witness(n=n, sigma=sigma)
-            subjects = [problem.mu.apply(u) for u in subjects]
-            idents = [(problem.mu.apply(a), problem.mu.apply(b)) for a, b in idents]
+            u = problem.mu.apply(u)
         return None
     towers = [problem.t]
     rows: list[Term] = []
@@ -355,17 +366,8 @@ def brute_force_check(problem, bound: int) -> Witness | None:
 def reverify_witness(problem, w: Witness) -> bool:
     """Check a claimed witness by direct computation, no solver involved."""
     if isinstance(problem, MatchingProblem):
-        if w.sigma is None:
-            return False
-        for u, l in problem.pairs:
-            if apply_substitution(u, problem.mu, w.n) != w.sigma.apply(l):
-                return False
-        for a, b in problem.identities:
-            if apply_substitution(a, problem.mu, w.n) != apply_substitution(
-                b, problem.mu, w.n
-            ):
-                return False
-        return True
+        subject = apply_substitution(problem.subject, problem.mu, w.n)
+        return w.sigma is not None and w.sigma.apply(problem.pattern) == subject
     pumped = apply_context_substitution(problem.t, problem.c, problem.mu, w.m)
     subject = apply_substitution(problem.d.plug(pumped), problem.mu, w.k)
     return w.sigma is not None and w.sigma.apply(problem.lhs) == subject

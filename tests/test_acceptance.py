@@ -81,7 +81,7 @@ def test_c02_innermost_loop_with_its_problem_families(
     # subterm to the left inside the rewritten term (false), and the three
     # subterms to the left of the hole in the closing context.
     by_family = {
-        family: {str(i.problem.pairs[0][0]) for i in instances if i.family == family}
+        family: {str(i.problem.subject) for i in instances if i.family == family}
         for family in {i.family for i in instances}
     }
     assert by_family == {
@@ -98,7 +98,8 @@ def test_c03_collapsing_blocker_at_exponent_two(collapse, collapse_loop):
     assert verdict.evidence.result.witness.sigma == Substitution(
         {"x": Variable("z")}
     )
-    assert verdict.evidence.instance.problem.pairs[0] == (
+    problem = verdict.evidence.instance.problem
+    assert (problem.subject, problem.pattern) == (
         parse_term("g(x,y)", collapse),
         parse_term("g(x,x)", collapse),
     )
@@ -167,9 +168,9 @@ def test_c08_solver_agrees_with_brute_force():
     failures = []
     for _ in range(500):
         problem = genlib.random_problem(rng)
-        # Identity constraints alone are a matching problem with no pairs.
+        # Identity constraints are matching problems against one pattern.
         kind = type(problem).__name__
-        if kind == "MatchingProblem" and not problem.pairs:
+        if kind == "MatchingProblem" and problem.pattern is genlib.IDENTITY_PATTERN:
             kind = "identity"
         kinds[kind] += 1
         failures.extend(genlib.solver_oracle_failures(problem, bound=32))

@@ -212,14 +212,14 @@ def test_inner_loop_leftmost_problem_set(factorial, factorial_inner_loop):
         1: 36, 2: 36, 3: 36, 4: 36, 5: 36
     }
     by_family = {
-        family: {str(i.problem.pairs[0][0]) for i in instances if i.family == family}
+        family: {str(i.problem.subject) for i in instances if i.family == family}
         for family in {i.family for i in instances}
     }
     assert by_family == {
         "left-term": {"false"},
         "left-context": {"false", "s(0)", "0"},
     }
-    subjects = Counter(str(inst.problem.pairs[0][0]) for inst in instances)
+    subjects = Counter(str(inst.problem.subject) for inst in instances)
     assert subjects == {"false": 60, "s(0)": 60, "0": 60}
 
 
@@ -237,7 +237,7 @@ def test_inner_loop_step_four_also_sees_false_on_its_left(
     families = Counter(inst.family for inst in instances)
     assert families == {"left-term": 12, "left-context": 24}
     term_side = [i for i in instances if i.family == "left-term"]
-    assert {str(i.problem.pairs[0][0]) for i in term_side} == {"false"}
+    assert {str(i.problem.subject) for i in term_side} == {"false"}
     assert {i.position for i in term_side} == {(1, 1)}
 
 
@@ -301,7 +301,7 @@ def test_collapse_loop_leftmost_evidence(collapse, collapse_loop):
     assert ev.instance.family == "left-context"
     assert ev.instance.position == (1,)
     assert ev.instance.rule_index == 1
-    assert ev.instance.problem.pairs[0][0] == parse_term("g(x,y)", collapse)
+    assert ev.instance.problem.subject == parse_term("g(x,y)", collapse)
     assert ev.result.witness.n == 2
     assert ev.result.witness.sigma == Substitution({"x": v("z")})
     assert (ev.level, ev.violation_step) == (3, 1)
@@ -458,7 +458,7 @@ def test_growing_loop_is_decided(growing, growing_loop):
     [problem] = [
         inst.problem
         for inst in step_problems(growing_loop, growing, spec)
-        if inst.problem.pairs[0] == growing_pair
+        if (inst.problem.subject, inst.problem.pattern) == growing_pair
     ]
     assert exponent_bound(problem) == 4
     assert solve_problem(problem) == Unsolvable(UnsolvableReason.EXPONENT_BOUND)

@@ -1,4 +1,4 @@
-"""Matching problems, with or without identity constraints, and extended ones.
+"""Matching problems, identity constraints encoded as them, and extended ones.
 
 Ordering matters here: the brute-force oracle is pinned first, then the
 layered solver against the same inputs, then the two against each other on
@@ -11,7 +11,7 @@ import random
 import pytest
 
 import genlib
-from genlib import brute_force_check
+from genlib import brute_force_check, identity_problem
 from loopcert import problems
 from loopcert.errors import InternalError, LoopcertError
 from loopcert import (
@@ -34,6 +34,7 @@ from loopcert import (
     solve_extended,
     solve_matching,
     solve_problem,
+    variable_closure,
 )
 
 
@@ -45,19 +46,10 @@ def app(symbol: str, *args) -> Application:
     return Application(symbol, tuple(args))
 
 
-def matching(subject, pattern, mu) -> MatchingProblem:
-    return MatchingProblem(pairs=((subject, pattern),), mu=mu)
-
-
-def identity(a, b, mu) -> MatchingProblem:
-    """a mu^n = b mu^n: a matching problem with no pairs."""
-    return MatchingProblem(pairs=(), mu=mu, identities=((a, b),))
-
-
 @pytest.fixture(scope="module")
 def swap_problem():
     """g(x,y) against g(x,x) under the two-variable shift; solvable at 2."""
-    return matching(
+    return MatchingProblem(
         app("g", v("x"), v("y")),
         app("g", v("x"), v("x")),
         Substitution({"x": v("y"), "y": v("z")}),
@@ -67,7 +59,7 @@ def swap_problem():
 @pytest.fixture(scope="module")
 def rotate_problem():
     """g(x) against g(s(s(s(x)))) under a three-variable rotation; solvable at 9."""
-    return matching(
+    return MatchingProblem(
         app("g", v("x")),
         app("g", app("s", app("s", app("s", v("x"))))),
         Substitution({"x": v("y"), "y": v("z"), "z": app("s", v("x"))}),
@@ -76,7 +68,7 @@ def rotate_problem():
 
 def false_problems(factorial):
     mu = Substitution({"x": app("s", v("x"))})
-    return [matching(app("false"), rule.lhs, mu) for rule in factorial.rules]
+    return [MatchingProblem(app("false"), rule.lhs, mu) for rule in factorial.rules]
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +115,7 @@ def test_solve_matching_false_vs_all_lhss(factorial):
 
 
 def test_solve_matching_stream_head(stream):
-    problem = matching(
+    problem = MatchingProblem(
         parse_term("cons(x,cons(s(x),inf(s(s(x)))))", stream),
         parse_term("cons(x,cons(y,inf(z)))", stream),
         Substitution({"x": app("s", v("x"))}),
@@ -139,23 +131,22 @@ def test_solve_matching_stream_head(stream):
 def test_solve_matching_witness_reverifies(swap_problem, rotate_problem):
     for problem in (swap_problem, rotate_problem):
         w = solve_matching(problem).witness
-        for subject, pattern in problem.pairs:
-            assert apply_substitution(subject, problem.mu, w.n) == w.sigma.apply(
-                pattern
-            )
+        assert apply_substitution(problem.subject, problem.mu, w.n) == w.sigma.apply(
+            problem.pattern
+        )
 
 
 def test_failed_witness_recheck_is_an_internal_error(monkeypatch, swap_problem):
     # The recheck must survive python -O, and a failure is a bug in the
     # solver, never reported as bad input.
-    monkeypatch.setattr(problems, "match_many", lambda pairs: None)
+    monkeypatch.setattr(problems, "match_pattern", lambda pattern, subject: None)
     with pytest.raises(InternalError, match="failed recheck") as caught:
         solve_matching(swap_problem)
     assert not isinstance(caught.value, LoopcertError)
 
 
 def test_root_clash_certificate(factorial):
-    problem = matching(
+    problem = MatchingProblem(
         app("false"),
         parse_term("eq(x,y)", factorial),
         Substitution({"x": app("s", v("x"))}),
@@ -168,7 +159,7 @@ def test_root_clash_certificate(factorial):
 def test_variable_orbit_certificate():
     # x only ever reaches variables under mu, so it can never grow a root
     # symbol to match a non-variable pattern.
-    problem = matching(
+    problem = MatchingProblem(
         v("x"), app("f", v("y")), Substitution({"x": v("y"), "y": v("x")})
     )
     result = solve_matching(problem)
@@ -179,7 +170,7 @@ def test_variable_orbit_certificate():
 def test_exponent_bound_certificate():
     # The identity residual (x, y) steps to (s(x), s(y)) and decomposes back
     # to itself forever; no witness up to |{x, y}| * (1 + 1) = 4 refutes it.
-    problem = matching(
+    problem = MatchingProblem(
         app("f", v("x"), v("y")),
         app("f", v("w"), v("w")),
         Substitution({"x": app("s", v("x")), "y": app("s", v("y"))}),
@@ -194,16 +185,20 @@ def test_exponent_bound_certificate():
 def test_exponent_bound_counts_closure_variables_and_pattern_depth(rotate_problem):
     # V = {x, y, z} (y and z are reached through mu), d = 4.
     assert exponent_bound(rotate_problem) == 15
-    # Identities only: d = 0; unmapped and ground sides add nothing.
-    chain = identity(v("x"), v("y"), Substitution({"x": v("y"), "y": app("a")}))
-    assert exponent_bound(chain) == 2
-    assert exponent_bound(identity(app("a"), app("b"), EMPTY_SUBSTITUTION)) == 0
+    # An encoded identity: pair(w, w) has d = 1; unmapped and ground sides
+    # add nothing to V.
+    chain = Substitution({"x": v("y"), "y": app("a")})
+    assert exponent_bound(identity_problem(v("x"), v("y"), chain)) == 4
+    ground = identity_problem(app("a"), app("b"), EMPTY_SUBSTITUTION)
+    assert exponent_bound(ground) == 0
 
 
 def test_least_witness_can_sit_at_the_exponent_bound():
-    # x -> y -> a: x mu^n = y mu^n first holds at n = 2 = |{x, y}|.
-    chain = identity(v("x"), v("y"), Substitution({"x": v("y"), "y": app("a")}))
-    assert solve_matching(chain).witness.n == 2 == exponent_bound(chain)
+    # x -> y -> a: x mu^n first matches the constant a at n = 2 = |{x, y}|,
+    # and a constant pattern has d = 0.
+    chain = Substitution({"x": v("y"), "y": app("a")})
+    problem = MatchingProblem(v("x"), app("a"), chain)
+    assert solve_matching(problem).witness.n == 2 == exponent_bound(problem)
 
 
 def test_matching_ignores_the_configured_bound(rotate_problem):
@@ -219,7 +214,7 @@ def test_matching_honest_unknown(monkeypatch):
     # then say unknown, not refute.
     t2 = app("d", app("d", v("x"), v("x")), app("d", v("x"), v("x")))
     t4 = app("d", app("d", t2, t2), app("d", t2, t2))
-    problem = matching(
+    problem = MatchingProblem(
         app("g", v("x"), v("y")),
         app("g", v("w"), v("w")),
         Substitution({
@@ -239,7 +234,7 @@ def test_matching_size_guard_reports_its_limit(monkeypatch):
     # x doubles every step while y's tree grows one level every two steps,
     # so the identity never holds and the state grows until the exponent
     # bound |{x, y, z}| * (1 + 1) = 6 refutes it, or a small limit stops it.
-    problem = matching(
+    problem = MatchingProblem(
         app("g", v("x"), v("y")),
         app("g", v("w"), v("w")),
         Substitution({
@@ -258,7 +253,7 @@ def test_equal_identity_pairs_are_kept_once(monkeypatch):
     # x and y double in step, so (x, y) reappears as several equal pairs at
     # every offset; kept once each, the state stays under a size limit of 10
     # until the exponent bound |{x, y}| * (1 + 1) = 4 refutes the problem.
-    problem = matching(
+    problem = MatchingProblem(
         app("g", v("x"), v("y")),
         app("g", v("w"), v("w")),
         Substitution({"x": app("d", v("x"), v("x")), "y": app("d", v("y"), v("y"))}),
@@ -277,17 +272,17 @@ def test_equal_identity_pairs_are_kept_once(monkeypatch):
 
 def test_solve_identity_examples():
     assert solve_matching(
-        identity(v("x"), v("y"), Substitution({"x": v("y")}))
+        identity_problem(v("x"), v("y"), Substitution({"x": v("y")}))
     ).witness.n == 1
 
-    diverging = identity(
+    diverging = identity_problem(
         v("x"), v("y"), Substitution({"x": app("f", v("x")), "y": app("f", v("y"))})
     )
     assert isinstance(solve_matching(diverging), Unsolvable)
     assert brute_force_check(diverging, 32) is None
 
     assert solve_matching(
-        identity(app("a"), app("a"), Substitution({"x": v("y")}))
+        identity_problem(app("a"), app("a"), Substitution({"x": v("y")}))
     ).witness.n == 0
 
 
@@ -412,7 +407,7 @@ def test_solve_problem_dispatch(swap_problem):
     assert solve_problem(swap_problem).witness.n == 2
     assert (
         solve_problem(
-            identity(app("a"), app("a"), EMPTY_SUBSTITUTION)
+            identity_problem(app("a"), app("a"), EMPTY_SUBSTITUTION)
         ).witness.n
         == 0
     )
@@ -438,20 +433,21 @@ def test_solver_agrees_with_oracle_randomized():
 def test_identity_chains_stay_within_the_exponent_bound():
     # Identities over up to 7 variables with variable chains and
     # duplicating images: searching 4 exponents past N never finds a
-    # least witness above N, and the solver agrees with the search to N.
+    # least witness above |V|, the identity lemma (step 4 of
+    # exponent_bound), and the solver agrees with the search to N.
     rng = random.Random(7)
     at_bound = 0
     failures = []
     for _ in range(2000):
         problem = genlib.random_identity_chain_problem(rng)
-        bound = exponent_bound(problem)
-        oracle = brute_force_check(problem, bound + 4)
+        lemma = len(variable_closure(problem.subject, problem.mu))
+        oracle = brute_force_check(problem, exponent_bound(problem) + 4)
         if oracle is not None:
-            assert oracle.n <= bound, problem
-            at_bound += oracle.n == bound
+            assert oracle.n <= lemma, problem
+            at_bound += oracle.n == lemma
         failures.extend(genlib.solver_oracle_failures(problem))
     assert failures == []
-    assert at_bound > 50  # the bound is often tight
+    assert at_bound > 50  # the lemma's |V| is often reached
 
 
 def test_size_limit_answers_agree_with_oracle(monkeypatch):

@@ -33,7 +33,6 @@ from loopcert import (
     context_sensitive_patterns,
     innermost_patterns,
     is_left_of,
-    match_many,
     match_pattern,
     outermost_patterns,
     parallel_rewrite,
@@ -97,6 +96,12 @@ def test_match_pattern_examples():
     assert match_pattern(app("g", v("x"), v("x")), app("g", app("a"), app("a"))) == (
         Substitution({"x": app("a")})
     )
+    # One binding shared across subterms: x under f and under g.
+    pattern = app("h", app("f", v("x")), app("g", v("x")))
+    shared = app("h", app("f", app("a")), app("g", app("a")))
+    assert match_pattern(pattern, shared) == Substitution({"x": app("a")})
+    split = app("h", app("f", app("a")), app("g", app("b")))
+    assert match_pattern(pattern, split) is None
 
 
 def test_match_pattern_stream_example(stream):
@@ -113,14 +118,6 @@ def test_match_pattern_arity_safe():
     # A shorter argument list must not match a prefix of a longer one.
     assert match_pattern(app("f", v("x"), v("y")), app("f", app("a"))) is None
     assert match_pattern(app("f", v("x")), app("f", app("a"), app("b"))) is None
-
-
-def test_match_many_shares_one_binding():
-    pairs = ((app("f", v("x")), app("f", app("a"))),)
-    assert match_many(pairs + ((app("g", v("x")), app("g", app("a"))),)) == (
-        Substitution({"x": app("a")})
-    )
-    assert match_many(pairs + ((app("g", v("x")), app("g", app("b"))),)) is None
 
 
 # ---------------------------------------------------------------------------
