@@ -189,14 +189,14 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _count(text: str) -> int:
-    """A nonnegative integer option value."""
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {n}")
-    return n
+    """A nonnegative integer option value, in ASCII digits only: int() would
+    also read '1_0' as 10, '+2' as 2, ' 3' and '\u0663' (Arabic-Indic) as 3."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if digits != text:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:

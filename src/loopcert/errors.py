@@ -2,7 +2,15 @@
 
 
 class LoopcertError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.  An error in input
+    text ends its message with its 1-based line and column, kept as .line and
+    .col; other errors have None for both."""
+
+    def __init__(self, message, line=None, col=None):
+        where = "" if line is None else f" (line {line}, column {col})"
+        super().__init__(message + where)
+        self.line = line
+        self.col = col
 
 
 class InternalError(RuntimeError):
@@ -59,10 +67,4 @@ class RuleIndexOutOfRange(LoopcertError):
 
 
 class ParseError(LoopcertError):
-    """Input text is not well-formed; line and column are 1-based, or None."""
-
-    def __init__(self, message, line=None, col=None):
-        where = "" if line is None else f" (line {line}, column {col})"
-        super().__init__(message + where)
-        self.line = line
-        self.col = col
+    """Input text is not well-formed."""

@@ -58,8 +58,6 @@ _SCANNER = re.compile(
     r"|(?P<comma>,)|(?P<at>@)|(?P<colon>:)|(?P<newline>\n)|(?P<space>[ \t\r]+)|(?P<bad>.)",
     re.DOTALL,
 )
-_IDENT_NAME = re.compile(_IDENT)
-_BLANKS = " \t\r"  # the space group of _SCANNER
 # The deepest argument position a parsed term may have.  Matching walks a
 # pattern, and parsing walks its input, one interpreter frame per level; this
 # keeps both well inside CPython's default recursion limit of 1,000.
@@ -142,8 +140,7 @@ def _parse_term(
     expected = arities.setdefault(name, len(args))
     if expected != len(args):
         raise ArityMismatch(
-            f"{name} used with {len(args)} arguments, expected {expected}"
-            f" (line {line}, column {col})"
+            f"{name} used with {len(args)} arguments, expected {expected}", line, col
         )
     return Application(name, tuple(args))
 
@@ -153,11 +150,6 @@ def parse_term(text: str, trs: Trs, allow_hole: bool = False) -> Term:
     t = _parse_term(ts, trs.variables, allow_hole, dict(trs.signature))
     ts.expect("eof")
     return t
-
-
-def _located(error: LoopcertError, line: int, col: int) -> LoopcertError:
-    """The same error, with an input location appended to its message."""
-    return type(error)(f"{error} (line {line}, column {col})")
 
 
 def parse_trs(text: str, signature: tuple[tuple[str, int], ...] = ()) -> Trs:
@@ -185,7 +177,7 @@ def parse_trs(text: str, signature: tuple[tuple[str, int], ...] = ()) -> Trs:
                 try:
                     rules.append(Rule(lhs, rhs))
                 except (VariableLhs, ExtraRhsVariable) as e:
-                    raise _located(e, *where) from None
+                    raise type(e)(str(e), *where) from None
             ts.expect("rparen")
         else:
             raise ParseError(f"unknown section {head!r}, expected VAR or RULES", line, col)
@@ -231,47 +223,42 @@ def parse_patterns(text: str, trs: Trs) -> tuple[ForbiddenPattern, ...]:
         try:
             out.append(ForbiddenPattern(lhs, pos, kind))
         except PositionOutOfTerm as e:
-            raise _located(e, *where) from None
+            raise PositionOutOfTerm(str(e), *where) from None
     return tuple(out)
 
 
 def parse_replacement_map(text: str, trs: Trs) -> dict[str, tuple[int, ...]]:
-    """Lines of ``symbol: 1,3``; a bare ``symbol:`` allows no arguments.
-
-    Only the blanks ``tokenize`` skips are trimmed, so any other whitespace
-    is part of a name or an index and fails there with its location.  A
-    symbol the system lacks, or an index past its arity, fails there too.
-    """
+    """Entries ``symbol: 1,3``, one per line; a bare ``symbol:`` allows no
+    arguments.  A symbol the system lacks, or an index past its arity, fails
+    at its location, as a syntax error does."""
+    ts = _Tokens(tokenize(text))
     arities = dict(trs.signature)
     out: dict[str, tuple[int, ...]] = {}
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip(_BLANKS)
-        if not line:
-            continue
-        if ":" not in line:
-            raise ParseError("expected 'symbol: indices'", lineno, 1)
-        name, _, rest = line.partition(":")
-        name = name.strip(_BLANKS)
-        at = len(raw) - len(raw.lstrip(_BLANKS)) + 1  # column of the name
-        if not _IDENT_NAME.fullmatch(name):
-            raise ParseError(f"bad symbol name {name!r}", lineno, at)
+    while ts.peek() != "eof":
+        _, name, line, col = ts.expect("ident")
+        rest = []  # the tokens after the name on its line: ':' then indices
+        while ts.peek() != "eof" and ts.tokens[ts.k][2] == line:
+            rest.append(ts.next())
+        if not rest or rest[0][0] != "colon":
+            raise ParseError(f"expected ':' after symbol {name!r}", line, col)
         if (error := replacement_map_error(name, (), arities)) is not None:
-            raise _located(ArityMismatch(error), lineno, at)
-        indices: list[int] = []
-        if rest.strip(_BLANKS):
-            col = raw.index(":") + 2  # column just after the colon
-            for part in rest.split(","):
-                digits = part.strip(_BLANKS)
-                spot = col + len(part) - len(part.lstrip(_BLANKS))
-                # ASCII digits only: '²'.isdigit() holds, but int('²') raises.
-                if not (digits.isascii() and digits.isdigit()):
-                    raise ParseError(f"bad argument index {digits!r}", lineno, spot)
-                indices.append(int(digits))
-                if (error := replacement_map_error(name, indices[-1:], arities)) is not None:
-                    raise _located(ArityMismatch(error), lineno, spot)
-                col += len(part) + 1
+            raise ArityMismatch(error, line, col)
         if name in out:
-            raise ParseError(f"symbol {name!r} listed twice", lineno, at)
+            raise ParseError(f"symbol {name!r} listed twice", line, col)
+        indices: list[int] = []
+        for i, (kind, spelled, _, at) in enumerate(rest[1:]):
+            if i % 2:
+                if kind != "comma":
+                    raise ParseError(f"expected ',' or a new line, found {spelled!r}", line, at)
+            # ASCII digits only: int() would also read '1_0' as 10, and '+1'.
+            elif not (spelled.isascii() and spelled.isdigit()):
+                raise ParseError(f"bad argument index {spelled!r}", line, at)
+            elif (error := replacement_map_error(name, [int(spelled)], arities)) is not None:
+                raise ArityMismatch(error, line, at)
+            else:
+                indices.append(int(spelled))
+        if rest[-1][0] == "comma":
+            raise ParseError("expected an argument index after ','", *rest[-1][2:])
         out[name] = tuple(sorted(set(indices)))
     return out
 

@@ -129,47 +129,23 @@ def orbit_root(name: str, mu: Substitution) -> str | None:
         seen.add(name)
 
 
-@dataclass
-class _State:
-    # (u, l): subject u must still match the application pattern l.
-    match: list[tuple[Term, Term]]
-    # pattern variable name -> current subject it is pinned to.
-    bindings: dict[str, Term]
-    # (a, b): subjects that must become equal.
-    ident: list[tuple[Term, Term]]
-
-    def solved(self) -> bool:
-        return not self.match and not self.ident
-
-    def size(self) -> int:
-        total = sum(term_size(u) for u, _ in self.match)
-        total += sum(term_size(u) for u in self.bindings.values())
-        total += sum(term_size(a) + term_size(b) for a, b in self.ident)
-        return total
-
-    def step(self, mu: Substitution):
-        """The state's bindings, matches and identity pairs, each sent through mu."""
-        return (
-            {x: mu.apply(u) for x, u in self.bindings.items()},
-            [(mu.apply(u), l) for u, l in self.match],
-            [(mu.apply(a), mu.apply(b)) for a, b in self.ident],
-        )
-
-
 def _simplify(
     bindings: dict[str, Term],
     match_work: list[tuple[Term, Term]],
     ident_work: list[tuple[Term, Term]],
     mu: Substitution,
-) -> Unsolvable | _State:
-    """Decompose the constraints, consuming all three arguments, to a fixpoint."""
-    out = _State([], bindings, [])
+) -> Unsolvable | tuple[dict[str, Term], list[tuple[Term, Term]], list[tuple[Term, Term]]]:
+    """Decompose the constraints, consuming all three arguments, to a fixpoint:
+    the bindings of live pattern variables, the pairs (u, l) where a variable
+    u must still match an application l, and the pairs that must become equal."""
+    match: list[tuple[Term, Term]] = []
+    ident: list[tuple[Term, Term]] = []
     while match_work:
         u, l = match_work.pop()
         if isinstance(l, Variable):
-            prev = out.bindings.get(l.name)
+            prev = bindings.get(l.name)
             if prev is None:
-                out.bindings[l.name] = u
+                bindings[l.name] = u
             elif prev != u:
                 ident_work.append((prev, u))
             continue
@@ -181,7 +157,7 @@ def _simplify(
         # Subject is a variable facing an application pattern.
         if orbit_root(u.name, mu) is None:
             return Unsolvable(UnsolvableReason.VARIABLE_ORBIT)
-        out.match.append((u, l))
+        match.append((u, l))
     # Equal identity pairs would double at every step, so each is kept once.
     kept: set[tuple[Term, Term]] = set()
     while ident_work:
@@ -199,15 +175,14 @@ def _simplify(
                 # x stays a variable while the other side's root never changes.
                 return Unsolvable(UnsolvableReason.VARIABLE_ORBIT)
         kept.add((a, b))
-        out.ident.append((a, b))
+        ident.append((a, b))
     # A binding whose pattern variable is gone from every remaining pattern
     # can never conflict again; dropping it keeps it out of the state's
     # size, which the size limit reads, and out of every later step.
     live = set()
-    for _, l in out.match:
+    for _, l in match:
         live |= variables_of(l)
-    out.bindings = {x: u for x, u in out.bindings.items() if x in live}
-    return out
+    return {x: u for x, u in bindings.items() if x in live}, match, ident
 
 
 def _recheck_matching(problem: MatchingProblem, n: int) -> Substitution:
@@ -291,8 +266,9 @@ def solve_matching(problem: MatchingProblem) -> SolverResult:
     mu = problem.mu
     state = _simplify({}, [(problem.subject, problem.pattern)], [], mu)
     offset, last = 0, None
-    while isinstance(state, _State):
-        if state.solved():
+    while isinstance(state, tuple):
+        bindings, match, ident = state
+        if not match and not ident:
             return Solvable(Witness(n=offset, sigma=_recheck_matching(problem, offset)))
         if offset == 1:
             # Most problems are settled by offset 1, so N is computed here;
@@ -300,9 +276,17 @@ def solve_matching(problem: MatchingProblem) -> SolverResult:
             last = exponent_bound(problem)
         if offset == last:
             return Unsolvable(UnsolvableReason.EXPONENT_BOUND)
-        if state.size() > MAX_TERM_SIZE:
+        size = sum(term_size(u) for u, _ in match)
+        size += sum(term_size(u) for u in bindings.values())
+        size += sum(term_size(a) + term_size(b) for a, b in ident)
+        if size > MAX_TERM_SIZE:
             return Unknown("state size limit reached")
-        state = _simplify(*state.step(mu), mu)
+        state = _simplify(
+            {x: mu.apply(u) for x, u in bindings.items()},
+            [(mu.apply(u), l) for u, l in match],
+            [(mu.apply(a), mu.apply(b)) for a, b in ident],
+            mu,
+        )
         offset += 1
     return state
 

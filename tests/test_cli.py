@@ -226,7 +226,11 @@ def test_bad_strategy_files_exit_three(capsys, data_dir, tmp_path):
     # match because it gives inf two arguments, a pattern position with a
     # 0 index, and a Q rule that gives the binary cons one argument.
     cases = (
-        ("context-sensitive:", "inf: ²\n", "error: bad argument index '²' (line 1, column 6)\n"),
+        (
+            "context-sensitive:",
+            "inf: ²\n",
+            "error: unexpected character '²' (line 1, column 6)\n",
+        ),
         (
             "forbidden:",
             "inf(x,y) @ eps : h\n",
@@ -501,6 +505,28 @@ def test_negative_numeric_options_exit_three(capsys, data_dir, tmp_path):
     )
     assert code == EXIT_INVALID
     assert "invalid int value: 'x'" in err
+
+
+def test_counts_take_ascii_digits_only(capsys, data_dir):
+    # int() would read these as 10, 2, 3 and 3; a count, like a position or
+    # a map index, is ASCII digits only.
+    for value in ("1_0", "+2", " 3", "\u0663"):
+        for flag in ("--depth", "--max-size"):
+            code, out, err = run(
+                capsys, "find", "--trs", str(data_dir / "shift.trs"), flag, value
+            )
+            assert (code, out) == (EXIT_INVALID, "")
+            assert err == f"error: argument {flag}: invalid int value: {value!r}\n"
+        code, out, err = check(
+            capsys, data_dir, "shift.trs", "shift_loop.json", "leftmost", "--bound", value
+        )
+        assert (code, out) == (EXIT_INVALID, "")
+        assert err == f"error: argument --bound: invalid int value: {value!r}\n"
+    # Leading zeros are still digits.
+    trs = str(data_dir / "shift.trs")
+    assert run(capsys, "find", "--trs", trs, "--depth", "03") == run(
+        capsys, "find", "--trs", trs, "--depth", "3"
+    )
 
 
 def test_removed_options_exit_three(capsys, data_dir):

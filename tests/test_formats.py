@@ -226,30 +226,36 @@ def test_parse_replacement_map_errors(factorial):
         parse_replacement_map("times: 1\ntimes: 2", factorial)
     # A bad or repeated name is reported at its own column.
     for text, message, line, col in (
-        ("  ti mes: 1", "bad symbol name 'ti mes'", 1, 3),
+        ("  ti mes: 1", "expected ':' after symbol 'ti'", 1, 3),
         ("times: 1\n   times: 2", "symbol 'times' listed twice", 2, 4),
     ):
         with pytest.raises(ParseError, match=message) as err:
             parse_replacement_map(text, factorial)
         assert (err.value.line, err.value.col) == (line, col)
     # '²'.isdigit() holds but int('²') raises; int() also reads '1_0' and '+1'.
-    for text, col in (("²", 8), ("1, ²", 11), ("1_0", 8), ("+1", 8), ("1,,2", 10)):
-        with pytest.raises(ParseError, match="index") as err:
+    for text, message, col in (
+        ("²", "unexpected character '²'", 8),
+        ("1, ²", "unexpected character '²'", 11),
+        ("1_0", "bad argument index '1_0'", 8),
+        ("+1", "bad argument index '\\+1'", 8),
+        ("1,,2", "bad argument index ','", 10),
+    ):
+        with pytest.raises(ParseError, match=message) as err:
             parse_replacement_map(f"\ntimes: {text}", factorial)
         assert (err.value.line, err.value.col) == (2, col)
     # Only '\n' ends a line, as in every other input.
-    with pytest.raises(ParseError, match="index") as err:
+    with pytest.raises(ParseError, match="unexpected character") as err:
         parse_replacement_map("times: 1\x0btimes: x", factorial)
-    assert (err.value.line, err.value.col) == (1, 8)
+    assert (err.value.line, err.value.col) == (1, 9)
     # Only space, tab and '\r' are blanks, as tokenize has them.
     for text, message, line, col in (
-        ("\x0btimes: 1\x85", "bad symbol name '\\x0btimes'", 1, 1),
-        ("times: 1\x85", "bad argument index '1\\x85'", 1, 8),
-        ("times\x0c: 1", "bad symbol name 'times\\x0c'", 1, 1),
-        ("\ntimes:\u3000", "bad argument index '\\u3000'", 2, 7),
-        ("times: 1,\x1f2", "bad argument index '\\x1f2'", 1, 10),
-        ("\x1c", "expected 'symbol: indices'", 1, 1),
-        (" \t\r\n\xa0", "expected 'symbol: indices'", 2, 1),
+        ("\x0btimes: 1\x85", "unexpected character '\\x0b'", 1, 1),
+        ("times: 1\x85", "unexpected character '\\x85'", 1, 9),
+        ("times\x0c: 1", "unexpected character '\\x0c'", 1, 6),
+        ("\ntimes:\u3000", "unexpected character '\\u3000'", 2, 7),
+        ("times: 1,\x1f2", "unexpected character '\\x1f'", 1, 10),
+        ("\x1c", "unexpected character '\\x1c'", 1, 1),
+        (" \t\r\n\xa0", "unexpected character '\\xa0'", 2, 1),
     ):
         with pytest.raises(ParseError) as err:
             parse_replacement_map(text, factorial)
@@ -268,6 +274,68 @@ def test_replacement_map_entries_fit_the_system_where_read(factorial):
         with pytest.raises(ArityMismatch) as err:
             parse_replacement_map(text, factorial)
         assert str(err.value) == f"{message} (line {line}, column {col})"
+
+
+def render_replacement_map(rng: random.Random, mapping: dict[str, list[int]]) -> str:
+    """*mapping* as a map file, with random blanks, blank lines and repeats."""
+
+    def blank() -> str:
+        return "".join(rng.choice(" \t\r") for _ in range(rng.randrange(3)))
+
+    lines = []
+    for name, indices in mapping.items():
+        lines.extend(blank() for _ in range(rng.randrange(2)))
+        listed = ",".join(blank() + str(i) + blank() for i in indices)
+        lines.append(blank() + name + blank() + ":" + (blank() + listed if listed else ""))
+    return "\n".join(lines) + rng.choice(["", "\n", "\r\n", "\n \t"])
+
+
+def test_replacement_maps_round_trip(factorial):
+    rng = random.Random(7)
+    arities = dict(factorial.signature)
+    for _ in range(300):
+        names = rng.sample(sorted(arities), rng.randrange(len(arities) + 1))
+        mapping = {
+            f: [rng.randint(1, arities[f]) for _ in range(rng.randrange(arities[f] * 2 + 1))]
+            if arities[f] and rng.random() < 0.8
+            else []
+            for f in names
+        }
+        text = render_replacement_map(rng, mapping)
+        want = {f: tuple(sorted(set(ix))) for f, ix in mapping.items()}
+        assert parse_replacement_map(text, factorial) == want, repr(text)
+
+
+def test_replacement_map_refusals_are_located(factorial):
+    for text, error, message in (
+        ("times: 1,", ParseError, "expected an argument index after ',' (line 1, column 9)"),
+        (
+            "times: 1,\nplus: 2",
+            ParseError,
+            "expected an argument index after ',' (line 1, column 9)",
+        ),
+        ("times: 1 2", ParseError, "expected ',' or a new line, found '2' (line 1, column 10)"),
+        (
+            "times: 1 plus: 2",
+            ParseError,
+            "expected ',' or a new line, found 'plus' (line 1, column 10)",
+        ),
+        ("times\n: 1", ParseError, "expected ':' after symbol 'times' (line 1, column 1)"),
+        ("times: 1\x0b", ParseError, "unexpected character '\\x0b' (line 1, column 9)"),
+        (
+            "times: 2\n\ntimes:",
+            ParseError,
+            "symbol 'times' listed twice (line 3, column 1)",
+        ),
+        (
+            "plus: 1, 3",
+            ArityMismatch,
+            "replacement map for 'plus' (arity 2) lists arguments [3] (line 1, column 10)",
+        ),
+    ):
+        with pytest.raises(error) as err:
+            parse_replacement_map(text, factorial)
+        assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +443,50 @@ def test_certificate_errors_name_their_field(factorial, data_dir):
         with pytest.raises(ParseError) as err:
             parse_loop_certificate(json.dumps(doc, indent=2), factorial)
         assert str(err.value) == message
+
+
+def test_located_errors_keep_their_line_and_column(factorial, stream, data_dir):
+    # Every error that names a place in its input keeps it as .line and .col,
+    # the same numbers its message ends with.
+    doc = json.loads((data_dir / "factorial_loop.json").read_text())
+    cases = [
+        (lambda text: parse_trs(text), text)
+        for text in (
+            "(RULES f(x) -> x;)",
+            "(VAR x)\n(THEORY)",
+            "(VAR x) (RULES\n  x -> x)",
+            "(VAR x y) (RULES g(x) -> y)",
+            "(VAR x) (RULES f(x) -> f(x,x))",
+            "(VAR x) (RULES\n  x(y) -> a)",
+        )
+    ]
+    cases += [
+        (lambda text: parse_patterns(text, stream), text)
+        for text in ("inf(x) @ 3 : a", "inf(x,y) @ eps : h", "inf(x) @ 1_0 : h", "inf(x) @ 1 : q")
+    ]
+    cases += [
+        (lambda text: parse_replacement_map(text, factorial), text)
+        for text in ("times: 1,", "times: 1\nfoo: 1", "times: 7", "times: ²", "times: 1\ntimes:")
+    ]
+    cases += [
+        (lambda text: parse_loop_certificate(text, factorial), json.dumps({**doc, key: value}))
+        for key, value in (
+            ("start", "fact(x,\n  s(x, y))"),
+            ("context", "s([],x"),
+            ("subst", {"x": "s(x"}),
+        )
+    ]
+    cases.append((lambda text: parse_loop_certificate(text, factorial), "{\n  nope"))
+    for parse, text in cases:
+        with pytest.raises(LoopcertError) as err:
+            parse(text)
+        e = err.value
+        assert e.line is not None and e.col is not None, (text, str(e))
+        assert str(e).endswith(f" (line {e.line}, column {e.col})"), (text, str(e))
+    # Errors that name no place in their input have neither.
+    with pytest.raises(LoopcertError) as err:
+        parse_loop_certificate(json.dumps({**doc, "steps": []}), factorial)
+    assert (err.value.line, err.value.col) == (None, None)
 
 
 # ---------------------------------------------------------------------------
