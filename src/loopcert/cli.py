@@ -54,8 +54,8 @@ from .terms import (
     Variable,
     are_parallel,
     replace_at,
+    subterm_at,
     subterms,
-    term_size,
 )
 
 EXIT_BY_ANSWER = {"yes": 0, "no": 1, "unknown": 2}
@@ -109,7 +109,12 @@ def find_loops(
     Each explored term carries its redexes and its start matches in preorder,
     which is tuple order on positions.  For s2 = s[q <- c], hits parallel to
     q are kept, the strict prefixes of q are rechecked, and only the
-    contractum c is scanned.
+    contractum c is scanned.  Terms are hash-consed, so facts about a term
+    are kept in dicts keyed on the term itself that live for one call: the
+    contractum of each (redex, rule index) pair and the redexes of each
+    contractum once per search, and the start instances of each contractum
+    once per start.  A rewrite whose result would exceed max_size is
+    dropped before s2 is built.
     """
     starts: list[Term] = []
     keys = set()
@@ -124,18 +129,21 @@ def find_loops(
     by_root = trs.rules_by_root
     found: list[LoopCertificate] = []
     replayed: dict = {}  # replays shared by every certificate of the search
+    contracta: dict[tuple[Term, int], Term] = {}
+    redexes_in: dict[Term, tuple[tuple[Position, int], ...]] = {}
     for t0 in starts:
         root = t0.symbol if isinstance(t0, Application) else None
 
-        def instances(pairs, at: Position = ()) -> list[tuple[Position, Substitution]]:
+        def instances(pairs) -> list[tuple[Position, Substitution]]:
             out = []
             for p, sub in pairs:
                 if root is None or getattr(sub, "symbol", None) == root:
                     mu = match_pattern(t0, sub)
                     if mu is not None:
-                        out.append((at + p, mu))
+                        out.append((p, mu))
             return out
 
+        instances_in: dict[Term, list[tuple[Position, Substitution]]] = {}
         frontier = [(t0, (), redex_positions(t0, trs), instances(subterms(t0)))]
         visited = {t0}
         for level in range(depth):
@@ -143,18 +151,28 @@ def find_loops(
             nxt = []
             for s, path, redexes, hits in frontier:
                 for q, ri in redexes:
-                    s2 = rewrite_at(s, q, trs.rules[ri])
-                    if term_size(s2) > max_size or s2 in visited:
+                    redex = subterm_at(s, q)
+                    c = contracta.get((redex, ri))
+                    if c is None:
+                        c = contracta[redex, ri] = rewrite_at(redex, (), trs.rules[ri])
+                    if s._size - redex._size + c._size > max_size:
+                        continue
+                    s2 = replace_at(s, q, c)
+                    if s2 in visited:
                         continue
                     visited.add(s2)
                     path2 = path + ((q, ri),)
                     spine = []
-                    c = s2
+                    v = s2
                     for k, i in enumerate(q):
-                        spine.append((q[:k], c))
-                        c = c.args[i - 1]
+                        spine.append((q[:k], v))
+                        v = v.args[i - 1]
+                    inside = instances_in.get(c)
+                    if inside is None:
+                        inside = instances_in[c] = instances(subterms(c))
                     hits2 = [h for h in hits if are_parallel(h[0], q)]
-                    hits2 += instances(spine) + instances(subterms(c), q)
+                    hits2 += instances(spine)
+                    hits2 += [(q + p, mu) for p, mu in inside]
                     hits2.sort(key=itemgetter(0))
                     steps = tuple((pair,) for pair in path2)
                     for p, mu in hits2:
@@ -166,7 +184,10 @@ def find_loops(
                     if expand:
                         # Sorting is stable, so each position keeps rule order.
                         redexes2 = [r for r in redexes if are_parallel(r[0], q)]
-                        redexes2 += [(q + p, i) for p, i in redex_positions(c, trs)]
+                        inner = redexes_in.get(c)
+                        if inner is None:
+                            inner = redexes_in[c] = redex_positions(c, trs)
+                        redexes2 += [(q + p, i) for p, i in inner]
                         redexes2 += [
                             (p, i)
                             for p, u in spine

@@ -41,6 +41,10 @@ class ClosingMismatch(LoopcertError):
         self.expected = expected
         self.actual = actual
 
+    def __reduce__(self):
+        # Exception.__reduce__ would call ClosingMismatch(message), one argument short.
+        return type(self), (self.expected, self.actual), self.__dict__
+
 
 class ShapeMismatch(LoopcertError):
     """A single-step strategy was asked about a certificate with parallel steps."""

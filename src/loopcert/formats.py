@@ -343,13 +343,25 @@ def certificate_to_document(cert: LoopCertificate) -> dict:
 def certificates_to_json(certs: Sequence[LoopCertificate]) -> str:
     """``_json([certificate_to_document(c) for c in certs])``, byte for byte.
 
-    The certificates ``find`` emits share most of their steps, so each
-    distinct step is rendered once per call.
+    The certificates ``find`` emits share most of their steps and subterms,
+    so each distinct step is rendered once per call, and so is each start
+    term, substitution image and argument hanging off a context's hole
+    spine, through one dict from term to text.  Only the spine itself is
+    rendered per certificate.  The dict keeps only whole terms the output
+    contains verbatim, so it never outgrows the output.
     """
     if not certs:
         return "[]\n"
     enc = encode_basestring_ascii
     steps: dict[Step, str] = {}
+    texts: dict[Term, str] = {}
+
+    def term_text(t: Term) -> str:
+        out = texts.get(t)
+        if out is None:
+            out = texts[t] = str(t)
+        return out
+
     out = []
     for cert in certs:
         rendered = []
@@ -362,19 +374,39 @@ def certificates_to_json(certs: Sequence[LoopCertificate]) -> str:
         bindings = cert.subst.items()
         subst = (
             "{\n      "
-            + ",\n      ".join(enc(x) + ": " + enc(str(u)) for x, u in bindings)
+            + ",\n      ".join(enc(x) + ": " + enc(term_text(u)) for x, u in bindings)
             + "\n    }"
             if bindings
             else "{}"
         )
         out.append(
-            '{\n    "context": ' + enc(str(cert.context.body))
-            + ',\n    "start": ' + enc(str(cert.start))
+            '{\n    "context": ' + enc(_context_text(cert.context, term_text))
+            + ',\n    "start": ' + enc(term_text(cert.start))
             + ',\n    "steps": [\n      ' + ",\n      ".join(rendered)
             + '\n    ],\n    "subst": ' + subst
             + "\n  }"
         )
     return "[\n  " + ",\n  ".join(out) + "\n]\n"
+
+
+def _context_text(context: Context, term_text) -> str:
+    """``str(context.body)``, walking only the hole's spine: every argument
+    off it is rendered by *term_text*."""
+    head: list[str] = []
+    tail: list[str] = []  # closing text of each spine node, innermost last
+    u = context.body
+    for i in context.hole_pos:
+        args = u.args
+        head += (u.symbol, "(")
+        for a in args[: i - 1]:
+            head += (term_text(a), ",")
+        tail.append(")")
+        for a in reversed(args[i:]):
+            tail += (term_text(a), ",")
+        u = args[i - 1]
+    head.append(HOLE_SYMBOL)
+    head += reversed(tail)
+    return "".join(head)
 
 
 def _json(doc) -> str:

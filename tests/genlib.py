@@ -46,6 +46,8 @@ from loopcert import (
     solve_problem,
     strategy_allows,
     subterm_at,
+    subterms,
+    term_size,
     unroll_loop,
     validate_loop,
     variable_closure,
@@ -597,6 +599,43 @@ def coherence_failures(
                 f" {part}={trio[1]} (loop {loop.certificate.start})"
             )
     return failures
+
+
+# ---------------------------------------------------------------------------
+# A reference for find_loops, with none of its incremental bookkeeping.
+
+
+def reference_find_loops(trs: Trs, depth: int, max_size: int):
+    """Plain breadth-first search from each left-hand side: every reached
+    term is rewritten in full, scanned whole for its redexes, and matched
+    against the start at every subterm.  A left-hand side that is an
+    instance of an earlier one and the other way round (a variant) is
+    skipped, as find_loops skips it."""
+    starts: list[Term] = []
+    for t0 in trs.lhss():
+        if not any(match_pattern(t0, t) and match_pattern(t, t0) for t in starts):
+            starts.append(t0)
+    out = []
+    for t0 in starts:
+        frontier = [(t0, ())]
+        visited = {t0}
+        for _ in range(depth):
+            nxt = []
+            for s, path in frontier:
+                for q, i in redex_positions(s, trs):
+                    s2 = rewrite_at(s, q, trs.rules[i])
+                    if term_size(s2) > max_size or s2 in visited:
+                        continue
+                    visited.add(s2)
+                    path2 = path + (((q, i),),)
+                    for p, u in subterms(s2):
+                        mu = match_pattern(t0, u)
+                        if mu is not None:
+                            context = Context(replace_at(s2, p, HOLE), p)
+                            out.append(LoopCertificate(t0, path2, context, mu))
+                    nxt.append((s2, path2))
+            frontier = nxt
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

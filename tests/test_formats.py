@@ -5,9 +5,12 @@ inputs pin the error type and, for text formats, the reported location.  A
 Hypothesis fuzz holds every parser to a value or a LoopcertError.
 """
 
+import copy
 import dataclasses
 import json
+import pickle
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -15,10 +18,15 @@ from hypothesis import strategies as st
 
 import genlib
 from loopcert import (
+    Application,
     ArityMismatch,
+    ClosingMismatch,
+    Context,
     EMPTY_SUBSTITUTION,
     ExtraRhsVariable,
     ForbiddenPattern,
+    HOLE,
+    LoopCertificate,
     LoopcertError,
     ParseError,
     PatternKind,
@@ -39,6 +47,8 @@ from loopcert import (
     parse_term,
     parse_trs,
     render_verdict,
+    replace_at,
+    subterms,
 )
 from loopcert import problems
 from loopcert.formats import _json
@@ -384,6 +394,53 @@ def test_certificates_to_json_matches_the_document_writer(
     assert len(par.steps[0]) > 1 and par.steps[-1][0][0] == ()
     bare = dataclasses.replace(factorial_loop.certificate, subst=EMPTY_SUBSTITUTION)
     assert first_difference([par, bare, collapse_loop.certificate, par, bare]) is None
+    # One term as start, substitution image and argument off the hole spine,
+    # with the hole at every position of the start.
+    x, y = Variable("x"), Variable("y")
+    shared = Application("g", (Application("s", (x,)), y))
+    big = Application("h", (shared, Application("k", (y, shared, Application("s", (shared,))))))
+    certs = [
+        LoopCertificate(
+            big, STEP, Context(replace_at(big, p, HOLE), p), Substitution({"x": shared, "y": u})
+        )
+        for p, u in subterms(big)
+    ]
+    assert first_difference(certs + certs[::-1]) is None
+    # A context and a substitution image 2,000 levels deep: no recursion limit.
+    deep = _deep_chain_certificate(2000)
+    assert len(deep.context.hole_pos) > 2000
+    assert first_difference([deep, par, deep]) is None
+
+
+# One root step by rule 0: certificates here are only rendered, never replayed.
+STEP = ((((), 0),),)
+
+
+def _deep_chain_certificate(n: int) -> LoopCertificate:
+    """A certificate whose context hole and substitution image sit below n
+    nested s(...), with arguments on both sides of the hole spine."""
+    x, y = Variable("x"), Variable("y")
+    image, body = x, Application("k", (y, HOLE, Application("s", (x,))))
+    for _ in range(n):
+        image, body = Application("s", (image,)), Application("s", (body,))
+    body = Application("k", (Application("a"), body, image))
+    context = Context.from_term(body)
+    return LoopCertificate(Application("f", (x, y)), STEP, context, Substitution({"x": image}))
+
+
+def test_certificates_to_json_memory_is_linear_in_its_output():
+    # The text dict holds whole terms the output contains, never the text of
+    # every suffix of a deep term, which would grow with depth times size.
+    cert = _deep_chain_certificate(3000)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = certificates_to_json([cert])
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(out) > 2 * 3 * 3000  # "s(" and ")" per level, in the context and the image
+    assert peak <= 20 * len(out), (peak, len(out))
 
 
 def test_certificate_subst_must_bind_declared_variables(factorial, data_dir):
@@ -487,6 +544,28 @@ def test_located_errors_keep_their_line_and_column(factorial, stream, data_dir):
     with pytest.raises(LoopcertError) as err:
         parse_loop_certificate(json.dumps({**doc, "steps": []}), factorial)
     assert (err.value.line, err.value.col) == (None, None)
+
+
+def test_every_error_survives_pickle_and_copy():
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    x = Variable("x")
+    errors = [LoopcertError("plain"), LoopcertError("located", 2, 5)]
+    for cls in subclasses(LoopcertError):
+        if cls is ClosingMismatch:
+            errors.append(ClosingMismatch(x, Application("s", (x,))))
+        else:
+            errors += [cls("plain"), cls("located", 3, 7)]
+    assert ClosingMismatch in {type(e) for e in errors}
+    for e in errors:
+        for twin in (pickle.loads(pickle.dumps(e)), copy.copy(e), copy.deepcopy(e)):
+            assert type(twin) is type(e)
+            assert (str(twin), twin.line, twin.col) == (str(e), e.line, e.col)
+            if isinstance(e, ClosingMismatch):
+                assert (twin.expected, twin.actual) == (e.expected, e.actual)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Loop certificates: validation by replay and unrolling to deeper levels."""
 
 import dataclasses
+import random
 
 import pytest
 
+import genlib
 from loopcert import (
     ClosingMismatch,
     EMPTY_SUBSTITUTION,
@@ -14,6 +16,7 @@ from loopcert import (
     Rule,
     Trs,
     apply_context_substitution,
+    find_loops,
     parallel_rewrite,
     parse_term,
     unroll_loop,
@@ -91,6 +94,25 @@ def test_shared_replay_matches_a_fresh_one(find_outputs):
         for cert in certs:
             shared = validate_loop(trs, cert, replayed)
             assert shared == validate_loop(trs, cert), name
+
+
+def test_find_loops_matches_the_reference_finder(corpus):
+    # Small max_size values cut the search, so rewrites are dropped by the
+    # size check that runs before the rewritten term is built.
+    corpus_systems = dict.fromkeys(trs for trs, _ in corpus)
+    systems = [(f"corpus {k}", trs, 8) for k, trs in enumerate(corpus_systems)]
+    systems += [(f"golden {seed}", trs, depth) for seed, trs, depth in genlib.golden_find_systems()]
+    rng = random.Random(23)
+    systems += [(f"looping {k}", genlib.random_looping_trs(rng), 4) for k in range(40)]
+    cut = 0
+    for name, trs, depth in systems:
+        counts = []
+        for max_size in (6, 9, 14, 25, 80):
+            got = find_loops(trs, depth, max_size)
+            assert got == genlib.reference_find_loops(trs, depth, max_size), (name, max_size)
+            counts.append(len(got))
+        cut += counts[0] < counts[-1]
+    assert cut > len(systems) // 2
 
 
 def test_shared_replay_keeps_starts_apart():
