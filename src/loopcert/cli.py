@@ -111,10 +111,33 @@ def find_loops(
     q are kept, the strict prefixes of q are rechecked, and only the
     contractum c is scanned.  Terms are hash-consed, so facts about a term
     are kept in dicts keyed on the term itself that live for one call: the
-    contractum of each (redex, rule index) pair and the redexes of each
-    contractum once per search, and the start instances of each contractum
-    once per start.  A rewrite whose result would exceed max_size is
-    dropped before s2 is built.
+    contractum of each (redex, rule index) pair (in the map of replays that
+    validate_loop shares, so a certificate's replay reuses it), the redexes
+    of each contractum and the rules matching at each node, once per search,
+    and the start instances of each contractum and each node, once per
+    start.  A rewrite whose result would exceed max_size is dropped before
+    s2 is built.
+
+    Contracting two parallel redexes in either order reaches one term, and
+    sleep sets (partial-order reduction) skip the second order.  Write x[q']
+    for x with its redex at q' contracted by the step's rule.  Each explored
+    term x carries a set Z(x) of (position, rule index) steps that its
+    expansion skips.  For x = s[q], Z(x) holds each step (q', r') of s with
+    q' parallel to q that sleeps in Z(s) or was tried before (q, r) in s's
+    redex order, provided s[q'] stays within max_size.
+
+    Invariant: for each (q', r') in Z(x), x[q'] either exceeds max_size or
+    is reached before x is expanded, so skipping the step loses no term and
+    changes no path or order.  Proof, by induction on the order of
+    expansion, which is the order in which terms are first reached.  s[q']
+    is within max_size, so it was reached before x: when s tried (q', r')
+    before (q, r), or, if (q', r') sleeps in Z(s), before s was expanded, by
+    the invariant for s.  So s[q'] is expanded before x.  Its redex at q is
+    the one s has, since q and q' are parallel, so there the step (q, r)
+    either is tried, reaching s[q'][q] = x[q'] or dropping it as too large,
+    or sleeps in Z(s[q']), where the invariant for s[q'] covers it.  The
+    size proviso is needed: if s[q'] exceeds max_size, x[q'] may not, and
+    then no earlier term reaches it.
     """
     starts: list[Term] = []
     keys = set()
@@ -128,40 +151,56 @@ def find_loops(
             starts.append(t0)
     by_root = trs.rules_by_root
     found: list[LoopCertificate] = []
-    replayed: dict = {}  # replays shared by every certificate of the search
-    contracta: dict[tuple[Term, int], Term] = {}
+    replayed: dict = {}  # replays and contracta shared by every certificate of the search
     redexes_in: dict[Term, tuple[tuple[Position, int], ...]] = {}
+    rules_at: dict[Term, tuple[int, ...]] = {}
     for t0 in starts:
         root = t0.symbol if isinstance(t0, Application) else None
+        instance_at: dict[Term, Substitution | None] = {}
 
         def instances(pairs) -> list[tuple[Position, Substitution]]:
             out = []
-            for p, sub in pairs:
-                if root is None or getattr(sub, "symbol", None) == root:
-                    mu = match_pattern(t0, sub)
-                    if mu is not None:
-                        out.append((p, mu))
+            for p, u in pairs:
+                try:
+                    mu = instance_at[u]
+                except KeyError:
+                    mu = instance_at[u] = (
+                        match_pattern(t0, u)
+                        if root is None or getattr(u, "symbol", None) == root
+                        else None
+                    )
+                if mu is not None:
+                    out.append((p, mu))
             return out
 
         instances_in: dict[Term, list[tuple[Position, Substitution]]] = {}
-        frontier = [(t0, (), redex_positions(t0, trs), instances(subterms(t0)))]
+        frontier = [(t0, (), redex_positions(t0, trs), instances(subterms(t0)), {})]
         visited = {t0}
         for level in range(depth):
             expand = level < depth - 1
             nxt = []
-            for s, path, redexes, hits in frontier:
-                for q, ri in redexes:
-                    redex = subterm_at(s, q)
-                    c = contracta.get((redex, ri))
-                    if c is None:
-                        c = contracta[redex, ri] = rewrite_at(redex, (), trs.rules[ri])
-                    if s._size - redex._size + c._size > max_size:
+            for s, path, redexes, hits, asleep in frontier:
+                # Steps tried or asleep here whose result stays within max_size,
+                # with the size change of each.
+                tried = [(step, d) for step, d in asleep.items() if s._size + d <= max_size]
+                for step in redexes:
+                    if step in asleep:
                         continue
+                    q, ri = step
+                    redex = subterm_at(s, q)
+                    key = (redex, ri)
+                    c = replayed.get(key)
+                    if c is None:
+                        c = replayed[key] = rewrite_at(redex, (), trs.rules[ri])
+                    d = c._size - redex._size
+                    if s._size + d > max_size:
+                        continue
+                    tried.append((step, d))
                     s2 = replace_at(s, q, c)
                     if s2 in visited:
                         continue
                     visited.add(s2)
-                    path2 = path + ((q, ri),)
+                    path2 = path + (step,)
                     spine = []
                     v = s2
                     for k, i in enumerate(q):
@@ -188,14 +227,18 @@ def find_loops(
                         if inner is None:
                             inner = redexes_in[c] = redex_positions(c, trs)
                         redexes2 += [(q + p, i) for p, i in inner]
-                        redexes2 += [
-                            (p, i)
-                            for p, u in spine
-                            for i, rule in by_root.get(u.symbol, ())
-                            if match_pattern(rule.lhs, u) is not None
-                        ]
+                        for p, u in spine:
+                            rules = rules_at.get(u)
+                            if rules is None:
+                                rules = rules_at[u] = tuple(
+                                    i
+                                    for i, rule in by_root.get(u.symbol, ())
+                                    if match_pattern(rule.lhs, u) is not None
+                                )
+                            redexes2 += [(p, i) for i in rules]
                         redexes2.sort(key=itemgetter(0))
-                        nxt.append((s2, path2, redexes2, hits2))
+                        asleep2 = {r: e for r, e in tried if are_parallel(r[0], q)}
+                        nxt.append((s2, path2, redexes2, hits2, asleep2))
             frontier = nxt
     return tuple(found)
 

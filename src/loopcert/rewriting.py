@@ -144,16 +144,30 @@ def redex_positions(t: Term, trs: Trs) -> tuple[tuple[Position, int], ...]:
     return tuple(out)
 
 
-def rewrite_at(t: Term, q: Position, rule: Rule) -> Term:
-    sub = subterm_at(t, q)
-    sigma = match_pattern(rule.lhs, sub)
+def contract(redex: Term, rule: Rule, q: Position = ()) -> Term:
+    """The contractum of redex by rule; q only locates the error."""
+    sigma = match_pattern(rule.lhs, redex)
     if sigma is None:
-        raise NotARedex(f"{rule} does not match {sub} at {format_position(q)}")
-    return replace_at(t, q, sigma.apply(rule.rhs))
+        raise NotARedex(f"{rule} does not match {redex} at {format_position(q)}")
+    return sigma.apply(rule.rhs)
 
 
-def parallel_rewrite(t: Term, steps: Iterable[tuple[Position, int]], trs: Trs) -> Term:
-    """Contract several pairwise parallel redexes in one step."""
+def rewrite_at(t: Term, q: Position, rule: Rule) -> Term:
+    return replace_at(t, q, contract(subterm_at(t, q), rule, q))
+
+
+def parallel_rewrite(
+    t: Term,
+    steps: Iterable[tuple[Position, int]],
+    trs: Trs,
+    contracta: dict[tuple[Term, int], Term] | None = None,
+) -> Term:
+    """Contract several pairwise parallel redexes in one step.
+
+    *contracta* maps (redex, rule index) to the contractum; it is read and
+    extended, so one map can serve many steps.  The positions, their
+    parallelism and the rule indices are checked on every call.
+    """
     steps = tuple(steps)
     if not steps:
         raise NotParallel("a parallel step needs at least one position")
@@ -165,11 +179,17 @@ def parallel_rewrite(t: Term, steps: Iterable[tuple[Position, int]], trs: Trs) -
                     f"positions {format_position(ps[i])} and {format_position(ps[j])}"
                     " are not parallel"
                 )
+    if contracta is None:
+        contracta = {}
     # Parallel positions never overlap, so sequential application commutes.
     for q, i in steps:
         if not 0 <= i < len(trs.rules):
             raise RuleIndexOutOfRange(f"rule index {i} out of range")
-        t = rewrite_at(t, q, trs.rules[i])
+        redex = subterm_at(t, q)
+        c = contracta.get((redex, i))
+        if c is None:
+            c = contracta[redex, i] = contract(redex, trs.rules[i], q)
+        t = replace_at(t, q, c)
     return t
 
 

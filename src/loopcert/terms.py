@@ -308,6 +308,22 @@ class Context:
     def plug(self, t: Term) -> Term:
         return replace_at(self.body, self.hole_pos, t)
 
+    def plugs_to(self, t: Term, u: Term) -> bool:
+        """Whether self.plug(t) is u, walking the hole position of the body
+        and u together instead of building the plugged term."""
+        body = self.body
+        for i in self.hole_pos:
+            if (
+                u.__class__ is not Application
+                or u.symbol != body.symbol
+                or len(u.args) != len(body.args)
+                or u.args[: i - 1] != body.args[: i - 1]
+                or u.args[i:] != body.args[i:]
+            ):
+                return False
+            body, u = body.args[i - 1], u.args[i - 1]
+        return u is t
+
     def substitute(self, mu: Substitution) -> "Context":
         # A substitution image never contains the hole, so the position survives.
         return Context(mu.apply(self.body), self.hole_pos)

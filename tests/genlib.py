@@ -51,6 +51,7 @@ from loopcert import (
     unroll_loop,
     validate_loop,
     variable_closure,
+    variables_of,
 )
 from loopcert.rewriting import match_pattern, redex_positions
 
@@ -453,6 +454,22 @@ def random_looping_trs(rng: random.Random) -> Trs:
     rules = [Rule(lhs, rhs)]
     for _ in range(rng.randint(0, 2)):
         rules.append(random_rule(rng))
+    return Trs.from_rules(rules, VARS)
+
+
+def random_copying_trs(rng: random.Random) -> Trs:
+    """A looping system plus one or two rules that copy a variable into
+    parallel arguments, so reached terms hold many parallel redexes."""
+    rules = list(random_looping_trs(rng).rules)
+    for _ in range(rng.randint(1, 2)):
+        lhs = random_pattern(rng, depth=1)
+        while not variables_of(lhs):
+            lhs = random_pattern(rng, depth=1)
+        x = Variable(rng.choice(sorted(variables_of(lhs))))
+        f = rng.choice(("f", "h", "k"))
+        copies = (x, Application("g", (x,)), Application("s", (x,)))
+        rhs = Application(f, tuple(rng.choice(copies) for _ in range(ARITIES[f])))
+        rules.append(Rule(lhs, rhs))
     return Trs.from_rules(rules, VARS)
 
 

@@ -13,7 +13,9 @@ from loopcert import (
     LoopcertError,
     NotARedex,
     NotParallel,
+    PositionOutOfTerm,
     Rule,
+    RuleIndexOutOfRange,
     Trs,
     apply_context_substitution,
     find_loops,
@@ -98,21 +100,42 @@ def test_shared_replay_matches_a_fresh_one(find_outputs):
 
 def test_find_loops_matches_the_reference_finder(corpus):
     # Small max_size values cut the search, so rewrites are dropped by the
-    # size check that runs before the rewritten term is built.
+    # size check that runs before the rewritten term is built.  Systems that
+    # copy arguments reach terms with many parallel redexes, where the sleep
+    # sets skip the most.
     corpus_systems = dict.fromkeys(trs for trs, _ in corpus)
-    systems = [(f"corpus {k}", trs, 8) for k, trs in enumerate(corpus_systems)]
-    systems += [(f"golden {seed}", trs, depth) for seed, trs, depth in genlib.golden_find_systems()]
+    sizes = (6, 9, 14, 25, 80)
+    systems = [(f"corpus {k}", trs, 8, sizes) for k, trs in enumerate(corpus_systems)]
+    systems += [
+        (f"golden {seed}", trs, depth, sizes)
+        for seed, trs, depth in genlib.golden_find_systems()
+    ]
     rng = random.Random(23)
-    systems += [(f"looping {k}", genlib.random_looping_trs(rng), 4) for k in range(40)]
+    systems += [(f"looping {k}", genlib.random_looping_trs(rng), 4, sizes) for k in range(40)]
+    # Copying systems stop at 25: at 80 one of them reaches 48,581
+    # certificates, which would double the time of this test.
+    systems += [
+        (f"copying {k}", genlib.random_copying_trs(rng), 5, sizes[:-1]) for k in range(30)
+    ]
     cut = 0
-    for name, trs, depth in systems:
+    for name, trs, depth, max_sizes in systems:
         counts = []
-        for max_size in (6, 9, 14, 25, 80):
+        for max_size in max_sizes:
             got = find_loops(trs, depth, max_size)
             assert got == genlib.reference_find_loops(trs, depth, max_size), (name, max_size)
             counts.append(len(got))
         cut += counts[0] < counts[-1]
     assert cut > len(systems) // 2
+
+
+def test_find_loops_wakes_a_step_whose_result_was_too_large(factorial):
+    # A step left asleep after its result from the parent exceeded max_size
+    # would lose the terms it reaches after a shrinking step: at these
+    # depths, 30 and 54 certificates in all.
+    for depth, count in ((6, 30), (8, 54)):
+        got = find_loops(factorial, depth, 27)
+        assert got == genlib.reference_find_loops(factorial, depth, 27)
+        assert len(got) == count
 
 
 def test_shared_replay_keeps_starts_apart():
@@ -142,6 +165,16 @@ def test_shared_replay_still_checks_every_step_and_the_closing(factorial, factor
         validate_loop(factorial, bad_step, replayed)
     assert str(shared.value) == str(fresh.value)
     assert str(shared.value).startswith(f"step {len(cert.steps)}: ")
+    # The map keeps contracta too; a step's position and rule index are
+    # still checked against the term it applies to.
+    assert any(isinstance(key[1], int) for key in replayed)
+    for last, error in (((((), 99),), RuleIndexOutOfRange), ((((9, 9), 0),), PositionOutOfTerm)):
+        bad = dataclasses.replace(cert, steps=cert.steps[:-1] + (last,))
+        with pytest.raises(error) as fresh:
+            validate_loop(factorial, bad)
+        with pytest.raises(error) as shared:
+            validate_loop(factorial, bad, replayed)
+        assert str(shared.value) == str(fresh.value)
     # Every step is in the map now; the closing pair is still checked.
     bad_closing = dataclasses.replace(cert, subst=EMPTY_SUBSTITUTION)
     with pytest.raises(ClosingMismatch):

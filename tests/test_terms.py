@@ -17,6 +17,7 @@ import genlib
 from loopcert import terms
 from loopcert import (
     EMPTY_SUBSTITUTION,
+    HOLE,
     LoopCertificate,
     Application,
     Context,
@@ -222,20 +223,20 @@ def test_hole_position_examples(factorial, stream):
 
 
 def test_malformed_contexts():
-    from loopcert import HOLE
-
     with pytest.raises(MalformedContext):
         Context.from_term(app("s", v("x")))
     with pytest.raises(MalformedContext):
         Context.from_term(app("f", HOLE, HOLE))
-    # A closing pair whose mu reintroduces a hole is refused where it enters.
-    with pytest.raises(MalformedContext):
-        LoopCertificate(
-            app("f", v("x")),
-            ((((), 0),),),
-            Context.from_term(app("f", HOLE)),
-            Substitution({"x": HOLE}),
-        )
+    # A closing pair whose mu reintroduces a hole is refused where it enters,
+    # also when the hole sits deep inside an image.
+    for image in (HOLE, app("s", app("s", HOLE))):
+        with pytest.raises(MalformedContext):
+            LoopCertificate(
+                app("f", v("x")),
+                ((((), 0),),),
+                Context.from_term(app("f", HOLE)),
+                Substitution({"y": app("a"), "x": image}),
+            )
 
 
 def test_context_plug_and_substitute(factorial):
@@ -245,6 +246,27 @@ def test_context_plug_and_substitute(factorial):
     stepped = c.substitute(Substitution({"x": app("s", v("x"))}))
     assert stepped.body == parse_term("times([],s(s(x)))", factorial, allow_hole=True)
     assert stepped.hole_pos == (1,)
+
+
+def test_plugs_to_agrees_with_plug():
+    rng = random.Random(41)
+    for _ in range(400):
+        c = genlib.random_context(rng, depth=rng.randint(0, 4))
+        t = genlib.random_term(rng, depth=2)
+        plugged = c.plug(t)
+        spot = rng.choice(list(positions(plugged)))
+        candidates = [
+            plugged,
+            replace_at(plugged, spot, genlib.random_term(rng, depth=1)),
+            c.plug(genlib.random_term(rng, depth=2)),
+            genlib.random_term(rng),
+        ]
+        for u in candidates:
+            assert c.plugs_to(t, u) == (plugged is u)
+    # The same symbol with another arity is a mismatch, not an error.
+    c = Context(app("f", app("a"), HOLE), (2,))
+    assert not c.plugs_to(app("b"), app("f", app("a")))
+    assert c.plugs_to(app("b"), app("f", app("a"), app("b")))
 
 
 def test_derived_contexts_keep_one_hole_at_hole_pos():
