@@ -34,7 +34,7 @@ from .formats import (
     parse_trs,
     render_verdict,
 )
-from .loops import LoopCertificate, validate_loop
+from .loops import LoopCertificate, replay_step, validate_loop
 from .problems import DEFAULT_BOUND
 from .rewriting import (
     Trs,
@@ -47,13 +47,11 @@ from .rewriting import (
 from .terms import (
     Application,
     Context,
-    HOLE,
     Position,
     Substitution,
     Term,
     Variable,
     are_parallel,
-    replace_at,
     subterm_at,
     subterms,
 )
@@ -100,7 +98,8 @@ def find_loops(
     From each start term (every rule's left-hand side unless one is given),
     explore rewrites up to the depth, and whenever a hit term s contains an
     instance of the start at position p, emit the certificate closing with
-    context s[p <- hole] and the matching substitution.  Rewriting and
+    context s[p <- hole] and the matching substitution; that context is
+    Context(s, p), which never builds s[p <- hole].  Rewriting and
     matching commute with variable renaming, so a start that is a variant of
     an earlier one would only yield renamed copies: it is skipped.  Each term
     is explored once per start, so a derivation that returns to a term
@@ -111,12 +110,13 @@ def find_loops(
     q are kept, the strict prefixes of q are rechecked, and only the
     contractum c is scanned.  Terms are hash-consed, so facts about a term
     are kept in dicts keyed on the term itself that live for one call: the
-    contractum of each (redex, rule index) pair (in the map of replays that
-    validate_loop shares, so a certificate's replay reuses it), the redexes
-    of each contractum and the rules matching at each node, once per search,
-    and the start instances of each contractum and each node, once per
-    start.  A rewrite whose result would exceed max_size is dropped before
-    s2 is built.
+    redexes of each contractum and the rules matching at each node, once per
+    search, and the start instances of each contractum and each node, once
+    per start.  The contractum of each (redex, rule index) pair and the term
+    after each (term, step) pair are kept in the one map that validate_loop
+    shares: s2 is built by replay_step, which checks the step, after the
+    size check, so a certificate's replay finds each of its steps there.  A
+    rewrite whose result would exceed max_size is dropped before s2 is built.
 
     Contracting two parallel redexes in either order reaches one term, and
     sleep sets (partial-order reduction) skip the second order.  Write x[q']
@@ -151,7 +151,7 @@ def find_loops(
             starts.append(t0)
     by_root = trs.rules_by_root
     found: list[LoopCertificate] = []
-    replayed: dict = {}  # replays and contracta shared by every certificate of the search
+    replayed: dict = {}  # steps and contracta shared by the search and every replay
     redexes_in: dict[Term, tuple[tuple[Position, int], ...]] = {}
     rules_at: dict[Term, tuple[int, ...]] = {}
     for t0 in starts:
@@ -196,11 +196,12 @@ def find_loops(
                     if s._size + d > max_size:
                         continue
                     tried.append((step, d))
-                    s2 = replace_at(s, q, c)
+                    one = (step,)
+                    s2 = replay_step(s, one, trs, replayed)
                     if s2 in visited:
                         continue
                     visited.add(s2)
-                    path2 = path + (step,)
+                    path2 = path + (one,)
                     spine = []
                     v = s2
                     for k, i in enumerate(q):
@@ -213,11 +214,8 @@ def find_loops(
                     hits2 += instances(spine)
                     hits2 += [(q + p, mu) for p, mu in inside]
                     hits2.sort(key=itemgetter(0))
-                    steps = tuple((pair,) for pair in path2)
                     for p, mu in hits2:
-                        cert = LoopCertificate(
-                            t0, steps, Context(replace_at(s2, p, HOLE), p), mu
-                        )
+                        cert = LoopCertificate(t0, path2, Context(s2, p), mu)
                         validate_loop(trs, cert, replayed)
                         found.append(cert)
                     if expand:

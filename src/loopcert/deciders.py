@@ -363,12 +363,16 @@ def decide_loop(
 ) -> Verdict:
     instances = step_problems(loop, trs, spec)
     # Steps repeat problems; each distinct one is solved once per decision.
-    solved: dict[Problem, SolverResult] = {}
+    # C and mu are fixed here, so, as in _cross, the triple (subject, lhs, D)
+    # fixes a problem, and its terms hash by identity.
+    solved: dict[tuple, SolverResult] = {}
     results: list[tuple[ProblemInstance, SolverResult]] = []
     for inst in instances:
-        res = solved.get(inst.problem)
+        p = inst.problem
+        key = (p.subject, p.pattern, None) if p.__class__ is MatchingProblem else (p.t, p.lhs, p.d)
+        res = solved.get(key)
         if res is None:
-            res = solved[inst.problem] = solve_problem(inst.problem, bound)
+            res = solved[key] = solve_problem(p, bound)
         results.append((inst, res))
     solvable = [(i, r) for i, r in results if isinstance(r, Solvable)]
     unknown = [(i, r) for i, r in results if isinstance(r, Unknown)]

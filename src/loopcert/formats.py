@@ -390,11 +390,12 @@ def certificates_to_json(certs: Sequence[LoopCertificate]) -> str:
 
 
 def _context_text(context: Context, term_text) -> str:
-    """``str(context.body)``, walking only the hole's spine: every argument
-    off it is rendered by *term_text*."""
+    """``str(context.body)``, walking only the hole's spine of the context's
+    term, whose subterm at the hole is not read: every argument off the
+    spine is rendered by *term_text*."""
     head: list[str] = []
     tail: list[str] = []  # closing text of each spine node, innermost last
-    u = context.body
+    u = context.term
     for i in context.hole_pos:
         args = u.args
         head += (u.symbol, "(")

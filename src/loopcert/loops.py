@@ -53,9 +53,12 @@ class LoopCertificate:
             if u.__class__ is Application:
                 stack += u.args
         # Fix an order inside each parallel step so replay is deterministic.
-        object.__setattr__(
-            self, "steps", tuple(tuple(sorted(step)) for step in self.steps)
-        )
+        steps = self.steps
+        if steps.__class__ is not tuple or not all(
+            step.__class__ is tuple and (len(step) < 2 or list(step) == sorted(step))
+            for step in steps
+        ):
+            object.__setattr__(self, "steps", tuple(tuple(sorted(step)) for step in steps))
 
     def is_sequential(self) -> bool:
         return all(len(step) == 1 for step in self.steps)
@@ -69,6 +72,17 @@ class ValidatedLoop:
     terms: tuple[Term, ...]
 
 
+def replay_step(t: Term, step: Step, trs: Trs, replayed: dict) -> Term:
+    """The term that *step* rewrites t to, read from or added to *replayed*,
+    which maps (term, step) to the next term and (redex, rule index) to the
+    contractum.  A step missing there runs through parallel_rewrite and its
+    position, parallelism, rule-index and redex checks."""
+    u = replayed.get((t, step))
+    if u is None:
+        u = replayed[t, step] = parallel_rewrite(t, step, trs, replayed)
+    return u
+
+
 def validate_loop(
     trs: Trs,
     cert: LoopCertificate,
@@ -76,30 +90,21 @@ def validate_loop(
 ) -> ValidatedLoop:
     """Replay the certificate and check the closing equation.
 
-    *replayed* maps (start term, step sequence) to the replayed terms
-    t1 .. t_{k+1}, and (redex, rule index) to the contractum.  Replay
-    resumes after the longest prefix of the steps found there for the
-    certificate's start, and every prefix and contractum it works out is
-    added, so one map can serve any number of certificates.  The positions,
-    their parallelism and the rule indices of each replayed step are still
-    checked.  The closing equation t_{m+1} = C[t1 mu] is checked along the
-    hole position of C; C[t1 mu] is built only to report a mismatch.
+    Each step goes through replay_step and *replayed*, its map from (term,
+    step) to the next term, so one map can serve any number of certificates,
+    and a step some earlier certificate or the search took is not rewritten
+    again.  The closing equation t_{m+1} = C[t1 mu] is checked for every
+    certificate, along the hole position of C; C[t1 mu] is built only to
+    report a mismatch.
     """
-    steps = cert.steps
+    if replayed is None:
+        replayed = {}
     terms = [cert.start]
-    if replayed is not None:
-        for k in range(len(steps), 0, -1):
-            prior = replayed.get((cert.start, steps[:k]))
-            if prior is not None:
-                terms = list(prior)
-                break
-    for i in range(len(terms) - 1, len(steps)):
+    for i, step in enumerate(cert.steps, start=1):
         try:
-            terms.append(parallel_rewrite(terms[-1], steps[i], trs, replayed))
+            terms.append(replay_step(terms[-1], step, trs, replayed))
         except (NotARedex, NotParallel, PositionOutOfTerm, RuleIndexOutOfRange) as e:
-            raise type(e)(f"step {i + 1}: {e}") from None
-        if replayed is not None:
-            replayed[cert.start, steps[: i + 1]] = tuple(terms)
+            raise type(e)(f"step {i}: {e}") from None
     if not cert.context.plugs_to(cert.subst.apply(cert.start), terms[-1]):
         expected = apply_context_substitution(cert.start, cert.context, cert.subst, 1)
         raise ClosingMismatch(expected, terms[-1])

@@ -4,8 +4,9 @@ Terms are immutable trees built from variables and function applications,
 hash-consed so that equal terms are one object and equality is identity.
 Positions address subterms as tuples of 1-based argument indices; the empty
 tuple is the root.  A substitution maps finitely many variable names to
-terms and can be applied in powers.  A context is a term containing exactly
-one occurrence of the reserved hole symbol ``[]``.  A context C and a
+terms and can be applied in powers.  A context is a term with exactly one
+occurrence of the reserved hole symbol ``[]``, kept as a term and the hole's
+position.  A context C and a
 substitution mu together act on a term t by
 
     t(C, mu)^0     = t
@@ -290,13 +291,20 @@ def variable_closure(t: Term, mu: Substitution) -> frozenset[str]:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
 class Context:
-    """A term with exactly one hole, at hole_pos.  Context(body, hole_pos)
-    trusts its caller; from_term is the checked constructor."""
+    """A term with exactly one hole, kept as a term and the hole position:
+    the subterm of *term* at hole_pos is never read, so Context(s, p) needs
+    no holed copy of s.  The holed body is built on first use and kept;
+    equality, hashing, str and repr are those of (body, hole_pos).
+    Context(term, hole_pos) trusts its caller; from_term is the checked
+    constructor.  Immutable once built: never assign to one."""
 
-    body: Term
-    hole_pos: Position
+    __slots__ = ("term", "hole_pos", "_body")
+
+    def __init__(self, term: Term, hole_pos: Position):
+        self.term = term
+        self.hole_pos = hole_pos
+        self._body = None
 
     @staticmethod
     def from_term(body: Term) -> "Context":
@@ -305,23 +313,31 @@ class Context:
             raise MalformedContext(f"context must contain exactly one hole: {body}")
         return Context(body, holes[0])
 
+    @property
+    def body(self) -> Term:
+        """The term with the hole at hole_pos."""
+        body = self._body
+        if body is None:
+            body = self._body = replace_at(self.term, self.hole_pos, HOLE)
+        return body
+
     def plug(self, t: Term) -> Term:
-        return replace_at(self.body, self.hole_pos, t)
+        return replace_at(self.term, self.hole_pos, t)
 
     def plugs_to(self, t: Term, u: Term) -> bool:
-        """Whether self.plug(t) is u, walking the hole position of the body
+        """Whether self.plug(t) is u, walking the hole position of the term
         and u together instead of building the plugged term."""
-        body = self.body
+        term = self.term
         for i in self.hole_pos:
             if (
                 u.__class__ is not Application
-                or u.symbol != body.symbol
-                or len(u.args) != len(body.args)
-                or u.args[: i - 1] != body.args[: i - 1]
-                or u.args[i:] != body.args[i:]
+                or u.symbol != term.symbol
+                or len(u.args) != len(term.args)
+                or u.args[: i - 1] != term.args[: i - 1]
+                or u.args[i:] != term.args[i:]
             ):
                 return False
-            body, u = body.args[i - 1], u.args[i - 1]
+            term, u = term.args[i - 1], u.args[i - 1]
         return u is t
 
     def substitute(self, mu: Substitution) -> "Context":
@@ -335,6 +351,20 @@ class Context:
                 f"subterm at {format_position(p)} does not contain the hole"
             )
         return Context(subterm_at(self.body, p), self.hole_pos[len(p):])
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Context:
+            return NotImplemented
+        return self.hole_pos == other.hole_pos and self.body is other.body
+
+    def __hash__(self) -> int:
+        return hash((self.body, self.hole_pos))
+
+    def __reduce__(self):
+        return Context, (self.body, self.hole_pos)
+
+    def __repr__(self) -> str:
+        return f"Context(body={self.body!r}, hole_pos={self.hole_pos!r})"
 
     def __str__(self) -> str:
         return str(self.body)

@@ -142,7 +142,8 @@ def test_shared_replay_keeps_starts_apart():
     # Equal steps from different starts replay to different terms.
     trs = Trs.from_rules([Rule(app("f", v("x")), app("c", app("f", v("x"))))], ("x",))
     replayed: dict = {}
-    for start in (app("f", app("a")), app("f", app("b"))):
+    starts = (app("f", app("a")), app("f", app("b")))
+    for start in starts:
         cert = LoopCertificate(
             start=start,
             steps=((((), 0),),),
@@ -150,15 +151,22 @@ def test_shared_replay_keeps_starts_apart():
             subst=EMPTY_SUBSTITUTION,
         )
         assert validate_loop(trs, cert, replayed) == validate_loop(trs, cert)
+    step = cert.steps[0]
+    assert replayed[starts[0], step] is not replayed[starts[1], step]
 
 
 def test_shared_replay_still_checks_every_step_and_the_closing(factorial, factorial_loop):
     cert = factorial_loop.certificate
+    terms = factorial_loop.terms
     replayed: dict = {}
     assert validate_loop(factorial, cert, replayed) == factorial_loop
-    assert (cert.start, cert.steps[:-1]) in replayed
-    # The last step fires if(true,...) where if(false,...) stands.
+    # The map holds each step of the replay under the term it applies to.
+    for i, step in enumerate(cert.steps):
+        assert replayed[terms[i], step] is terms[i + 1]
+    # The last step fires if(true,...) where if(false,...) stands; that
+    # (term, step) pair is missing from the map, so it is replayed and checked.
     bad_step = dataclasses.replace(cert, steps=cert.steps[:-1] + ((((), 2),),))
+    assert (terms[-2], bad_step.steps[-1]) not in replayed
     with pytest.raises(NotARedex) as fresh:
         validate_loop(factorial, bad_step)
     with pytest.raises(NotARedex) as shared:
@@ -175,7 +183,7 @@ def test_shared_replay_still_checks_every_step_and_the_closing(factorial, factor
         with pytest.raises(error) as shared:
             validate_loop(factorial, bad, replayed)
         assert str(shared.value) == str(fresh.value)
-    # Every step is in the map now; the closing pair is still checked.
+    # Every step is found in the map; the closing pair is still checked.
     bad_closing = dataclasses.replace(cert, subst=EMPTY_SUBSTITUTION)
     with pytest.raises(ClosingMismatch):
         validate_loop(factorial, bad_closing, replayed)

@@ -28,6 +28,7 @@ from loopcert import (
     apply_context_substitution,
     apply_substitution,
     are_parallel,
+    certificates_to_json,
     format_position,
     is_left_of,
     is_prefix,
@@ -267,6 +268,38 @@ def test_plugs_to_agrees_with_plug():
     c = Context(app("f", app("a"), HOLE), (2,))
     assert not c.plugs_to(app("b"), app("f", app("a")))
     assert c.plugs_to(app("b"), app("f", app("a"), app("b")))
+
+
+def test_a_context_built_from_a_term_equals_its_holed_body():
+    # find builds Context(s, p) from the term it reached, never reading the
+    # subterm at p; it must be the context from_term gives s[p <- hole].
+    rng = random.Random(43)
+    for _ in range(300):
+        s = genlib.random_term(rng, depth=rng.randint(0, 4))
+        p = rng.choice(list(positions(s)))
+        lazy, holed = Context(s, p), Context.from_term(replace_at(s, p, HOLE))
+        assert lazy == holed and hash(lazy) == hash(holed)
+        assert (str(lazy), repr(lazy)) == (str(holed), repr(holed))
+        texts = {
+            certificates_to_json([LoopCertificate(s, ((((), 0),),), c, EMPTY_SUBSTITUTION)])
+            for c in (Context(s, p), holed)
+        }
+        assert len(texts) == 1
+        t = genlib.random_term(rng, depth=2)
+        mu = genlib.random_substitution(rng)
+        assert lazy.plug(t) is holed.plug(t)
+        for u in (s, lazy.plug(t), genlib.random_term(rng)):
+            for w in (t, subterm_at(s, p)):
+                assert lazy.plugs_to(w, u) == holed.plugs_to(w, u)
+        assert lazy.plugs_to(subterm_at(s, p), s)
+        assert lazy.substitute(mu) == holed.substitute(mu)
+        for cut in range(len(p) + 1):
+            assert lazy.subcontext(p[:cut]) == holed.subcontext(p[:cut])
+        # A fresh context has not built its body yet.
+        for c in (Context(s, p), holed):
+            for clone in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+                assert clone == holed and hash(clone) == hash(holed)
+                assert clone.body is holed.body and clone.hole_pos == p
 
 
 def test_derived_contexts_keep_one_hole_at_hole_pos():
