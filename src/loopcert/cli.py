@@ -34,7 +34,7 @@ from .formats import (
     parse_trs,
     render_verdict,
 )
-from .loops import LoopCertificate, replay_step, validate_loop
+from .loops import LoopCertificate, validate_loop
 from .problems import DEFAULT_BOUND
 from .rewriting import (
     Trs,
@@ -52,6 +52,7 @@ from .terms import (
     Term,
     Variable,
     are_parallel,
+    replace_at,
     subterm_at,
     subterms,
 )
@@ -114,9 +115,10 @@ def find_loops(
     search, and the start instances of each contractum and each node, once
     per start.  The contractum of each (redex, rule index) pair and the term
     after each (term, step) pair are kept in the one map that validate_loop
-    shares: s2 is built by replay_step, which checks the step, after the
-    size check, so a certificate's replay finds each of its steps there.  A
-    rewrite whose result would exceed max_size is dropped before s2 is built.
+    shares.  The walk to the redex checks a step's position, and rewrite_at
+    its redex; s2 = s[q <- c] is then stored under (s, step), so a
+    certificate's replay finds each of its steps there.  A rewrite whose
+    result would exceed max_size is dropped before s2 is built.
 
     Contracting two parallel redexes in either order reaches one term, and
     sleep sets (partial-order reduction) skip the second order.  Write x[q']
@@ -197,7 +199,9 @@ def find_loops(
                         continue
                     tried.append((step, d))
                     one = (step,)
-                    s2 = replay_step(s, one, trs, replayed)
+                    s2 = replayed.get((s, one))
+                    if s2 is None:
+                        s2 = replayed[s, one] = replace_at(s, q, c)
                     if s2 in visited:
                         continue
                     visited.add(s2)

@@ -25,7 +25,9 @@ position separately and add the maximal-parallel families when required.
 STRATEGIES below says which of these components each named strategy uses.
 
 A step poses each problem once, under the first family to reach it, and
-decide_loop solves each distinct problem once per decision.
+decide_loop solves each distinct problem once per decision.  An extended
+problem's D is C|p[:cut] for the hole position p of the decision's fixed C,
+so both key D on its hole position p[cut:], and no context is hashed.
 """
 
 from __future__ import annotations
@@ -137,12 +139,13 @@ def _split_rows(c: Context, mu: Substitution, t: Term, qs: list[Position], prefi
     """Rows of the leftmost or max-parallel families: subjects at spots p with
     beside(p, q) for every contracted q of the step, or for the hole in C."""
     # Per side: the subterms themselves, then the pumped images below them.
+    # beside rejects C's hole position and all below, where C's term is unread.
     rows = []
-    for body, at, family, image_family in (
+    for term, at, family, image_family in (
         (t, qs, f"{prefix}-term", f"{prefix}-image"),
-        (c.body, (c.hole_pos,), f"{prefix}-context", f"{prefix}-context-image"),
+        (c.term, (c.hole_pos,), f"{prefix}-context", f"{prefix}-context-image"),
     ):
-        spots = [(p, u) for p, u in subterms(body) if all(beside(p, q) for q in at)]
+        spots = [(p, u) for p, u in subterms(term) if all(beside(p, q) for q in at)]
         rows += [(family, p, None, None, u, None) for p, u in spots]
         rows += [(image_family, p, None, None, v, None) for p, u in spots for v in _images(u, mu)]
     return rows
@@ -243,11 +246,12 @@ def _cross(
 ) -> list[ProblemInstance]:
     """Each row against each (lhs, rule index, pattern), rows outermost, for
     the problems the step has not posed yet.  C and mu are fixed per decision,
-    so the triple (subject, lhs, D) in posed fixes a problem."""
+    and D = C|p[:cut] is fixed by its hole position p[cut:], so the triple
+    (subject, lhs, D's hole position) in posed fixes a problem."""
     out = []
     for family, pos, n0, o0prime, u, d in rows:
         for lhs, ri, pat in lhss:
-            key = (u, lhs, d)
+            key = (u, lhs, None if d is None else d.hole_pos)
             if key in posed:
                 continue
             posed.add(key)
@@ -363,13 +367,14 @@ def decide_loop(
 ) -> Verdict:
     instances = step_problems(loop, trs, spec)
     # Steps repeat problems; each distinct one is solved once per decision.
-    # C and mu are fixed here, so, as in _cross, the triple (subject, lhs, D)
-    # fixes a problem, and its terms hash by identity.
+    # C and mu are fixed here, and D = C|p[:cut] is fixed by its hole position
+    # p[cut:], so, as in _cross, (subject, lhs, D's hole position) fixes a problem.
     solved: dict[tuple, SolverResult] = {}
     results: list[tuple[ProblemInstance, SolverResult]] = []
     for inst in instances:
         p = inst.problem
-        key = (p.subject, p.pattern, None) if p.__class__ is MatchingProblem else (p.t, p.lhs, p.d)
+        matching = p.__class__ is MatchingProblem
+        key = (p.subject, p.pattern, None) if matching else (p.t, p.lhs, p.d.hole_pos)
         res = solved.get(key)
         if res is None:
             res = solved[key] = solve_problem(p, bound)

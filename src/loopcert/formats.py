@@ -335,7 +335,7 @@ def certificate_to_document(cert: LoopCertificate) -> dict:
         "steps": [
             [{"pos": list(q), "rule": i} for q, i in step] for step in cert.steps
         ],
-        "context": str(cert.context.body),
+        "context": str(cert.context),
         "subst": {x: str(u) for x, u in cert.subst.items()},
     }
 
@@ -390,7 +390,7 @@ def certificates_to_json(certs: Sequence[LoopCertificate]) -> str:
 
 
 def _context_text(context: Context, term_text) -> str:
-    """``str(context.body)``, walking only the hole's spine of the context's
+    """``str(context)``, walking only the hole's spine of the context's
     term, whose subterm at the hole is not read: every argument off the
     spine is rendered by *term_text*."""
     head: list[str] = []
@@ -461,9 +461,9 @@ def _problem_to_document(problem: Problem) -> dict:
     assert isinstance(problem, ExtendedMatchingProblem)
     return {
         "type": "extended",
-        "d": str(problem.d.body),
+        "d": str(problem.d),
         "lhs": str(problem.lhs),
-        "c": str(problem.c.body),
+        "c": str(problem.c),
         "t": str(problem.t),
         "mu": _subst_to_document(problem.mu),
     }

@@ -72,17 +72,6 @@ class ValidatedLoop:
     terms: tuple[Term, ...]
 
 
-def replay_step(t: Term, step: Step, trs: Trs, replayed: dict) -> Term:
-    """The term that *step* rewrites t to, read from or added to *replayed*,
-    which maps (term, step) to the next term and (redex, rule index) to the
-    contractum.  A step missing there runs through parallel_rewrite and its
-    position, parallelism, rule-index and redex checks."""
-    u = replayed.get((t, step))
-    if u is None:
-        u = replayed[t, step] = parallel_rewrite(t, step, trs, replayed)
-    return u
-
-
 def validate_loop(
     trs: Trs,
     cert: LoopCertificate,
@@ -90,21 +79,25 @@ def validate_loop(
 ) -> ValidatedLoop:
     """Replay the certificate and check the closing equation.
 
-    Each step goes through replay_step and *replayed*, its map from (term,
-    step) to the next term, so one map can serve any number of certificates,
-    and a step some earlier certificate or the search took is not rewritten
-    again.  The closing equation t_{m+1} = C[t1 mu] is checked for every
-    certificate, along the hole position of C; C[t1 mu] is built only to
-    report a mismatch.
+    Each step is read from *replayed*, which maps (term, step) to the next
+    term and (redex, rule index) to the contractum, so one map can serve any
+    number of certificates and the search.  A step missing there runs
+    through parallel_rewrite and all its checks, and is added.  The closing
+    equation t_{m+1} = C[t1 mu] is checked for every certificate, along the
+    hole position of C; C[t1 mu] is built only to report a mismatch.
     """
     if replayed is None:
         replayed = {}
     terms = [cert.start]
     for i, step in enumerate(cert.steps, start=1):
-        try:
-            terms.append(replay_step(terms[-1], step, trs, replayed))
-        except (NotARedex, NotParallel, PositionOutOfTerm, RuleIndexOutOfRange) as e:
-            raise type(e)(f"step {i}: {e}") from None
+        t = terms[-1]
+        u = replayed.get((t, step))
+        if u is None:
+            try:
+                u = replayed[t, step] = parallel_rewrite(t, step, trs, replayed)
+            except (NotARedex, NotParallel, PositionOutOfTerm, RuleIndexOutOfRange) as e:
+                raise type(e)(f"step {i}: {e}") from None
+        terms.append(u)
     if not cert.context.plugs_to(cert.subst.apply(cert.start), terms[-1]):
         expected = apply_context_substitution(cert.start, cert.context, cert.subst, 1)
         raise ClosingMismatch(expected, terms[-1])

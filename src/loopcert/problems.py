@@ -29,7 +29,7 @@ from .errors import InternalError
 from .terms import (
     Application,
     Context,
-    HOLE,
+    Position,
     Substitution,
     Term,
     Variable,
@@ -297,13 +297,16 @@ def _tower_roots(problem: ExtendedMatchingProblem) -> frozenset[str]:
     # m = 0, and every m when C is the hole: t mu^k shows t's root or its orbit's.
     t = problem.t
     roots = {t.symbol if isinstance(t, Application) else orbit_root(t.name, problem.mu)}
-    if problem.c.body != HOLE:
-        roots.add(problem.c.body.symbol)
+    if problem.c.hole_pos:
+        roots.add(problem.c.term.symbol)
     return frozenset(roots - {None})
 
 
-def _extended_scan(dn: Term, ln: Term, problem: ExtendedMatchingProblem) -> bool:
-    """Walk D against the pattern; whether a refuting clash exists.
+def _extended_scan(
+    dn: Term, hole: Position | None, ln: Term, problem: ExtendedMatchingProblem
+) -> bool:
+    """Walk D's term against the pattern, with *hole* D's hole position below
+    dn (None off its spine); whether a refuting clash exists.
 
     Only necessary conditions are checked: rigid symbols of D must agree with
     the pattern, the hole can only expose tower roots, and a substituted
@@ -311,12 +314,15 @@ def _extended_scan(dn: Term, ln: Term, problem: ExtendedMatchingProblem) -> bool
     """
     if isinstance(ln, Variable):
         return False
-    if dn == HOLE:
+    if hole == ():
         return ln.symbol not in _tower_roots(problem)
     if isinstance(dn, Application):
         if dn.symbol != ln.symbol or len(dn.args) != len(ln.args):
             return True
-        return any(_extended_scan(da, la, problem) for da, la in zip(dn.args, ln.args))
+        return any(
+            _extended_scan(da, hole[1:] if hole and hole[0] == i else None, la, problem)
+            for i, (da, la) in enumerate(zip(dn.args, ln.args), start=1)
+        )
     sub = solve_matching(MatchingProblem(dn, ln, problem.mu))
     return isinstance(sub, Unsolvable)
 
@@ -324,7 +330,7 @@ def _extended_scan(dn: Term, ln: Term, problem: ExtendedMatchingProblem) -> bool
 def solve_extended(
     problem: ExtendedMatchingProblem, bound: int = DEFAULT_BOUND
 ) -> SolverResult:
-    if _extended_scan(problem.d.body, problem.lhs, problem):
+    if _extended_scan(problem.d.term, problem.d.hole_pos, problem.lhs, problem):
         return Unsolvable(UnsolvableReason.ROOT_CLASH)
     # No slice at or past the best witness's m + k holds a lesser one.
     best, capped = None, False

@@ -4,10 +4,10 @@ Terms are immutable trees built from variables and function applications,
 hash-consed so that equal terms are one object and equality is identity.
 Positions address subterms as tuples of 1-based argument indices; the empty
 tuple is the root.  A substitution maps finitely many variable names to
-terms and can be applied in powers.  A context is a term with exactly one
-occurrence of the reserved hole symbol ``[]``, kept as a term and the hole's
-position.  A context C and a
-substitution mu together act on a term t by
+terms and can be applied in powers.  A context is a term with one hole,
+kept as a term and the hole's position; the term's subterm there is never
+read, and the reserved hole symbol ``[]`` is plugged in to compare or print
+the context.  A context C and a substitution mu together act on a term t by
 
     t(C, mu)^0     = t
     t(C, mu)^(n+1) = C[ t(C, mu)^n mu ]
@@ -294,17 +294,16 @@ def variable_closure(t: Term, mu: Substitution) -> frozenset[str]:
 class Context:
     """A term with exactly one hole, kept as a term and the hole position:
     the subterm of *term* at hole_pos is never read, so Context(s, p) needs
-    no holed copy of s.  The holed body is built on first use and kept;
-    equality, hashing, str and repr are those of (body, hole_pos).
+    no holed copy of s.  Equality, hashing, str and repr are those of the
+    holed term plug(HOLE) and hole_pos, built on each call and not kept.
     Context(term, hole_pos) trusts its caller; from_term is the checked
     constructor.  Immutable once built: never assign to one."""
 
-    __slots__ = ("term", "hole_pos", "_body")
+    __slots__ = ("term", "hole_pos")
 
     def __init__(self, term: Term, hole_pos: Position):
         self.term = term
         self.hole_pos = hole_pos
-        self._body = None
 
     @staticmethod
     def from_term(body: Term) -> "Context":
@@ -312,14 +311,6 @@ class Context:
         if len(holes) != 1:
             raise MalformedContext(f"context must contain exactly one hole: {body}")
         return Context(body, holes[0])
-
-    @property
-    def body(self) -> Term:
-        """The term with the hole at hole_pos."""
-        body = self._body
-        if body is None:
-            body = self._body = replace_at(self.term, self.hole_pos, HOLE)
-        return body
 
     def plug(self, t: Term) -> Term:
         return replace_at(self.term, self.hole_pos, t)
@@ -341,8 +332,8 @@ class Context:
         return u is t
 
     def substitute(self, mu: Substitution) -> "Context":
-        # A substitution image never contains the hole, so the position survives.
-        return Context(mu.apply(self.body), self.hole_pos)
+        # mu keeps every position; the unread subterm's image is never read.
+        return Context(mu.apply(self.term), self.hole_pos)
 
     def subcontext(self, p: Position) -> "Context":
         """C restricted to its subterm at p, which must still contain the hole."""
@@ -350,24 +341,24 @@ class Context:
             raise MalformedContext(
                 f"subterm at {format_position(p)} does not contain the hole"
             )
-        return Context(subterm_at(self.body, p), self.hole_pos[len(p):])
+        return Context(subterm_at(self.term, p), self.hole_pos[len(p):])
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not Context:
             return NotImplemented
-        return self.hole_pos == other.hole_pos and self.body is other.body
+        return self.hole_pos == other.hole_pos and self.plug(HOLE) is other.plug(HOLE)
 
     def __hash__(self) -> int:
-        return hash((self.body, self.hole_pos))
+        return hash((self.plug(HOLE), self.hole_pos))
 
     def __reduce__(self):
-        return Context, (self.body, self.hole_pos)
+        return Context, (self.term, self.hole_pos)
 
     def __repr__(self) -> str:
-        return f"Context(body={self.body!r}, hole_pos={self.hole_pos!r})"
+        return f"Context(term={self.plug(HOLE)!r}, hole_pos={self.hole_pos!r})"
 
     def __str__(self) -> str:
-        return str(self.body)
+        return str(self.plug(HOLE))
 
 
 def apply_context_substitution(t: Term, c: Context, mu: Substitution, n: int) -> Term:

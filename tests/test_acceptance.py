@@ -13,6 +13,7 @@ from collections import Counter
 
 import genlib
 from loopcert import (
+    HOLE,
     StrategySpec,
     Substitution,
     Variable,
@@ -209,7 +210,7 @@ def test_c10_finder_output_feeds_the_checker(factorial, capsys, tmp_path, data_d
 
     def matches_up_to_renaming(cert):
         names = sorted(
-            {v.name for v in genlib._leaves(cert.context.body) if isinstance(v, Variable)}
+            {v.name for v in genlib._leaves(cert.context.plug(HOLE)) if isinstance(v, Variable)}
             | set(cert.subst.domain())
         )
         targets = sorted(
@@ -219,7 +220,7 @@ def test_c10_finder_output_feeds_the_checker(factorial, capsys, tmp_path, data_d
         if len(names) != len(targets):
             return False
         mapping = dict(zip(names, targets))
-        return renamed(cert.context.body, mapping) == target_context and Substitution(
+        return renamed(cert.context.plug(HOLE), mapping) == target_context and Substitution(
             {mapping[x]: renamed(u, mapping) for x, u in cert.subst.items()}
         ) == target_subst
 

@@ -6,6 +6,7 @@ evaluation of its defining condition, and every verdict against concrete
 replay of the unrolled derivations.
 """
 
+import json
 import random
 import time
 from collections import Counter
@@ -21,6 +22,7 @@ from loopcert import (
     Context,
     EMPTY_SUBSTITUTION,
     ForbiddenPattern,
+    HOLE,
     LoopCertificate,
     LoopcertError,
     PatternKind,
@@ -37,15 +39,19 @@ from loopcert import (
     Variable,
     VariableRedex,
     apply_context_substitution,
+    certificates_to_json,
     concrete_checks,
     decide_loop,
     exponent_bound,
+    find_loops,
     is_strict_prefix,
     match_pattern,
     parse_loop_certificate,
+    parse_patterns,
     parse_term,
     parse_trs,
     positions,
+    render_verdict,
     solve_matching,
     solve_position_equation,
     solve_problem,
@@ -712,3 +718,38 @@ def test_each_distinct_problem_is_solved_once_per_decision(
     assert len(solved) == len(distinct) and set(solved) == distinct
     assert verdict.total == len(instances)
     assert verdict.unsolvable + verdict.solvable + verdict.unknown == len(instances)
+
+
+# BELOW patterns anchored below the root, beside the root ones of outermost.
+BELOW_PATTERNS = {
+    "collapse.trs": "h(x,y) @ 2 : b\n",
+    "factorial.trs": "times(x,y) @ 1 : b\nif(x,y,z) @ eps : b\n",
+    "stream.trs": "cons(x,inf(y)) @ 2 : b\n",
+}
+
+
+def test_found_certificates_decide_as_their_json_round_trip(data_dir):
+    # find keeps the term it reached as a context's term, so the subterm at
+    # the hole is the start instance, not the hole; read back from find's
+    # JSON, the context's term has the hole there.  No verdict may differ.
+    below_context = Counter()
+    for name, depth in (("collapse.trs", 6), ("factorial.trs", 4), ("stream.trs", 6)):
+        trs = parse_trs((data_dir / name).read_text())
+        specs = [StrategySpec(s) for s in ("outermost", "leftmost", "max-parallel")]
+        specs.append(StrategySpec("forbidden", parse_patterns(BELOW_PATTERNS[name], trs)))
+        certs = find_loops(trs, depth=depth)
+        docs = json.loads(certificates_to_json(certs))
+        assert len(docs) == len(certs) > 0
+        for cert, doc in zip(certs, docs):
+            back = parse_loop_certificate(json.dumps(doc), trs)
+            for c, hole in ((cert.context, False), (back.context, True)):
+                assert (subterm_at(c.term, c.hole_pos) is HOLE) is hole
+            found, read = validate_loop(trs, cert), validate_loop(trs, back)
+            for spec in specs:
+                texts = [render_verdict(decide_loop(trs, x, spec), "json") for x in (found, read)]
+                assert texts[0] == texts[1], (name, str(cert.start), spec.label)
+                below_context[spec.name] += sum(
+                    inst.family == "pattern-below-context"
+                    for inst in step_problems(found, trs, spec)
+                )
+    assert below_context["outermost"] > 0 and below_context["forbidden"] > 0

@@ -30,6 +30,7 @@ import tempfile
 from pathlib import Path
 
 from genlib import golden_find_systems, render_trs
+from loopcert import Context
 from loopcert.cli import main
 from loopcert.deciders import STRATEGIES
 
@@ -87,6 +88,17 @@ def test_check_output_matches_the_pinned_table(monkeypatch):
     assert sorted(table) == sorted(golden)
     for key, got in table.items():
         assert got == golden[key], key
+
+
+def test_deciding_the_pinned_table_hashes_no_context(monkeypatch):
+    # Problems are keyed on D's hole position, not on D: a context hashed
+    # anywhere on the decision path would end a case with exit 4 here.
+    def unhashable(self):
+        raise AssertionError(f"context {self} hashed")
+
+    monkeypatch.setattr(Context, "__hash__", unhashable)
+    monkeypatch.chdir(DATA)
+    assert current_table() == json.loads(GOLDEN.read_text())
 
 
 def find_cases(tmp: Path):

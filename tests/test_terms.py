@@ -245,7 +245,7 @@ def test_context_plug_and_substitute(factorial):
     t = parse_term("fact(s(x),y)", factorial)
     assert c.plug(t) == parse_term("times(fact(s(x),y),s(x))", factorial)
     stepped = c.substitute(Substitution({"x": app("s", v("x"))}))
-    assert stepped.body == parse_term("times([],s(s(x)))", factorial, allow_hole=True)
+    assert stepped.plug(HOLE) == parse_term("times([],s(s(x)))", factorial, allow_hole=True)
     assert stepped.hole_pos == (1,)
 
 
@@ -295,16 +295,15 @@ def test_a_context_built_from_a_term_equals_its_holed_body():
         assert lazy.substitute(mu) == holed.substitute(mu)
         for cut in range(len(p) + 1):
             assert lazy.subcontext(p[:cut]) == holed.subcontext(p[:cut])
-        # A fresh context has not built its body yet.
         for c in (Context(s, p), holed):
             for clone in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
                 assert clone == holed and hash(clone) == hash(holed)
-                assert clone.body is holed.body and clone.hole_pos == p
+                assert clone.plug(HOLE) is holed.plug(HOLE) and clone.hole_pos == p
 
 
 def test_derived_contexts_keep_one_hole_at_hole_pos():
     # substitute and subcontext pass on a hole position without walking the
-    # body again; count the holes of every context they build.
+    # term again; count the holes in the term of every context they build.
     from loopcert import HOLE
 
     rng = random.Random(37)
@@ -318,7 +317,7 @@ def test_derived_contexts_keep_one_hole_at_hole_pos():
                 for cut in range(len(base.hole_pos) + 1)
             ]
             for d in derived:
-                holes = [p for p in positions(d.body) if subterm_at(d.body, p) == HOLE]
+                holes = [p for p in positions(d.term) if subterm_at(d.term, p) == HOLE]
                 assert holes == [d.hole_pos]
 
 
