@@ -50,11 +50,11 @@ from .terms import (
     Position,
     Substitution,
     Term,
-    Variable,
     are_parallel,
     replace_at,
     subterm_at,
     subterms,
+    term_size,
 )
 
 EXIT_BY_ANSWER = {"yes": 0, "no": 1, "unknown": 2}
@@ -120,6 +120,18 @@ def find_loops(
     certificate's replay finds each of its steps there.  A rewrite whose
     result would exceed max_size is dropped before s2 is built.
 
+    A rewrite whose result can never again contain an instance of the start
+    t0 is dropped too.  Say g produces h when a rule whose left-hand side has
+    root g has h in its right-hand side, and let F be the symbols that
+    produce t0's root f in zero or more steps.  A term s with no F-symbol
+    reaches only such terms: a rewrite at a g-rooted redex, g not in F,
+    brings in only symbols that g produces, none of them in F, and keeps the
+    rest from s.  An instance of t0 has root f, so no certificate comes from
+    s.  Each frontier term carries its count of F-nodes, cnt(s[q <- c]) =
+    cnt(s) - cnt(s|q) + cnt(c), with the count of each redex and contractum
+    kept once per start; a step whose result counts 0 is dropped before s2
+    is built.  A variable start is never pruned: there every node counts.
+
     Contracting two parallel redexes in either order reaches one term, and
     sleep sets (partial-order reduction) skip the second order.  Write x[q']
     for x with its redex at q' contracted by the step's rule.  Each explored
@@ -128,30 +140,38 @@ def find_loops(
     q' parallel to q that sleeps in Z(s) or was tried before (q, r) in s's
     redex order, provided s[q'] stays within max_size.
 
-    Invariant: for each (q', r') in Z(x), x[q'] either exceeds max_size or
-    is reached before x is expanded, so skipping the step loses no term and
+    Invariant: for each (q', r') in Z(x), x[q'] exceeds max_size, holds no
+    F-symbol (and then neither does any term reached from it), or is reached
+    before x is expanded, so skipping the step loses no certificate and
     changes no path or order.  Proof, by induction on the order of
     expansion, which is the order in which terms are first reached.  s[q']
-    is within max_size, so it was reached before x: when s tried (q', r')
-    before (q, r), or, if (q', r') sleeps in Z(s), before s was expanded, by
-    the invariant for s.  So s[q'] is expanded before x.  Its redex at q is
-    the one s has, since q and q' are parallel, so there the step (q, r)
-    either is tried, reaching s[q'][q] = x[q'] or dropping it as too large,
-    or sleeps in Z(s[q']), where the invariant for s[q'] covers it.  The
-    size proviso is needed: if s[q'] exceeds max_size, x[q'] may not, and
-    then no earlier term reaches it.
+    is within max_size.  If it holds no F-symbol, neither does x[q'] =
+    s[q'][q], which is reached from it.  Otherwise it was reached before x:
+    when s tried (q', r') before (q, r), or, if (q', r') sleeps in Z(s),
+    before s was expanded, by the invariant for s.  So s[q'] is expanded
+    before x.  Its redex at q is the one s has, since q and q' are parallel,
+    so there the step (q, r) either is tried, reaching s[q'][q] = x[q'] or
+    dropping it as too large or free of F-symbols, or sleeps in Z(s[q']),
+    where the invariant for s[q'] covers it.  The size proviso is needed: if
+    s[q'] exceeds max_size, x[q'] may not, and then no earlier term reaches
+    it.  A step whose result holds no F-symbol still sleeps in the children,
+    so the sleep sets are those of the search without that drop.
     """
     starts: list[Term] = []
     keys = set()
     for t0 in trs.lhss() if start is None else (start,):
-        # Variables renamed by first occurrence: variants share one key.
-        names = dict.fromkeys(u.name for _, u in subterms(t0) if isinstance(u, Variable))
-        rename = {x: Variable(f"v{i}") for i, x in enumerate(names)}
-        key = Substitution(rename).apply(t0)
+        # Symbols in preorder, variables numbered by first occurrence: arities
+        # are fixed by the one signature, so variants and only they share a key.
+        names: dict[str, int] = {}
+        key = tuple(
+            u.symbol if u.__class__ is Application else names.setdefault(u.name, len(names))
+            for _, u in subterms(t0)
+        )
         if key not in keys:
             keys.add(key)
             starts.append(t0)
     by_root = trs.rules_by_root
+    producers = trs.producers
     found: list[LoopCertificate] = []
     replayed: dict = {}  # steps and contracta shared by the search and every replay
     redexes_in: dict[Term, tuple[tuple[Position, int], ...]] = {}
@@ -175,13 +195,39 @@ def find_loops(
                     out.append((p, mu))
             return out
 
+        if root is None:
+            f_count = term_size  # every node counts: never prune
+        else:
+            # F: the symbols that produce root in zero or more steps.
+            producing = {root}
+            todo = [root]
+            while todo:
+                more = producers.get(todo.pop(), frozenset()) - producing
+                producing |= more
+                todo += more
+            counts: dict[Term, int] = {}
+
+            def f_count(u: Term) -> int:
+                n = counts.get(u)
+                if n is None:
+                    n, stack = 0, [u]
+                    while stack:
+                        v = stack.pop()
+                        if v.__class__ is Application:
+                            n += v.symbol in producing
+                            stack += v.args
+                    counts[u] = n
+                return n
+
         instances_in: dict[Term, list[tuple[Position, Substitution]]] = {}
-        frontier = [(t0, (), redex_positions(t0, trs), instances(subterms(t0)), {})]
+        frontier = [(t0, (), redex_positions(t0, trs), instances(subterms(t0)), {}, f_count(t0))]
         visited = {t0}
         for level in range(depth):
+            if not frontier:
+                break
             expand = level < depth - 1
             nxt = []
-            for s, path, redexes, hits, asleep in frontier:
+            for s, path, redexes, hits, asleep, n in frontier:
                 # Steps tried or asleep here whose result stays within max_size,
                 # with the size change of each.
                 tried = [(step, d) for step, d in asleep.items() if s._size + d <= max_size]
@@ -198,6 +244,9 @@ def find_loops(
                     if s._size + d > max_size:
                         continue
                     tried.append((step, d))
+                    n2 = n - f_count(redex) + f_count(c)
+                    if not n2:
+                        continue
                     one = (step,)
                     s2 = replayed.get((s, one))
                     if s2 is None:
@@ -240,7 +289,7 @@ def find_loops(
                             redexes2 += [(p, i) for i in rules]
                         redexes2.sort(key=itemgetter(0))
                         asleep2 = {r: e for r, e in tried if are_parallel(r[0], q)}
-                        nxt.append((s2, path2, redexes2, hits2, asleep2))
+                        nxt.append((s2, path2, redexes2, hits2, asleep2, n2))
             frontier = nxt
     return tuple(found)
 

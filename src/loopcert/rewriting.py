@@ -106,6 +106,21 @@ class Trs:
             out.setdefault(rule.lhs.symbol, []).append((i, rule))
         return {f: tuple(rules) for f, rules in out.items()}
 
+    @cached_property
+    def producers(self) -> dict[str, frozenset[str]]:
+        """Per symbol h, the left-hand side roots g of the rules whose
+        right-hand side holds h: the redex roots of the rewrites that can
+        bring h into a term."""
+        out: dict[str, set[str]] = {}
+        for rule in self.rules:
+            stack = [rule.rhs]
+            while stack:
+                u = stack.pop()
+                if u.__class__ is Application:
+                    out.setdefault(u.symbol, set()).add(rule.lhs.symbol)
+                    stack += u.args
+        return {h: frozenset(gs) for h, gs in out.items()}
+
 
 def match_pattern(pattern: Term, subject: Term) -> Substitution | None:
     """Most general sigma with pattern sigma == subject, or None."""

@@ -622,14 +622,14 @@ def coherence_failures(
 # A reference for find_loops, with none of its incremental bookkeeping.
 
 
-def reference_find_loops(trs: Trs, depth: int, max_size: int):
-    """Plain breadth-first search from each left-hand side: every reached
-    term is rewritten in full, scanned whole for its redexes, and matched
-    against the start at every subterm.  A left-hand side that is an
-    instance of an earlier one and the other way round (a variant) is
-    skipped, as find_loops skips it."""
+def reference_find_loops(trs: Trs, depth: int, max_size: int, start: Term | None = None):
+    """Plain breadth-first search from the given start, or else from each
+    left-hand side: every reached term is rewritten in full, scanned whole
+    for its redexes, and matched against the start at every subterm.  A
+    left-hand side that is an instance of an earlier one and the other way
+    round (a variant) is skipped, as find_loops skips it."""
     starts: list[Term] = []
-    for t0 in trs.lhss():
+    for t0 in trs.lhss() if start is None else (start,):
         if not any(match_pattern(t0, t) and match_pattern(t, t0) for t in starts):
             starts.append(t0)
     out = []

@@ -6,6 +6,7 @@ import random
 import pytest
 
 import genlib
+import loopcert.cli
 from loopcert import (
     ClosingMismatch,
     EMPTY_SUBSTITUTION,
@@ -136,6 +137,80 @@ def test_find_loops_wakes_a_step_whose_result_was_too_large(factorial):
         got = find_loops(factorial, depth, 27)
         assert got == genlib.reference_find_loops(factorial, depth, 27)
         assert len(got) == count
+
+
+def test_find_loops_from_a_given_start_matches_the_reference_finder(corpus):
+    # Starts that lhs roots cannot produce, variable starts and random
+    # starts exercise the pruning of terms that hold no symbol able to
+    # produce the start's root.
+    factorial = corpus[0][0]
+    starts = [
+        (f"corpus {k} lhs {i}", trs, 8, 80, lhs)
+        for k, trs in enumerate(dict.fromkeys(trs for trs, _ in corpus))
+        for i, lhs in enumerate(trs.lhss())
+    ]
+    starts += [
+        ("factorial(s(x))", factorial, 8, 80, parse_term("factorial(s(x))", factorial)),
+        ("variable", factorial, 3, 30, v("x")),
+    ]
+    rng = random.Random(27)
+    for k in range(20):
+        trs = genlib.random_looping_trs(rng)
+        start, _ = genlib.random_redex_instance(rng, trs)
+        starts.append((f"looping {k}", trs, 4, 25, start))
+    for k in range(20):
+        trs = genlib.random_copying_trs(rng)
+        start, _ = genlib.random_redex_instance(rng, trs)
+        starts.append((f"copying {k}", trs, 4, 14, start))
+    for name, trs, depth, max_size, start in starts:
+        got = find_loops(trs, depth, max_size, start)
+        assert got == genlib.reference_find_loops(trs, depth, max_size, start), name
+
+
+def test_find_loops_skips_exactly_the_variant_starts():
+    # f(y,x) is a variant of f(x,y); f(x,x) and f(v0,x), with the constant
+    # v0 where a renamed variable might be numbered 0, are not.
+    x, y = v("x"), v("y")
+    lhss = (app("f", x, y), app("f", y, x), app("f", x, x), app("f", app("v0"), x))
+    rules = [Rule(lhss[0], app("g", app("f", y, x)))]
+    rules += [Rule(lhs, app("f", app("g", x), x)) for lhs in lhss[1:]]
+    trs = Trs.from_rules(rules, ("x", "y"))
+    got = find_loops(trs, 3)
+    assert got == genlib.reference_find_loops(trs, 3, 80)
+    assert {cert.start for cert in got} == {lhss[0], lhss[2], lhss[3]}
+
+
+def test_find_loops_keeps_a_start_whose_root_nothing_produces():
+    # No rule produces g, but g is never rewritten either, so every term
+    # reached from g(f(x)) still holds it.
+    trs = Trs.from_rules([Rule(app("f", v("x")), app("f", app("s", v("x"))))], ("x",))
+    got = find_loops(trs, 3, start=app("g", app("f", v("x"))))
+    assert got == genlib.reference_find_loops(trs, 3, 80, app("g", app("f", v("x"))))
+    assert len(got) == 3
+    assert all(cert.context.hole_pos == () for cert in got)
+
+
+def test_find_loops_builds_no_term_that_cannot_reach_its_start(factorial, monkeypatch):
+    built = []
+
+    def replace_at(*args):
+        built.append(args)
+        return original(*args)
+
+    original = loopcert.cli.replace_at
+    monkeypatch.setattr(loopcert.cli, "replace_at", replace_at)
+    # fact(0,y) holds no symbol that produces factorial.
+    assert find_loops(factorial, 10, start=parse_term("factorial(y)", factorial)) == ()
+    assert built == []
+    certs = find_loops(factorial, 10)
+    assert (len(built), len(certs)) == (1632, 1472)
+
+
+def test_find_loops_stops_at_an_empty_frontier(factorial):
+    # At max_size 20 every start's frontier empties within 30 levels.
+    certs = find_loops(factorial, 30, 20)
+    assert len(certs) == 9
+    assert find_loops(factorial, 10**12, 20) == certs
 
 
 def test_shared_replay_keeps_starts_apart():
