@@ -263,8 +263,13 @@ def exponent_bound(problem: MatchingProblem) -> int:
 
 
 def solve_matching(problem: MatchingProblem) -> SolverResult:
-    mu = problem.mu
-    state = _simplify({}, [(problem.subject, problem.pattern)], [], mu)
+    mu, u, l = problem.mu, problem.subject, problem.pattern
+    # Most posed problems clash at the root, as _simplify would find.
+    if u.__class__ is Application is l.__class__ and (
+        u.symbol != l.symbol or len(u.args) != len(l.args)
+    ):
+        return Unsolvable(UnsolvableReason.ROOT_CLASH)
+    state = _simplify({}, [(u, l)], [], mu)
     offset, last = 0, None
     while isinstance(state, tuple):
         bindings, match, ident = state

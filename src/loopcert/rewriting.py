@@ -33,7 +33,6 @@ from .terms import (
     Variable,
     are_parallel,
     format_position,
-    is_left_of,
     is_strict_prefix,
     replace_at,
     subterm_at,
@@ -106,6 +105,10 @@ class Trs:
             out.setdefault(rule.lhs.symbol, []).append((i, rule))
         return {f: tuple(rules) for f, rules in out.items()}
 
+    # The module-level builders over the system's own left-hand sides.
+    innermost_patterns = cached_property(lambda self: innermost_patterns(self.lhss()))
+    outermost_patterns = cached_property(lambda self: outermost_patterns(self.lhss()))
+
     @cached_property
     def producers(self) -> dict[str, frozenset[str]]:
         """Per symbol h, the left-hand side roots g of the rules whose
@@ -145,6 +148,16 @@ def _match_into(pattern: Term, subject: Term, env: dict[str, Term]) -> bool:
         if not _match_into(p, s, env):
             return False
     return True
+
+
+def _is_redex(u: Term, trs: Trs) -> bool:
+    rules = trs.rules_by_root.get(u.symbol, ()) if u.__class__ is Application else ()
+    return any(_match_into(rule.lhs, u, {}) for _, rule in rules)
+
+
+def _holds_redex(terms: Iterable[Term], trs: Trs) -> bool:
+    """Whether a subterm of one of the terms is a redex."""
+    return any(_is_redex(s, trs) for u in terms for _, s in subterms(u))
 
 
 def redex_positions(t: Term, trs: Trs) -> tuple[tuple[Position, int], ...]:
@@ -245,40 +258,38 @@ def strategy_allows(
     """Whether contracting exactly the given redex positions respects one
     strategy component: leftmost, innermost, outermost, max-parallel, or
     forbidden (with its patterns).  Innermost and outermost are checked
-    natively here, independently of their forbidden-pattern encodings."""
+    natively here, independently of their forbidden-pattern encodings.  Past
+    the redex check at each position, leftmost reads the nodes left of it,
+    innermost those below, outermost those above; the others the whole term."""
     qs = sorted(set(step_positions))
     if not qs:
         raise NotParallel("a step needs at least one position")
-    redexes = {p for p, _ in redex_positions(t, trs)}
     for q in qs:
-        if q not in redexes:
+        try:
+            redex = _is_redex(subterm_at(t, q), trs)
+        except PositionOutOfTerm:
+            redex = False
+        if not redex:
             raise NotARedex(f"no redex at {format_position(q)} in {t}")
 
     if check == "leftmost":
         if len(qs) != 1:
             return False
-        return not any(is_left_of(r, qs[0]) for r in redexes)
+        q = qs[0]
+        left = (a for k, i in enumerate(q) for a in subterm_at(t, q[:k]).args[: i - 1])
+        return not _holds_redex(left, trs)
 
     if check == "innermost":
-        return all(
-            not any(is_strict_prefix(q, r) for r in redexes) for q in qs
-        )
+        return not any(_holds_redex(subterm_at(t, q).args, trs) for q in qs)
 
     if check == "outermost":
-        return all(
-            not any(is_strict_prefix(r, q) for r in redexes) for q in qs
-        )
+        return not any(_is_redex(subterm_at(t, q[:k]), trs) for q in qs for k in range(len(q)))
 
     if check == "max-parallel":
-        for i in range(len(qs)):
-            for j in range(i + 1, len(qs)):
-                if not are_parallel(qs[i], qs[j]):
-                    return False
-        qset = set(qs)
-        for r in redexes:
-            if r not in qset and all(are_parallel(r, q) for q in qs):
-                return False
-        return True
+        if not all(are_parallel(a, b) for i, a in enumerate(qs) for b in qs[i + 1 :]):
+            return False
+        redexes = (r for r, _ in redex_positions(t, trs) if r not in qs)
+        return not any(all(are_parallel(r, q) for q in qs) for r in redexes)
 
     if check == "forbidden":
         if len(qs) != 1:

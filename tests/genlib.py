@@ -10,6 +10,7 @@ parsers' round-trip tests.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 
@@ -20,6 +21,9 @@ from loopcert import (
     HOLE,
     LoopCertificate,
     MatchingProblem,
+    NotARedex,
+    NotParallel,
+    PatternKind,
     Rule,
     Solvable,
     StrategySpec,
@@ -32,6 +36,7 @@ from loopcert import (
     Witness,
     apply_context_substitution,
     apply_substitution,
+    are_parallel,
     certificate_to_document,
     concrete_checks,
     decide_loop,
@@ -39,6 +44,8 @@ from loopcert import (
     find_loops,
     format_position,
     innermost_patterns,
+    is_left_of,
+    is_strict_prefix,
     outermost_patterns,
     positions,
     replace_at,
@@ -673,6 +680,47 @@ def random_redex_instance(rng: random.Random, trs: Trs):
         hits = redex_positions(t, trs)
     q, _ = hits[rng.randrange(len(hits))]
     return t, q
+
+
+def reference_strategy_allows(t, step_positions, trs, check, patterns=()) -> bool:
+    """strategy_allows as it read the whole term: every redex position is
+    collected first and each component filters them.  The reference for the
+    version that reads only the region its component is defined on."""
+    qs = sorted(set(step_positions))
+    if not qs:
+        raise NotParallel("a step needs at least one position")
+    redexes = {p for p, _ in redex_positions(t, trs)}
+    for q in qs:
+        if q not in redexes:
+            raise NotARedex(f"no redex at {format_position(q)} in {t}")
+    if check == "leftmost":
+        return len(qs) == 1 and not any(is_left_of(r, qs[0]) for r in redexes)
+    if check == "innermost":
+        return all(not any(is_strict_prefix(q, r) for r in redexes) for q in qs)
+    if check == "outermost":
+        return all(not any(is_strict_prefix(r, q) for r in redexes) for q in qs)
+    if check == "max-parallel":
+        if any(not are_parallel(a, b) for a, b in itertools.combinations(qs, 2)):
+            return False
+        return not any(
+            r not in qs and all(are_parallel(r, q) for q in qs) for r in redexes
+        )
+    if check == "forbidden":
+        if len(qs) != 1:
+            return False
+        for pat in patterns:
+            for oprime, sub in subterms(t):
+                if match_pattern(pat.lhs, sub) is None:
+                    continue
+                anchor = oprime + pat.pos
+                if pat.kind is PatternKind.HERE and qs[0] == anchor:
+                    return False
+                if pat.kind is PatternKind.ABOVE and is_strict_prefix(qs[0], anchor):
+                    return False
+                if pat.kind is PatternKind.BELOW and is_strict_prefix(anchor, qs[0]):
+                    return False
+        return True
+    raise ValueError(f"unknown strategy component {check!r}")
 
 
 # ---------------------------------------------------------------------------

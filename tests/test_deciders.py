@@ -6,6 +6,7 @@ evaluation of its defining condition, and every verdict against concrete
 replay of the unrolled derivations.
 """
 
+import hashlib
 import json
 import random
 import time
@@ -61,6 +62,7 @@ from loopcert import (
     term_size,
     unroll_loop,
     validate_loop,
+    variable_closure,
     verdict_to_document,
 )
 
@@ -153,7 +155,8 @@ def reference_above(c, mu, t, q, o):
         ("pattern-above-term", q, n0, o2, subterm_at(base, o2), None)
         for o2 in sorted(anchors)
     ]
-    images = deciders._images(redex, mu)
+    closure = sorted(variable_closure(redex, mu))
+    images = [s for x in closure for _, s in subterms(mu.apply(Variable(x)))]
     return frame + [("pattern-above-image", q, n0, None, u, None) for u in images]
 
 
@@ -189,7 +192,7 @@ def test_above_and_below_frames_match_their_definitions():
         assert below == reference_below(c, mu, t, q, o)
         if isinstance(subterm_at(t, q), Variable):
             continue
-        above = deciders._above_frame(c, mu, t, q, o)
+        above = deciders._above_frame(c, mu, t, q, o, {})
         assert above == reference_above(c, mu, t, q, o)
         seen.update(entry[0] for entry in above + below)
     # Every family the two frames emit was exercised.
@@ -718,6 +721,63 @@ def test_each_distinct_problem_is_solved_once_per_decision(
     assert len(solved) == len(distinct) and set(solved) == distinct
     assert verdict.total == len(instances)
     assert verdict.unsolvable + verdict.solvable + verdict.unknown == len(instances)
+
+
+def test_each_key_gets_one_problem_object_and_one_solve(
+    monkeypatch, corpus, stream, stream_patterns
+):
+    # C and mu are fixed per decision, so (subject, lhs, D's hole position)
+    # fixes a problem: one object per key, solved once, however many steps
+    # and rows reach it.
+    def key(problem):
+        if problem.__class__ is problems.MatchingProblem:
+            return problem.subject, problem.pattern, None
+        return problem.t, problem.lhs, problem.d.hole_pos
+
+    generate, solve = deciders.step_problems, deciders.solve_problem
+    seen, solved = [], []
+    monkeypatch.setattr(deciders, "step_problems", lambda *a: seen.append(generate(*a)) or seen[-1])
+    monkeypatch.setattr(deciders, "solve_problem", lambda p, b: solved.append(p) or solve(p, b))
+    decisions = 0
+    for trs, loop in corpus:
+        specs = [StrategySpec(name) for name in STRATEGIES if name != "forbidden"]
+        if trs is stream:
+            specs.append(StrategySpec("forbidden", stream_patterns))
+        for spec in specs:
+            seen.clear(), solved.clear()
+            try:
+                decide_loop(trs, loop, spec)
+            except ShapeMismatch:
+                continue
+            decisions += 1
+            objects: dict = {}
+            for inst in seen[0]:
+                objects.setdefault(key(inst.problem), set()).add(id(inst.problem))
+            assert all(len(ids) == 1 for ids in objects.values()), spec.label
+            assert sorted(map(id, solved)) == sorted(i for ids in objects.values() for i in ids)
+    assert decisions == 85
+
+
+# Strategies whose verdicts on found loops are pinned; their components are
+# every family but forbidden's own patterns.
+FOUND_LOOP_STRATEGIES = ("leftmost", "innermost", "outermost", "max-parallel")
+
+
+def test_found_loops_decide_as_pinned(data_dir):
+    # Loops that find produces repeat rows and problems across and within
+    # steps far more than the hand-sized golden loops: pin every verdict.
+    digest = hashlib.sha256()
+    for name, depth, count in (("factorial.trs", 6, 93), ("collapse.trs", 8, 34)):
+        trs = parse_trs((data_dir / name).read_text())
+        certs = find_loops(trs, depth=depth)
+        assert len(certs) == count
+        for cert in certs:
+            loop = validate_loop(trs, cert)
+            for strategy in FOUND_LOOP_STRATEGIES:
+                verdict = decide_loop(trs, loop, StrategySpec(strategy))
+                digest.update(render_verdict(verdict, "json").encode() + b"\n")
+    want = "dd90b8f4a625a2413e603cd7e80079a290b0889639f5a90ab485a912ac77c530"
+    assert digest.hexdigest() == want
 
 
 # BELOW patterns anchored below the root, beside the root ones of outermost.

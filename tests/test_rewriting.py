@@ -7,6 +7,7 @@ forbidden-pattern encodings against the native checks on random instances.
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -37,6 +38,7 @@ from loopcert import (
     outermost_patterns,
     parallel_rewrite,
     parse_term,
+    positions,
     redex_positions,
     rewrite_at,
     strategy_allows,
@@ -250,6 +252,34 @@ def test_outermost_rejects_redexes_above(factorial):
     t = parse_term("if(false,s(0),times(fact(s(x),y),s(x)))", factorial)
     assert strategy_allows(t, {()}, factorial, "outermost")
     assert not strategy_allows(t, {(3, 1)}, factorial, "outermost")
+
+
+def _allows_or_error(allows, t, qs, trs, check, patterns=()):
+    try:
+        return allows(t, qs, trs, check, patterns)
+    except NotARedex as e:
+        return str(e)
+
+
+def test_region_checks_agree_with_the_whole_term_reference():
+    # Each component reads only its own region of the term; the reference
+    # collects every redex first.  Non-redexes and positions off the term
+    # must raise the same NotARedex.
+    rng = random.Random(61)
+    seen = Counter()
+    for _ in range(200):
+        trs = genlib.random_looping_trs(rng)
+        t, _ = genlib.random_redex_instance(rng, trs)
+        spots = {p + tail for p in positions(t) for tail in ((), (1,), (4,))}
+        redexes = sorted({q for q, _ in redex_positions(t, trs)})
+        steps = [{q} for q in sorted(spots)]
+        steps += [set(rng.sample(redexes, 2)) for _ in range(3) if len(redexes) > 1]
+        for qs in steps:
+            for check in ("leftmost", "innermost", "outermost", "max-parallel"):
+                want = _allows_or_error(genlib.reference_strategy_allows, t, qs, trs, check)
+                assert _allows_or_error(strategy_allows, t, qs, trs, check) == want
+                seen[check, want if isinstance(want, bool) else "error"] += 1
+    assert min(seen.values()) >= 50 and len(seen) == 12, seen
 
 
 # ---------------------------------------------------------------------------
