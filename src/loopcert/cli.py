@@ -16,9 +16,8 @@ from __future__ import annotations
 import argparse
 import sys
 import traceback
+from collections.abc import Iterable
 from operator import itemgetter
-from pathlib import Path
-from typing import Iterable
 
 from .deciders import STRATEGIES, StrategySpec, decide_loop
 from .errors import LoopcertError
@@ -71,6 +70,12 @@ _PATTERN_SOURCES = {
 }
 
 
+def read_input(path: str) -> str:
+    """A file's text, decoded as UTF-8 whatever the locale's encoding."""
+    with open(path, encoding="utf-8") as f:
+        return f.read()
+
+
 def resolve_strategy(text: str, trs: Trs) -> StrategySpec:
     """Turn a --strategy argument into a decidable strategy."""
     if text in STRATEGIES and text != "forbidden":
@@ -79,7 +84,7 @@ def resolve_strategy(text: str, trs: Trs) -> StrategySpec:
         if text.startswith(prefix):
             if text == prefix:
                 raise LoopcertError(f"strategy {prefix} needs a file name: {prefix}<file>")
-            patterns = patterns_from(Path(text[len(prefix):]).read_text(), trs)
+            patterns = patterns_from(read_input(text[len(prefix):]), trs)
             return StrategySpec("forbidden", patterns, label=text)
     names = ", ".join(sorted(set(STRATEGIES) - {"forbidden"}))
     files = ", ".join(f"{prefix}<file>" for prefix in _PATTERN_SOURCES)
@@ -341,8 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_check(args) -> int:
-    trs = parse_trs(Path(args.trs).read_text())
-    cert = parse_loop_certificate(Path(args.loop).read_text(), trs)
+    trs = parse_trs(read_input(args.trs))
+    cert = parse_loop_certificate(read_input(args.loop), trs)
     loop = validate_loop(trs, cert)
     spec = resolve_strategy(args.strategy, trs)
     verdict = decide_loop(trs, loop, spec, args.bound)
@@ -351,7 +356,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_find(args) -> int:
-    trs = parse_trs(Path(args.trs).read_text())
+    trs = parse_trs(read_input(args.trs))
     start = parse_term(args.start, trs) if args.start is not None else None
     loops = find_loops(trs, depth=args.depth, max_size=args.max_size, start=start)
     sys.stdout.write(certificates_to_json(loops))

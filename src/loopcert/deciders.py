@@ -34,9 +34,8 @@ C's rows, each variable's images and each distinct problem once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
-from typing import NamedTuple
 
 from . import problems
 from .errors import ShapeMismatch, VariableRedex
@@ -45,7 +44,6 @@ from .problems import (
     DEFAULT_BOUND,
     ExtendedMatchingProblem,
     MatchingProblem,
-    Problem,
     Solvable,
     SolverResult,
     Unknown,
@@ -63,6 +61,7 @@ from .terms import (
     Position,
     Substitution,
     Term,
+    Value,
     Variable,
     apply_context_substitution,
     is_left_of,
@@ -99,34 +98,27 @@ STRATEGIES: dict[str, tuple[bool, tuple[str, ...]]] = {
 }
 
 
-@dataclass(frozen=True)
-class StrategySpec:
-    """A decidable strategy: a canonical name, plus patterns when forbidden."""
+class StrategySpec(Value):
+    """A decidable strategy: a name, patterns when forbidden, a label for reports."""
 
-    name: str
-    patterns: tuple[ForbiddenPattern, ...] = ()
-    label: str | None = None  # how the user spelled it, for reports
+    __slots__ = _fields = ("name", "patterns", "label")
 
-    def __post_init__(self):
-        if self.name not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.name!r}")
-        if self.patterns and "forbidden" not in STRATEGIES[self.name][1]:
+    def __init__(
+        self, name: str, patterns: tuple[ForbiddenPattern, ...] = (), label: str | None = None
+    ):
+        if name not in STRATEGIES:
+            raise ValueError(f"unknown strategy {name!r}")
+        if patterns and "forbidden" not in STRATEGIES[name][1]:
             raise ValueError("only the forbidden strategy carries patterns")
-        if self.label is None:
-            object.__setattr__(self, "label", self.name)
+        self.name, self.patterns, self.label = name, patterns, name if label is None else label
 
 
-class ProblemInstance(NamedTuple):
-    """A problem and where it came from; a tuple builds 4x faster than a dataclass."""
-
-    problem: Problem
-    family: str
-    step: int = 0  # 1-based certificate step
-    position: Position | None = None
-    rule_index: int | None = None
-    pattern: ForbiddenPattern | None = None
-    n0: int | None = None
-    o0prime: Position | None = None
+# A problem and where it came from: the 1-based step, and the position, rule
+# index, pattern, n0 and o0' where they apply.
+ProblemInstance = namedtuple(
+    "ProblemInstance", "problem family step position rule_index pattern n0 o0prime",
+    defaults=(0, None, None, None, None, None),
+)
 
 
 def _images(u: Term, mu: Substitution, images: dict, done: set) -> list[Term]:
@@ -325,25 +317,33 @@ def step_problems(
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Evidence:
-    instance: ProblemInstance
-    result: Solvable
-    level: int | None = None  # unrolling level of a confirmed concrete violation
-    violation_step: int | None = None  # 1-based step at that level
+class Evidence(Value):
+    __slots__ = _fields = ("instance", "result", "level", "violation_step")
+
+    def __init__(
+        self, instance: ProblemInstance, result: Solvable,
+        level: int | None = None, violation_step: int | None = None,
+    ):
+        self.instance, self.result = instance, result
+        # The unrolling level and 1-based step of a confirmed concrete violation.
+        self.level, self.violation_step = level, violation_step
 
 
-@dataclass(frozen=True)
-class Verdict:
-    answer: str  # "yes" | "no" | "unknown"
-    strategy: str
-    evidence: Evidence | None
-    open_problems: tuple[tuple[ProblemInstance, Unknown], ...]
-    total: int
-    unsolvable: int
-    solvable: int
-    unknown: int
-    bound: int
+class Verdict(Value):
+    __slots__ = _fields = (
+        "answer", "strategy", "evidence", "open_problems",
+        "total", "unsolvable", "solvable", "unknown", "bound",
+    )
+
+    def __init__(
+        self, answer: str, strategy: str, evidence: Evidence | None,
+        open_problems: tuple[tuple[ProblemInstance, Unknown], ...],
+        total: int, unsolvable: int, solvable: int, unknown: int, bound: int,
+    ):
+        # answer is "yes", "no" or "unknown"; the counts are of instances.
+        self.answer, self.strategy, self.evidence = answer, strategy, evidence
+        self.open_problems, self.total, self.bound = open_problems, total, bound
+        self.unsolvable, self.solvable, self.unknown = unsolvable, solvable, unknown
 
 
 def concrete_checks(spec: StrategySpec) -> tuple[str, ...]:

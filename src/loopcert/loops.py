@@ -9,8 +9,6 @@ position of C, and is again a loop closed by (C, mu).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     ClosingMismatch,
     MalformedContext,
@@ -27,6 +25,7 @@ from .terms import (
     Position,
     Substitution,
     Term,
+    Value,
     apply_context_substitution,
 )
 
@@ -34,18 +33,14 @@ from .terms import (
 Step = tuple[tuple[Position, int], ...]
 
 
-@dataclass(frozen=True)
-class LoopCertificate:
-    start: Term
-    steps: tuple[Step, ...]
-    context: Context
-    subst: Substitution
+class LoopCertificate(Value):
+    __slots__ = _fields = ("start", "steps", "context", "subst")
 
-    def __post_init__(self):
-        if not self.steps:
+    def __init__(self, start: Term, steps: tuple[Step, ...], context: Context, subst: Substitution):
+        if not steps:
             raise NotParallel("a certificate needs at least one step")
         # An image of mu with a hole would leave stray holes in t(C, mu)^n.
-        stack = [u for _, u in self.subst.items()]
+        stack = [u for _, u in subst.items()]
         while stack:
             u = stack.pop()
             if u is HOLE:
@@ -53,23 +48,24 @@ class LoopCertificate:
             if u.__class__ is Application:
                 stack += u.args
         # Fix an order inside each parallel step so replay is deterministic.
-        steps = self.steps
         if steps.__class__ is not tuple or not all(
             step.__class__ is tuple and (len(step) < 2 or list(step) == sorted(step))
             for step in steps
         ):
-            object.__setattr__(self, "steps", tuple(tuple(sorted(step)) for step in steps))
+            steps = tuple(tuple(sorted(step)) for step in steps)
+        self.start, self.steps, self.context, self.subst = start, steps, context, subst
 
     def is_sequential(self) -> bool:
         return all(len(step) == 1 for step in self.steps)
 
 
-@dataclass(frozen=True)
-class ValidatedLoop:
+class ValidatedLoop(Value):
     """A certificate together with the replayed terms t1 .. t_{m+1}."""
 
-    certificate: LoopCertificate
-    terms: tuple[Term, ...]
+    __slots__ = _fields = ("certificate", "terms")
+
+    def __init__(self, certificate: LoopCertificate, terms: tuple[Term, ...]):
+        self.certificate, self.terms = certificate, terms
 
 
 def validate_loop(

@@ -22,8 +22,6 @@ bound on m (extended problems only), or MAX_TERM_SIZE, the size limit.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Union
 
 from .errors import InternalError
 from .terms import (
@@ -32,6 +30,7 @@ from .terms import (
     Position,
     Substitution,
     Term,
+    Value,
     Variable,
     apply_context_substitution,
     apply_substitution,
@@ -43,27 +42,25 @@ from .terms import (
 from .rewriting import match_pattern
 
 
-@dataclass(frozen=True)
-class MatchingProblem:
+class MatchingProblem(Value):
     """Find n, sigma with u mu^n = l sigma, u the subject and l the pattern."""
 
-    subject: Term
-    pattern: Term
-    mu: Substitution
+    __slots__ = _fields = ("subject", "pattern", "mu")
+
+    def __init__(self, subject: Term, pattern: Term, mu: Substitution):
+        self.subject, self.pattern, self.mu = subject, pattern, mu
 
     def __str__(self) -> str:
         return f"{self.subject} matches {self.pattern} under {self.mu}"
 
 
-@dataclass(frozen=True)
-class ExtendedMatchingProblem:
+class ExtendedMatchingProblem(Value):
     """Find m, k, sigma with D[t(C, mu)^m] mu^k = l sigma."""
 
-    d: Context
-    lhs: Term
-    c: Context
-    t: Term
-    mu: Substitution
+    __slots__ = _fields = ("d", "lhs", "c", "t", "mu")
+
+    def __init__(self, d: Context, lhs: Term, c: Context, t: Term, mu: Substitution):
+        self.d, self.lhs, self.c, self.t, self.mu = d, lhs, c, t, mu
 
     def __str__(self) -> str:
         return (
@@ -71,7 +68,7 @@ class ExtendedMatchingProblem:
         )
 
 
-Problem = Union[MatchingProblem, ExtendedMatchingProblem]
+Problem = MatchingProblem | ExtendedMatchingProblem
 
 
 class UnsolvableReason(enum.Enum):
@@ -80,30 +77,37 @@ class UnsolvableReason(enum.Enum):
     EXPONENT_BOUND = "exponent-bound"
 
 
-@dataclass(frozen=True)
-class Witness:
-    sigma: Substitution
-    n: int | None = None  # matching problems
-    m: int | None = None  # extended problems, with k
-    k: int | None = None
+class Witness(Value):
+    __slots__ = _fields = ("sigma", "n", "m", "k")
+
+    def __init__(
+        self, sigma: Substitution, n: int | None = None, m: int | None = None, k: int | None = None
+    ):
+        self.sigma, self.n, self.m, self.k = sigma, n, m, k  # n, or m and k if extended
 
 
-@dataclass(frozen=True)
-class Solvable:
-    witness: Witness
+class Solvable(Value):
+    __slots__ = _fields = ("witness",)
+
+    def __init__(self, witness: Witness):
+        self.witness = witness
 
 
-@dataclass(frozen=True)
-class Unsolvable:
-    reason: UnsolvableReason
+class Unsolvable(Value):
+    __slots__ = _fields = ("reason",)
+
+    def __init__(self, reason: UnsolvableReason):
+        self.reason = reason
 
 
-@dataclass(frozen=True)
-class Unknown:
-    note: str  # why the search stopped: the exponent bound, or a limit
+class Unknown(Value):
+    __slots__ = _fields = ("note",)
+
+    def __init__(self, note: str):
+        self.note = note  # why the search stopped: the exponent bound, or a limit
 
 
-SolverResult = Union[Solvable, Unsolvable, Unknown]
+SolverResult = Solvable | Unsolvable | Unknown
 
 
 # Cap on an extended problem's context exponent m unless the caller gives one.

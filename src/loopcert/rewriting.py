@@ -11,9 +11,8 @@ or below an instance of lhs.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping
 from functools import cached_property
-from typing import Iterable, Mapping
 
 from .errors import (
     ArityMismatch,
@@ -30,6 +29,7 @@ from .terms import (
     Position,
     Substitution,
     Term,
+    Value,
     Variable,
     are_parallel,
     format_position,
@@ -41,15 +41,14 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
-class Rule:
-    lhs: Term
-    rhs: Term
+class Rule(Value):
+    __slots__ = _fields = ("lhs", "rhs")
 
-    def __post_init__(self):
-        if isinstance(self.lhs, Variable):
-            raise VariableLhs(f"rule left-hand side is a variable: {self.lhs}")
-        extra = variables_of(self.rhs) - variables_of(self.lhs)
+    def __init__(self, lhs: Term, rhs: Term):
+        self.lhs, self.rhs = lhs, rhs
+        if isinstance(lhs, Variable):
+            raise VariableLhs(f"rule left-hand side is a variable: {lhs}")
+        extra = variables_of(rhs) - variables_of(lhs)
         if extra:
             raise ExtraRhsVariable(
                 f"right-hand side of {self} uses fresh {sorted(extra)}"
@@ -59,16 +58,17 @@ class Rule:
         return f"{self.lhs} -> {self.rhs}"
 
 
-@dataclass(frozen=True)
-class Trs:
+class Trs(Value):
     """A finite list of rules with a consistent signature.
 
     Rule order is meaningful: certificates refer to rules by 0-based index.
     """
 
-    rules: tuple[Rule, ...]
-    variables: frozenset[str]
-    signature: tuple[tuple[str, int], ...]
+    _fields = ("rules", "variables", "signature")  # signature: sorted (symbol, arity) pairs
+    __slots__ = _fields + ("__dict__",)  # the cached properties live in __dict__
+
+    def __init__(self, rules: tuple[Rule, ...], variables: frozenset[str], signature: tuple):
+        self.rules, self.variables, self.signature = rules, variables, signature
 
     @staticmethod
     def from_rules(rules: Iterable[Rule], variables: Iterable[str]) -> "Trs":
@@ -227,22 +227,20 @@ class PatternKind(enum.Enum):
     BELOW = "b"
 
 
-@dataclass(frozen=True)
-class ForbiddenPattern:
+class ForbiddenPattern(Value):
     """(lhs, pos, kind): no reduction at/above/below position o'.pos of any
     subterm t|_(o') that is an instance of lhs."""
 
-    lhs: Term
-    pos: Position
-    kind: PatternKind
+    __slots__ = _fields = ("lhs", "pos", "kind")
 
-    def __post_init__(self):
+    def __init__(self, lhs: Term, pos: Position, kind: PatternKind):
         try:
-            subterm_at(self.lhs, self.pos)
+            subterm_at(lhs, pos)
         except PositionOutOfTerm:
             raise PositionOutOfTerm(
-                f"pattern position {format_position(self.pos)} not in {self.lhs}"
+                f"pattern position {format_position(pos)} not in {lhs}"
             ) from None
+        self.lhs, self.pos, self.kind = lhs, pos, kind
 
     def __str__(self) -> str:
         return f"{self.lhs} @ {format_position(self.pos)} : {self.kind.value}"

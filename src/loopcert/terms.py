@@ -17,8 +17,8 @@ which is the closed form of pumping one loop iteration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Union
+from collections.abc import Iterator, Mapping
+from operator import attrgetter
 from weakref import KeyedRef
 
 from .errors import MalformedContext, PositionOutOfTerm
@@ -109,7 +109,7 @@ class Application:
         return "".join(out)
 
 
-Term = Union[Variable, Application]
+Term = Variable | Application
 
 Position = tuple[int, ...]
 EPSILON: Position = ()
@@ -198,16 +198,38 @@ def term_size(t: Term) -> int:
     return t._size
 
 
-@dataclass(frozen=True)
-class Substitution:
+class Value:
+    """A value: equality, hashing and repr go by the fields a subclass names
+    in _fields and sets in __init__.  Immutable once built: never assign to one."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # The field values of an instance (a tuple, or the value of one field).
+        cls._values = property(attrgetter(*cls._fields))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class Substitution(Value):
     """Finite mapping from variable names to terms.
 
     Identity bindings are dropped on construction, so two substitutions are
     equal exactly when they act identically on every term.
     """
 
-    bindings: tuple[tuple[str, Term], ...]
-    _map: Mapping[str, Term] = field(compare=False, repr=False, hash=False, default=None)
+    __slots__ = ("bindings", "_map")
+    _fields = ("bindings",)
 
     def __init__(self, mapping: Mapping[str, Term] | None = None):
         kept = {
@@ -215,8 +237,8 @@ class Substitution:
             for x, u in (mapping or {}).items()
             if u.__class__ is not Variable or u.name != x
         }
-        object.__setattr__(self, "bindings", tuple(sorted(kept.items())))
-        object.__setattr__(self, "_map", kept)
+        self.bindings = tuple(sorted(kept.items()))
+        self._map = kept
 
     def get(self, name: str) -> Term | None:
         return self._map.get(name)

@@ -328,6 +328,46 @@ def test_non_utf8_input_exits_three(capsys, data_dir, tmp_path):
         assert err.count("\n") == 1
 
 
+def module_env(**overrides):
+    """The environment for a subprocess that imports this loopcert package."""
+    src = os.path.dirname(os.path.dirname(loopcert.cli.__file__))
+    return dict(os.environ, PYTHONPATH=src, **overrides)
+
+
+def test_inputs_are_read_as_utf8_whatever_the_locale(data_dir, tmp_path):
+    # Under the C locale with UTF-8 mode off, the locale's encoding is ASCII;
+    # stderr is UTF-8 so that the message can be compared as text.
+    env = module_env(LC_ALL="C", PYTHONUTF8="0", PYTHONIOENCODING="utf-8")
+    utf8 = tmp_path / "utf8.trs"
+    utf8.write_bytes("(VAR x)\n(RULES\n  f\u00e9(x) -> x\n)\n".encode("utf-8"))
+    latin1 = tmp_path / "latin1.trs"
+    latin1.write_bytes(b"(RULES caf\xe9 -> b)\n")
+    cases = {
+        utf8: "error: unexpected character '\u00e9' (line 3, column 4)\n",
+        latin1: "error: input is not UTF-8 text: 'utf-8' codec can't decode byte 0xe9",
+    }
+    for trs_file, message in cases.items():
+        for argv in both_commands(data_dir, trs_file):
+            got = subprocess.run(
+                [sys.executable, "-m", "loopcert", *argv],
+                capture_output=True, encoding="utf-8", env=env,
+            )
+            assert (got.returncode, got.stdout) == (EXIT_INVALID, "")
+            assert got.stderr.startswith(message)
+
+
+def test_import_generates_no_code():
+    # No dataclass, typing or pathlib machinery is loaded to import the program.
+    script = (
+        "import loopcert.cli, sys; "
+        "print(sorted({'dataclasses', 'inspect', 'typing', 'pathlib'} & set(sys.modules)))"
+    )
+    got = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=module_env()
+    )
+    assert (got.returncode, got.stdout, got.stderr) == (0, "[]\n", "")
+
+
 def tower(depth, inner="x"):
     return "g(" * depth + inner + ")" * depth
 

@@ -1,6 +1,5 @@
 """Loop certificates: validation by replay and unrolling to deeper levels."""
 
-import dataclasses
 import random
 
 import pytest
@@ -63,9 +62,8 @@ def test_validate_parallel_loop(factorial_par_inner_loop):
 
 
 def test_validate_rejects_missing_subst(factorial, factorial_loop):
-    cert = dataclasses.replace(
-        factorial_loop.certificate, subst=EMPTY_SUBSTITUTION
-    )
+    c = factorial_loop.certificate
+    cert = LoopCertificate(c.start, c.steps, c.context, EMPTY_SUBSTITUTION)
     with pytest.raises(ClosingMismatch) as info:
         validate_loop(factorial, cert)
     assert info.value.expected != info.value.actual
@@ -74,7 +72,8 @@ def test_validate_rejects_missing_subst(factorial, factorial_loop):
 def test_validate_reports_the_failing_step(factorial, factorial_loop):
     steps = list(factorial_loop.certificate.steps)
     steps[1] = (((1,), 3),)
-    cert = dataclasses.replace(factorial_loop.certificate, steps=tuple(steps))
+    c = factorial_loop.certificate
+    cert = LoopCertificate(c.start, tuple(steps), c.context, c.subst)
     with pytest.raises(NotARedex, match="step 2"):
         validate_loop(factorial, cert)
 
@@ -240,7 +239,9 @@ def test_shared_replay_still_checks_every_step_and_the_closing(factorial, factor
         assert replayed[terms[i], step] is terms[i + 1]
     # The last step fires if(true,...) where if(false,...) stands; that
     # (term, step) pair is missing from the map, so it is replayed and checked.
-    bad_step = dataclasses.replace(cert, steps=cert.steps[:-1] + ((((), 2),),))
+    bad_step = LoopCertificate(
+        cert.start, cert.steps[:-1] + ((((), 2),),), cert.context, cert.subst
+    )
     assert (terms[-2], bad_step.steps[-1]) not in replayed
     with pytest.raises(NotARedex) as fresh:
         validate_loop(factorial, bad_step)
@@ -252,14 +253,14 @@ def test_shared_replay_still_checks_every_step_and_the_closing(factorial, factor
     # still checked against the term it applies to.
     assert any(isinstance(key[1], int) for key in replayed)
     for last, error in (((((), 99),), RuleIndexOutOfRange), ((((9, 9), 0),), PositionOutOfTerm)):
-        bad = dataclasses.replace(cert, steps=cert.steps[:-1] + (last,))
+        bad = LoopCertificate(cert.start, cert.steps[:-1] + (last,), cert.context, cert.subst)
         with pytest.raises(error) as fresh:
             validate_loop(factorial, bad)
         with pytest.raises(error) as shared:
             validate_loop(factorial, bad, replayed)
         assert str(shared.value) == str(fresh.value)
     # Every step is found in the map; the closing pair is still checked.
-    bad_closing = dataclasses.replace(cert, subst=EMPTY_SUBSTITUTION)
+    bad_closing = LoopCertificate(cert.start, cert.steps, cert.context, EMPTY_SUBSTITUTION)
     with pytest.raises(ClosingMismatch):
         validate_loop(factorial, bad_closing, replayed)
 
@@ -271,8 +272,9 @@ def _context(trs, text):
 
 
 def test_validate_empty_certificates_rejected(factorial, factorial_loop):
+    cert = factorial_loop.certificate
     with pytest.raises(LoopcertError):
-        dataclasses.replace(factorial_loop.certificate, steps=())
+        LoopCertificate(cert.start, (), cert.context, cert.subst)
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,12 @@ def test_solve_matching_swap(swap_problem):
     assert isinstance(result, Solvable)
     assert result.witness.n == 2
     assert result.witness.sigma == Substitution({"x": v("z")})
+    # Problems and results are values: equal fields, equal and hashing alike.
+    twin = MatchingProblem(swap_problem.subject, swap_problem.pattern, swap_problem.mu)
+    assert twin is not swap_problem and twin == swap_problem
+    assert hash(twin) == hash(swap_problem) and len({twin, swap_problem}) == 1
+    assert twin != MatchingProblem(swap_problem.subject, swap_problem.subject, swap_problem.mu)
+    assert solve_matching(twin) == result and hash(solve_matching(twin)) == hash(result)
 
 
 def test_solve_matching_rotate(rotate_problem):

@@ -170,6 +170,11 @@ def test_substitution_drops_identity_bindings():
     mu = Substitution({"x": v("x"), "y": app("a")})
     assert mu.domain() == frozenset({"y"})
     assert mu == Substitution({"y": app("a")})
+    # Equality, hashing and repr read the sorted bindings, not the lookup dict.
+    twin = Substitution({"y": app("a"), "x": v("x")})
+    assert twin._map is not mu._map and hash(twin) == hash(mu)
+    assert repr(twin) == "Substitution(bindings=(('y', Application(symbol='a', args=())),))"
+    assert mu != Substitution({"y": app("b")}) and mu != mu.bindings
     assert mu.apply(v("x")) == v("x")
     assert str(Substitution({"x": app("s", v("x"))})) == "{x/s(x)}"
 
