@@ -4,8 +4,8 @@
     loopcert find --trs sys.trs --depth 6 --start "fact(x,y)"
 
 check exits 0 when the certificate is a loop under the strategy, 1 when it
-is refuted, 2 when undecided (an extended problem reached the exponent
-bound, or a problem reached the size limit), 3 on invalid input.
+is refuted, 2 when undecided (a problem reached the size limit), 3 on
+invalid input.
 find exits 0 when it discovers at least one loop, 1 when none, 3 on
 invalid input.  Both exit 4 on an internal error, with the traceback on
 stderr.
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import traceback
 from collections.abc import Iterable
 from operator import itemgetter
 
@@ -34,7 +33,6 @@ from .formats import (
     render_verdict,
 )
 from .loops import LoopCertificate, validate_loop
-from .problems import DEFAULT_BOUND
 from .rewriting import (
     Trs,
     context_sensitive_patterns,
@@ -327,12 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--trs", required=True, help="rewrite system file")
     check.add_argument("--loop", required=True, help="loop certificate JSON file")
     check.add_argument("--strategy", required=True, help="strategy name or encoding")
-    check.add_argument(
-        "--bound",
-        type=_count,
-        default=DEFAULT_BOUND,
-        help="cap on the context exponent m of extended problems",
-    )
+    check.add_argument("--bound", type=_count, help="ignored: no problem needs a bound")
     check.add_argument("--format", choices=["text", "json"], default="text")
     check.set_defaults(func=cmd_check)
 
@@ -350,7 +343,7 @@ def cmd_check(args) -> int:
     cert = parse_loop_certificate(read_input(args.loop), trs)
     loop = validate_loop(trs, cert)
     spec = resolve_strategy(args.strategy, trs)
-    verdict = decide_loop(trs, loop, spec, args.bound)
+    verdict = decide_loop(trs, loop, spec)
     sys.stdout.write(render_verdict(verdict, args.format))
     return EXIT_BY_ANSWER[verdict.answer]
 
@@ -380,6 +373,8 @@ def main(argv: Iterable[str] | None = None) -> int:
         return EXIT_INVALID
     except Exception:
         # A crash must never read as an answer: exit 1 means "refuted".
+        import traceback
+
         traceback.print_exc()
         return EXIT_INTERNAL
 

@@ -15,7 +15,7 @@ Problem families by strategy:
 * forbidden pattern (lhs, o, kind): the pattern instance could anchor so
   that the contracted position is at / below / above the designated spot.
   Instances strictly above the hole spine need extended problems that pump
-  the context as well.
+  the context as well; each is posed as its slices, matching problems.
 * maximal parallel: same four families as leftmost with "left of" replaced
   by "parallel to all contracted positions".
 
@@ -24,11 +24,11 @@ system's own left-hand sides; the parallel variants check each contracted
 position separately and add the maximal-parallel families when required.
 STRATEGIES below says which of these components each named strategy uses.
 
-A step crosses each distinct (subject, D) row once and poses each problem
-once, under the first family to reach it.  An extended problem's D is
-C|p[:cut] for the hole position p of the decision's fixed C, so D is keyed
-on its hole position p[cut:] and no context is hashed.  A decision builds
-C's rows, each variable's images and each distinct problem once.
+A step crosses each distinct row once and poses each problem once, under
+the first family to reach it.  An extended problem's D is C|p[:cut] for the
+hole position p of the decision's fixed C, so a row keys D on its hole
+position p[cut:] and no context is hashed.  A decision builds C's rows, each
+variable's images, each tower and each distinct problem once.
 """
 
 from __future__ import annotations
@@ -41,13 +41,12 @@ from . import problems
 from .errors import ShapeMismatch, VariableRedex
 from .loops import ValidatedLoop, unroll_loop
 from .problems import (
-    DEFAULT_BOUND,
-    ExtendedMatchingProblem,
     MatchingProblem,
     Solvable,
     SolverResult,
     Unknown,
     Unsolvable,
+    extended_slices,
     solve_problem,
 )
 from .rewriting import (
@@ -114,10 +113,10 @@ class StrategySpec(Value):
 
 
 # A problem and where it came from: the 1-based step, and the position, rule
-# index, pattern, n0 and o0' where they apply.
+# index, pattern, n0, o0' and extended slice m where they apply.
 ProblemInstance = namedtuple(
-    "ProblemInstance", "problem family step position rule_index pattern n0 o0prime",
-    defaults=(0, None, None, None, None, None),
+    "ProblemInstance", "problem family step position rule_index pattern n0 o0prime m",
+    defaults=(0, None, None, None, None, None, None),
 )
 
 
@@ -170,9 +169,10 @@ def _least_n0(p: Position, q: Position, o: Position) -> int:
 
 # A row is the left-hand-side-independent part of one problem instance:
 # (family, position, n0, o0', subject, D), with D the subcontext of an
-# extended problem and None for a matching problem.  Crossing rows with
-# left-hand sides gives the instances.  A pattern family's rows at one step
-# position form a frame, shared by every pattern of the same kind and spot.
+# extended problem, whose subject is then its tower's base t, and None for a
+# matching problem.  Crossing rows with left-hand sides gives the instances.
+# A pattern family's rows at one step position form a frame, shared by every
+# pattern of the same kind and spot.
 
 
 def _here_frame(
@@ -234,13 +234,13 @@ _FRAMES = {PatternKind.HERE: _here_frame, PatternKind.BELOW: _below_frame}
 
 
 def _cross(
-    c_mu: Context, mu: Substitution, step: int, rows, lhss, posed: set, made: dict
+    c_mu: Context, mu: Substitution, step: int, rows, lhss, posed: set, made: dict, towers: dict
 ) -> list[ProblemInstance]:
-    """Each row against each (lhs, rule index, pattern), rows outermost, for
-    the problems the step has not posed yet.  C and mu are fixed per decision,
-    and D = C|p[:cut] is fixed by its hole position p[cut:], so the triple
-    (subject, lhs, D's hole position) fixes a problem: posed holds the step's,
-    made maps the decision's to their problems, and a repeated row is skipped."""
+    """Each row against each (lhs, rule index, pattern), rows outermost and
+    an extended row as its slices, for the problems the step has not posed
+    yet.  mu is fixed per decision, so (subject, lhs) fixes a problem: posed
+    holds the step's, made maps the decision's to their problems, towers
+    keeps each base's tower, and a repeated row (D by its hole) is skipped."""
     out, crossed = [], set()
     for family, pos, n0, o0prime, u, d in rows:
         at = None if d is None else d.hole_pos
@@ -248,18 +248,18 @@ def _cross(
             continue
         crossed.add((u, at))
         for lhs, ri, pat in lhss:
-            key = (u, lhs, at)
-            if key in posed:
-                continue
-            posed.add(key)
-            problem = made.get(key)
-            if problem is None:
-                problem = made[key] = (
-                    MatchingProblem(u, lhs, mu)
-                    if d is None
-                    else ExtendedMatchingProblem(d, lhs, c_mu, u, mu)
-                )
-            out.append(ProblemInstance(problem, family, step, pos, ri, pat, n0, o0prime))
+            subjects = [(None, u)] if d is None else extended_slices(
+                d, lhs, c_mu, towers.setdefault(u, [u]), mu
+            )
+            for m, s in subjects:
+                key = (s, lhs)
+                if key in posed:
+                    continue
+                posed.add(key)
+                problem = made.get(key)
+                if problem is None:
+                    problem = made[key] = MatchingProblem(s, lhs, mu)
+                out.append(ProblemInstance(problem, family, step, pos, ri, pat, n0, o0prime, m))
     return out
 
 
@@ -281,7 +281,6 @@ def step_problems(
             f"strategy {spec.label} applies to single-redex steps only"
         )
     c, mu = cert.context, cert.subst
-    c_mu = c.substitute(mu)
     rules = [(rule.lhs, ri, None) for ri, rule in enumerate(trs.rules)]
     # Leftmost and max-parallel pose every rule at the spots a redex may not
     # occupy: left of, or parallel to, what the step contracts, or C's hole.
@@ -294,7 +293,7 @@ def step_problems(
         for k, (p, b) in split.items()
         if k in components
     }
-    made: dict = {}
+    cross = partial(_cross, c.substitute(mu), mu, made={}, towers={})
     out: list[ProblemInstance] = []
     for i, step in enumerate(cert.steps, start=1):
         t = loop.terms[i - 1]
@@ -304,7 +303,7 @@ def step_problems(
             if component in split:
                 p, b = split[component]
                 rows = _split_rows(t, qs, mu, images, f"{p}-term", f"{p}-image", b)
-                out += _cross(c_mu, mu, i, rows + context_rows[component], rules, posed, made)
+                out += cross(i, rows + context_rows[component], rules, posed)
                 continue
             pats = getattr(trs, f"{component}_patterns", spec.patterns)  # forbidden: the spec's
             for q in qs:
@@ -313,7 +312,7 @@ def step_problems(
                     key = (pat.kind, pat.pos)
                     if key not in frames:
                         frames[key] = frame_of[pat.kind](c, mu, t, q, pat.pos)
-                    out += _cross(c_mu, mu, i, frames[key], [(pat.lhs, None, pat)], posed, made)
+                    out += cross(i, frames[key], [(pat.lhs, None, pat)], posed)
     return tuple(out)
 
 
@@ -332,17 +331,17 @@ class Evidence(Value):
 class Verdict(Value):
     __slots__ = _fields = (
         "answer", "strategy", "evidence", "open_problems",
-        "total", "unsolvable", "solvable", "unknown", "bound",
+        "total", "unsolvable", "solvable", "unknown",
     )
 
     def __init__(
         self, answer: str, strategy: str, evidence: Evidence | None,
         open_problems: tuple[tuple[ProblemInstance, Unknown], ...],
-        total: int, unsolvable: int, solvable: int, unknown: int, bound: int,
+        total: int, unsolvable: int, solvable: int, unknown: int,
     ):
         # answer is "yes", "no" or "unknown"; the counts are of instances.
         self.answer, self.strategy, self.evidence = answer, strategy, evidence
-        self.open_problems, self.total, self.bound = open_problems, total, bound
+        self.open_problems, self.total = open_problems, total
         self.unsolvable, self.solvable, self.unknown = unsolvable, solvable, unknown
 
 
@@ -374,12 +373,7 @@ def _confirm_violation(
     return None
 
 
-def decide_loop(
-    trs: Trs,
-    loop: ValidatedLoop,
-    spec: StrategySpec,
-    bound: int = DEFAULT_BOUND,
-) -> Verdict:
+def decide_loop(trs: Trs, loop: ValidatedLoop, spec: StrategySpec) -> Verdict:
     instances = step_problems(loop, trs, spec)
     # Steps repeat problems; each distinct one is one object, solved once.
     solved: dict[int, SolverResult] = {}
@@ -388,32 +382,18 @@ def decide_loop(
         p = inst.problem
         res = solved.get(id(p))
         if res is None:
-            res = solved[id(p)] = solve_problem(p, bound)
+            res = solved[id(p)] = solve_problem(p)
         results.append((inst, res))
     solvable = [(i, r) for i, r in results if isinstance(r, Solvable)]
     unknown = [(i, r) for i, r in results if isinstance(r, Unknown)]
-    n_unsolvable = sum(1 for _, r in results if isinstance(r, Unsolvable))
-    counts = dict(
-        total=len(results),
-        unsolvable=n_unsolvable,
-        solvable=len(solvable),
-        unknown=len(unknown),
-        bound=bound,
-    )
+    n_unsolvable = sum(isinstance(r, Unsolvable) for _, r in results)
+    counts = (len(results), n_unsolvable, len(solvable), len(unknown))
     if solvable:
         inst, res = solvable[0]
-        w = res.witness
-        exponent = w.n if w.n is not None else w.m + w.k
-        levels = exponent + len(loop.certificate.steps) + 4
-        confirmed = _confirm_violation(trs, loop, spec, levels)
-        level, vstep = confirmed if confirmed is not None else (None, None)
-        return Verdict(
-            "no",
-            spec.label,
-            Evidence(inst, res, level, vstep),
-            (),
-            **counts,
-        )
+        # A slice m's witness n is its extended problem's (m, k = n).
+        levels = (inst.m or 0) + res.witness.n + len(loop.certificate.steps) + 4
+        level, vstep = _confirm_violation(trs, loop, spec, levels) or (None, None)
+        return Verdict("no", spec.label, Evidence(inst, res, level, vstep), (), *counts)
     if unknown:
-        return Verdict("unknown", spec.label, None, tuple(unknown), **counts)
-    return Verdict("yes", spec.label, None, (), **counts)
+        return Verdict("unknown", spec.label, None, tuple(unknown), *counts)
+    return Verdict("yes", spec.label, None, (), *counts)

@@ -33,12 +33,7 @@ from .errors import (
     VariableLhs,
 )
 from .loops import LoopCertificate, Step
-from .problems import (
-    ExtendedMatchingProblem,
-    MatchingProblem,
-    Problem,
-    Witness,
-)
+from .problems import MatchingProblem
 from .rewriting import ForbiddenPattern, PatternKind, Rule, Trs, replacement_map_error
 from .terms import (
     Application,
@@ -448,23 +443,11 @@ def _subst_to_document(mu: Substitution) -> dict:
     return {x: str(u) for x, u in mu.items()}
 
 
-def _problem_to_document(problem: Problem) -> dict:
-    if isinstance(problem, MatchingProblem):
-        return {
-            "type": "matching",
-            "pairs": [
-                {"subject": str(problem.subject), "pattern": str(problem.pattern)}
-            ],
-            "identities": [],
-            "mu": _subst_to_document(problem.mu),
-        }
-    assert isinstance(problem, ExtendedMatchingProblem)
+def _problem_to_document(problem: MatchingProblem) -> dict:
     return {
-        "type": "extended",
-        "d": str(problem.d),
-        "lhs": str(problem.lhs),
-        "c": str(problem.c),
-        "t": str(problem.t),
+        "type": "matching",
+        "pairs": [{"subject": str(problem.subject), "pattern": str(problem.pattern)}],
+        "identities": [],
         "mu": _subst_to_document(problem.mu),
     }
 
@@ -490,17 +473,17 @@ def _instance_to_document(inst: ProblemInstance) -> dict:
     return doc
 
 
-def _witness_to_document(w: Witness) -> dict:
-    if w.n is not None:
-        return {"n": w.n}
-    return {"m": w.m, "k": w.k}
+def _witness_to_document(ev: Evidence) -> dict:
+    # A slice m's witness n is its extended problem's (m, k = n).
+    n, m = ev.result.witness.n, ev.instance.m
+    return {"n": n} if m is None else {"m": m, "k": n}
 
 
 def _evidence_to_document(ev: Evidence) -> dict:
     w = ev.result.witness
     return {
         "instance": _instance_to_document(ev.instance),
-        "witness": _witness_to_document(w),
+        "witness": _witness_to_document(ev),
         "sigma": _subst_to_document(w.sigma),
         "confirmed": (
             {"level": ev.level, "step": ev.violation_step}
@@ -514,7 +497,6 @@ def verdict_to_document(v: Verdict) -> dict:
     return {
         "verdict": v.answer,
         "strategy": v.strategy,
-        "bound": v.bound,
         "problems": {
             "total": v.total,
             "unsolvable": v.unsolvable,
@@ -548,14 +530,14 @@ def render_verdict(v: Verdict, fmt: str = "text") -> str:
         raise ValueError(f"unknown format {fmt!r}")
     stats = (
         f"checked {v.total} problems: {v.unsolvable} unsolvable,"
-        f" {v.solvable} solvable, {v.unknown} unknown (bound {v.bound})"
+        f" {v.solvable} solvable, {v.unknown} unknown"
     )
     if v.answer == "yes":
         return f"YES: loop under strategy {v.strategy}\n  {stats}\n"
     if v.answer == "no":
         ev = v.evidence
         w = ev.result.witness
-        witness = ", ".join(f"{k}={n}" for k, n in _witness_to_document(w).items())
+        witness = ", ".join(f"{k}={n}" for k, n in _witness_to_document(ev).items())
         lines = [
             f"NO: not a loop under strategy {v.strategy}",
             f"  {stats}",

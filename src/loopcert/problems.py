@@ -1,22 +1,15 @@
-"""Matching problems over pumped terms, and their solvers.
+"""Matching problems over pumped terms, and their solver.
 
 A matching problem asks whether some power of a substitution sends a subject
 term onto an instance of a pattern: find n and sigma with u mu^n = l sigma.
-An extended problem additionally pumps the subject through a context: find
-m, k, sigma with D[t(C, mu)^m] mu^k = l sigma.
-
-A matching problem is decided.  At each exponent its constraint set is
-simplified to a fixpoint: root clashes and variables that cycle through
-variables forever refute the problem outright, and a fully decomposed set is
-a solution at exactly that exponent.  The state is then stepped by mu, up to
-the exponent bound that `exponent_bound` computes from the problem and
-proves sufficient; no witness up to it refutes the problem.  An extended
-problem is scanned for a refuting clash and otherwise solved one slice at a
-time: slice m, D[t(C, mu)^m] mu^k = l sigma in k alone, is a matching
-problem, and the caller's bound (DEFAULT_BOUND unless given) caps m only.
-Answers are three-valued: Solvable carries the least witness (by m + k, then
-m), Unsolvable a finite certificate, Unknown why the search stopped: the
-bound on m (extended problems only), or MAX_TERM_SIZE, the size limit.
+solve_problem decides it, up to the exponent bound that exponent_bound
+computes and proves sufficient.  An extended problem also pumps the subject
+through a context, find m, k, sigma with D[t(C, mu)^m] mu^k = l sigma, and
+is no problem kind of its own: for each m its slice D[t(C, mu)^m] against l
+is a matching problem in k, and extended_slices gives the few slices that it
+proves sufficient.  Answers are three-valued: Solvable carries the
+least witness, Unsolvable a finite certificate, Unknown that a term outgrew
+MAX_TERM_SIZE, the size limit.
 """
 
 from __future__ import annotations
@@ -25,9 +18,9 @@ import enum
 
 from .errors import InternalError
 from .terms import (
+    HOLE,
     Application,
     Context,
-    Position,
     Substitution,
     Term,
     Value,
@@ -35,6 +28,8 @@ from .terms import (
     apply_context_substitution,
     apply_substitution,
     positions,
+    subterm_at,
+    subterms,
     term_size,
     variable_closure,
     variables_of,
@@ -54,23 +49,6 @@ class MatchingProblem(Value):
         return f"{self.subject} matches {self.pattern} under {self.mu}"
 
 
-class ExtendedMatchingProblem(Value):
-    """Find m, k, sigma with D[t(C, mu)^m] mu^k = l sigma."""
-
-    __slots__ = _fields = ("d", "lhs", "c", "t", "mu")
-
-    def __init__(self, d: Context, lhs: Term, c: Context, t: Term, mu: Substitution):
-        self.d, self.lhs, self.c, self.t, self.mu = d, lhs, c, t, mu
-
-    def __str__(self) -> str:
-        return (
-            f"{self.d}[{self.t}({self.c},{self.mu})^m] mu^k matches {self.lhs}"
-        )
-
-
-Problem = MatchingProblem | ExtendedMatchingProblem
-
-
 class UnsolvableReason(enum.Enum):
     ROOT_CLASH = "root-clash"
     VARIABLE_ORBIT = "variable-orbit"
@@ -78,12 +56,10 @@ class UnsolvableReason(enum.Enum):
 
 
 class Witness(Value):
-    __slots__ = _fields = ("sigma", "n", "m", "k")
+    __slots__ = _fields = ("sigma", "n")
 
-    def __init__(
-        self, sigma: Substitution, n: int | None = None, m: int | None = None, k: int | None = None
-    ):
-        self.sigma, self.n, self.m, self.k = sigma, n, m, k  # n, or m and k if extended
+    def __init__(self, sigma: Substitution, n: int):
+        self.sigma, self.n = sigma, n
 
 
 class Solvable(Value):
@@ -104,16 +80,15 @@ class Unknown(Value):
     __slots__ = _fields = ("note",)
 
     def __init__(self, note: str):
-        self.note = note  # why the search stopped: the exponent bound, or a limit
+        self.note = note  # why the search stopped: the size limit
 
 
 SolverResult = Solvable | Unsolvable | Unknown
 
 
-# Cap on an extended problem's context exponent m unless the caller gives one.
-DEFAULT_BOUND = 64
-# Largest term a solver state, an extended tower or a confirmation replay
-# may grow to; past it the answer is Unknown.  Read at each check.
+# Largest term a solver state (its subject included), an extended slice or
+# a confirmation replay may grow to; past it the answer is Unknown.  Read at
+# each check.
 MAX_TERM_SIZE = 100_000
 
 
@@ -189,16 +164,6 @@ def _simplify(
     return {x: u for x, u in bindings.items() if x in live}, match, ident
 
 
-def _recheck_matching(problem: MatchingProblem, n: int) -> Substitution:
-    """Independently confirm a witness exponent and extract sigma."""
-    sigma = match_pattern(
-        problem.pattern, apply_substitution(problem.subject, problem.mu, n)
-    )
-    if sigma is None:
-        raise InternalError(f"witness n={n} failed recheck on {problem}")
-    return sigma
-
-
 def exponent_bound(problem: MatchingProblem) -> int:
     """N = |V| * (d + 1), a bound on the least witness of a matching problem.
 
@@ -266,8 +231,10 @@ def exponent_bound(problem: MatchingProblem) -> int:
     return len(closure) * (depth + 1)
 
 
-def solve_matching(problem: MatchingProblem) -> SolverResult:
+def solve_problem(problem: MatchingProblem) -> SolverResult:
     mu, u, l = problem.mu, problem.subject, problem.pattern
+    if term_size(u) > MAX_TERM_SIZE:
+        return Unknown("state size limit reached")
     # Most posed problems clash at the root, as _simplify would find.
     if u.__class__ is Application is l.__class__ and (
         u.symbol != l.symbol or len(u.args) != len(l.args)
@@ -278,7 +245,11 @@ def solve_matching(problem: MatchingProblem) -> SolverResult:
     while isinstance(state, tuple):
         bindings, match, ident = state
         if not match and not ident:
-            return Solvable(Witness(n=offset, sigma=_recheck_matching(problem, offset)))
+            # Confirm the witness independently, and extract sigma.
+            sigma = match_pattern(l, apply_substitution(u, mu, offset))
+            if sigma is None:
+                raise InternalError(f"witness n={offset} failed recheck on {problem}")
+            return Solvable(Witness(sigma, offset))
         if offset == 1:
             # Most problems are settled by offset 1, so N is computed here;
             # constraints open at offset 0 hold a variable of V, so N >= 1.
@@ -300,72 +271,96 @@ def solve_matching(problem: MatchingProblem) -> SolverResult:
     return state
 
 
-def _tower_roots(problem: ExtendedMatchingProblem) -> frozenset[str]:
-    """Every root symbol D's hole can expose, over all m and all later mu
-    powers.  The set is exhaustive: a non-member root refutes a match there."""
-    # m = 0, and every m when C is the hole: t mu^k shows t's root or its orbit's.
-    t = problem.t
-    roots = {t.symbol if isinstance(t, Application) else orbit_root(t.name, problem.mu)}
-    if problem.c.hole_pos:
-        roots.add(problem.c.term.symbol)
-    return frozenset(roots - {None})
+def _exposed(t: Term, q, mu: Substitution):
+    """(t mu^e |q, e) for the least e with q a position of t mu^e, or None."""
+    e = 0
+    for i in q:
+        while t.__class__ is Variable and orbit_root(t.name, mu) is not None:
+            t, e = mu.get(t.name), e + 1
+        if t.__class__ is Variable or i > len(t.args):
+            return None
+        t = t.args[i - 1]
+    return t, e
 
 
-def _extended_scan(
-    dn: Term, hole: Position | None, ln: Term, problem: ExtendedMatchingProblem
-) -> bool:
-    """Walk D's term against the pattern, with *hole* D's hole position below
-    dn (None off its spine); whether a refuting clash exists.
+def extended_slices(
+    d: Context, lhs: Term, c: Context, tower: list[Term], mu: Substitution
+) -> list[tuple[int, Term]]:
+    """The slices (m, D[T_m]) that decide the extended problem
+    D[T_m] mu^k = l sigma, with T_m = t(C, mu)^m and C not the hole: m = 0..j
+    and at most one m > j.  *tower* holds T_0 = t, T_1, ... and grows as
+    needed.  Towers only grow, so the list ends early at the first slice
+    over MAX_TERM_SIZE, which solve_problem answers Unknown.
 
-    Only necessary conditions are checked: rigid symbols of D must agree with
-    the pattern, the hole can only expose tower roots, and a substituted
-    variable of D must be matchable on its own.
+    Claim: a slice m > j left out is solvable at no k, or at exactly the k
+    where slice j is; so the slices given hold a witness if any slice does,
+    and the least by m + k, then m.  Let h and p be the hole positions of D
+    and C.  Walk l along h p p ... over the nodes where it has the symbol
+    and arity that every slice has there under every mu^k (D's, then C's),
+    to s'.  Let j = max(0, (|s'| - |h|) // |p| + 1), the least j with
+    |h| + j|p| > |s'|.  For m >= j, D[T_m] = E[T_(m-j) mu^j] with
+    E = D[C[C mu[...C mu^(j-1)[]]]] independent of m and its hole at
+    s = h p^j.  If l|s' is an application, every slice m >= j clashes with
+    it at s'.  Else l|s' is a variable x, every other position of l is a
+    prefix of s' or parallel to s, and there slice m >= j at k has the
+    subterm of E mu^k.
+
+    (a) x occurs in l once.  Slice m >= j is solvable at exactly the k where
+        slice j is.
+    (b) x also occurs at q, parallel to s.  Let e be the least exponent with
+        q a position of D[T_j] mu^e, and w = D[T_j] mu^e |q; with no such e,
+        no slice m >= j has l's position q.  Let V be the variable closure
+        under mu of the variables of D[T_0] and C (T_m holds C's and
+        T_(m-1) mu's), and K = |V|.  If slice m >= j is solvable at k, then
+        k >= e, and x's two occurrences give (D[T_m]|s') mu^k = w mu^(k-e):
+        mu^(k-e) equates (D[T_m]|s') mu^e and w, two terms over V.  By the
+        identity lemma (step 4 of exponent_bound) mu^K does too, so
+        |(D[T_m]|s') mu^(e+K)| = |w mu^K|.  The left side grows strictly
+        with m, as |T_(n+1) mu^i| = |C mu^i| - 1 + |T_n mu^(i+1)| (the hole
+        counted as a node) and mu never shrinks a term, so one m >= j at
+        most meets it.  Both sides are counted from |x mu^i| for x in V.
     """
-    if isinstance(ln, Variable):
-        return False
-    if hole == ():
-        return ln.symbol not in _tower_roots(problem)
-    if isinstance(dn, Application):
-        if dn.symbol != ln.symbol or len(dn.args) != len(ln.args):
-            return True
-        return any(
-            _extended_scan(da, hole[1:] if hole and hole[0] == i else None, la, problem)
-            for i, (da, la) in enumerate(zip(dn.args, ln.args), start=1)
-        )
-    sub = solve_matching(MatchingProblem(dn, ln, problem.mu))
-    return isinstance(sub, Unsolvable)
 
+    def slice_at(m: int) -> tuple[int, Term]:
+        # Slice m, or the first one before it whose tower outgrows the limit.
+        while len(tower) <= m and term_size(tower[-1]) <= MAX_TERM_SIZE:
+            tower.append(apply_context_substitution(tower[-1], c, mu, 1))
+        m = min(m, len(tower) - 1)
+        return m, d.plug(tower[m])
 
-def solve_extended(
-    problem: ExtendedMatchingProblem, bound: int = DEFAULT_BOUND
-) -> SolverResult:
-    if _extended_scan(problem.d.term, problem.d.hole_pos, problem.lhs, problem):
-        return Unsolvable(UnsolvableReason.ROOT_CLASH)
-    # No slice at or past the best witness's m + k holds a lesser one.
-    best, capped = None, False
-    tower, m = problem.t, 0
-    while m < (bound + 1 if best is None else best.m + best.k):
-        if m:
-            # Towers only grow, so once one is over budget stop building.
-            if term_size(tower) > MAX_TERM_SIZE:
-                capped = True
-                break
-            tower = apply_context_substitution(tower, problem.c, problem.mu, 1)
-        slice_m = MatchingProblem(problem.d.plug(tower), problem.lhs, problem.mu)
-        res = solve_matching(slice_m)
-        capped = capped or isinstance(res, Unknown)
-        w = res.witness if isinstance(res, Solvable) else None
-        if w is not None and (best is None or m + w.n < best.m + best.k):
-            best = Witness(m=m, k=w.n, sigma=w.sigma)
-        m += 1
-    if best is not None:
-        return Solvable(best)
-    if capped:
-        return Unknown("state size limit reached")
-    return Unknown(f"exponent bound {bound} reached")
+    path, x, y, at = d.hole_pos, lhs, d.term, ()
+    while x.__class__ is Application:
+        if len(at) == len(path):
+            path, y = path + c.hole_pos, c.term
+        if x.symbol != y.symbol or len(x.args) != len(y.args):
+            break
+        at += (path[len(at)],)
+        x, y = x.args[at[-1] - 1], y.args[at[-1] - 1]
+    j = max(0, (len(at) - len(d.hole_pos)) // len(c.hole_pos) + 1)
+    out = []
+    for m in range(j + 1):
+        out.append(slice_at(m))
+        if term_size(out[-1][1]) > MAX_TERM_SIZE:
+            return out
+    q = next((q for q, u in subterms(lhs) if u is x and q != at), None)
+    exposed = _exposed(out[j][1], q, mu) if x.__class__ is Variable and q is not None else None
+    if exposed is None:
+        return out
+    w, e = exposed
+    holed = c.plug(HOLE)
+    sizes = [dict.fromkeys(variable_closure(out[0][1], mu) | variable_closure(holed, mu), 1)]
 
+    def size(t: Term, i: int) -> int:  # |t mu^i|, from sizes[i][x] = |x mu^i|
+        while len(sizes) <= i:
+            sizes.append({x: size(mu.apply(Variable(x)), len(sizes) - 1) for x in sizes[0]})
+        return sum(sizes[i][v.name] if v.__class__ is Variable else 1 for _, v in subterms(t))
 
-def solve_problem(problem: Problem, bound: int = DEFAULT_BOUND) -> SolverResult:
-    if isinstance(problem, MatchingProblem):
-        return solve_matching(problem)
-    return solve_extended(problem, bound)
+    k = len(sizes[0])
+    target, grown = size(w, k), size(subterm_at(out[j][1], at), e + k)
+    i = j + e + k  # slice j + n holds T_n mu^j, here under mu^(e+K)
+    while grown < target:
+        grown += size(holed, i) - 1 + size(tower[0], i + 1) - size(tower[0], i)
+        i += 1
+    if grown == target and i > j + e + k:
+        out.append(slice_at(i - e - k))
+    return out

@@ -110,10 +110,11 @@ def growing_loop(growing: Trs) -> ValidatedLoop:
     return load_loop(growing, "growing_loop.json")
 
 
-# An outermost loop whose one open problem is an extended problem that no
-# exponent bound settles (D[t(C, mu)^m] = s^(m+1)(f(y,y)) never matches
-# s(s(b))), so check answers unknown.  It stays out of tests/data, so the
-# pinned tables do not grow.
+# An outermost loop with an extended problem whose slices
+# D[t(C, mu)^m] = s^(m+1)(f(y,y)) never match s(s(b)): slices m = 0..2
+# decide it, so check answers yes, and under a size limit of 5 the last
+# slice is open, so check answers unknown.  It stays out of tests/data, so
+# the pinned tables do not grow.
 STALLED_TRS = "(VAR x y)\n(RULES\n  f(x,y) -> s(f(y,y))\n  s(s(b)) -> k(a,b,a)\n)\n"
 STALLED_LOOP = (
     '{"start": "f(x,y)", "steps": [[{"pos": [], "rule": 0}]],'

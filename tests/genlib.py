@@ -13,11 +13,11 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from collections import namedtuple
 
 from loopcert import (
     Application,
     Context,
-    ExtendedMatchingProblem,
     HOLE,
     LoopCertificate,
     MatchingProblem,
@@ -41,6 +41,7 @@ from loopcert import (
     concrete_checks,
     decide_loop,
     exponent_bound,
+    extended_slices,
     find_loops,
     format_position,
     innermost_patterns,
@@ -60,6 +61,7 @@ from loopcert import (
     variable_closure,
     variables_of,
 )
+from loopcert import problems
 from loopcert.rewriting import match_pattern, redex_positions
 
 ARITIES = {"f": 2, "g": 1, "h": 2, "k": 3, "s": 1, "a": 0, "b": 0, "c": 0}
@@ -319,17 +321,23 @@ def random_identity_chain_problem(rng: random.Random) -> MatchingProblem:
     return identity_problem(a, b, Substitution(images))
 
 
-def random_extended_problem(rng: random.Random) -> ExtendedMatchingProblem:
-    # Kept tiny on purpose: brute_force_check scans the whole m+k grid,
-    # so the tower at m = 32 must still be a small term.
+# An extended problem D[t(C, mu)^m] mu^k = l sigma and a witness of it.  The
+# program decides one as its slices (extended_slices); these are the
+# reference that decision is checked against.
+Extended = namedtuple("Extended", "d lhs c t mu")
+ExtendedWitness = namedtuple("ExtendedWitness", "m k sigma")
+
+
+def random_extended_problem(rng: random.Random) -> Extended:
+    # Kept tiny on purpose: the oracle scans the whole (m, k) grid.  C is
+    # never the hole, as in every extended problem the decider poses.
     mu = random_substitution(rng, ("x", "y"), wild=0.0, depth=1)
-    return ExtendedMatchingProblem(
-        random_context(rng, ("x", "y"), 2),
-        random_pattern(rng, ("x", "y"), rng.randint(1, 2)),
-        random_context(rng, ("x", "y"), 1),
-        random_term(rng, ("x", "y"), 1),
-        mu,
-    )
+    d = random_context(rng, ("x", "y"), 2)
+    lhs = random_pattern(rng, ("x", "y"), rng.randint(1, 2))
+    c = random_context(rng, ("x", "y"), 1)
+    while not c.hole_pos:
+        c = random_context(rng, ("x", "y"), 1)
+    return Extended(d, lhs, c, random_term(rng, ("x", "y"), 1), mu)
 
 
 def random_problem(rng: random.Random):
@@ -341,11 +349,46 @@ def random_problem(rng: random.Random):
     return random_extended_problem(rng)
 
 
-def brute_force_check(problem, bound: int) -> Witness | None:
+def extended_subject(problem: Extended, m: int) -> Term:
+    """D[t(C, mu)^m], slice m's subject, built here from the definition."""
+    return problem.d.plug(apply_context_substitution(problem.t, problem.c, problem.mu, m))
+
+
+def slice_decision(problem: Extended):
+    """The program's decision of an extended problem: its least witness by
+    m + k, then m, or None, and each slice's result by its m."""
+    slices = extended_slices(problem.d, problem.lhs, problem.c, [problem.t], problem.mu)
+    results = {m: solve_problem(MatchingProblem(s, problem.lhs, problem.mu)) for m, s in slices}
+    found = [
+        (m + r.witness.n, m, r.witness.sigma)
+        for m, r in results.items()
+        if isinstance(r, Solvable)
+    ]
+    if not found:
+        return None, results
+    total, m, sigma = min(found, key=lambda f: f[:2])
+    return ExtendedWitness(m, total - m, sigma), results
+
+
+def solve(problem):
+    """solve_problem, or an extended problem's slice decision as one result:
+    its least witness, else a slice's Unknown, else its first refutation."""
+    if isinstance(problem, MatchingProblem):
+        return solve_problem(problem)
+    best, results = slice_decision(problem)
+    if best is not None:
+        return Solvable(best)
+    return next((r for r in results.values() if isinstance(r, Unknown)), results[0])
+
+
+def brute_force_check(problem, bound: int, max_m: int | None = None):
     """Exhaustive reference search for the least witness within bound.
 
-    Built directly on term primitives, independent of the layered solver, so
-    the two can be tested against each other.
+    A matching problem is searched for n <= bound; an extended problem over
+    its (m, k) grid in order of m + k, then m, with m + k <= bound, or with
+    m <= max_m and k <= bound when max_m is given.  Built directly on term
+    primitives, independent of the layered solver, so the two can be tested
+    against each other.
     """
     if isinstance(problem, MatchingProblem):
         u = problem.subject
@@ -355,57 +398,59 @@ def brute_force_check(problem, bound: int) -> Witness | None:
                 return Witness(n=n, sigma=sigma)
             u = problem.mu.apply(u)
         return None
-    towers = [problem.t]
-    rows: list[Term] = []
-    for total in range(bound + 1):
-        for m in range(total + 1):
-            while len(towers) <= m:
-                towers.append(
-                    apply_context_substitution(towers[-1], problem.c, problem.mu, 1)
-                )
+    rows: list[Term] = []  # slice m's subject, pumped by mu as k grows
+    top = bound if max_m is None else max_m + bound
+    for total in range(top + 1):
+        for m in range(total + 1 if max_m is None else min(total, max_m) + 1):
+            if total - m > bound:
+                continue
             if len(rows) <= m:
-                rows.append(problem.d.plug(towers[m]))
+                rows.append(extended_subject(problem, m))
             u = rows[m]
             sigma = match_pattern(problem.lhs, u)
             rows[m] = problem.mu.apply(u)
             if sigma is not None:
-                return Witness(m=m, k=total - m, sigma=sigma)
+                return ExtendedWitness(m, total - m, sigma)
     return None
 
 
-def reverify_witness(problem, w: Witness) -> bool:
+def reverify_witness(problem, w) -> bool:
     """Check a claimed witness by direct computation, no solver involved."""
     if isinstance(problem, MatchingProblem):
         subject = apply_substitution(problem.subject, problem.mu, w.n)
         return w.sigma is not None and w.sigma.apply(problem.pattern) == subject
-    pumped = apply_context_substitution(problem.t, problem.c, problem.mu, w.m)
-    subject = apply_substitution(problem.d.plug(pumped), problem.mu, w.k)
+    subject = apply_substitution(extended_subject(problem, w.m), problem.mu, w.k)
     return w.sigma is not None and w.sigma.apply(problem.lhs) == subject
 
 
-def solver_oracle_failures(problem, bound: int = 32) -> list[str]:
+def solver_oracle_failures(problem) -> list[str]:
     """Compare the solver against exhaustive search.
 
-    Extended problems are searched to *bound*, or to the m + k of the
-    solver's witness when that is larger (bound caps only m), so a witness
-    is always checked least.  Matching problems are searched to their
-    exponent bound, past which no least witness lies, so a refutation is
-    checked exhaustively and a witness is checked least.
+    Matching problems are searched to their exponent bound, past which no
+    least witness lies, so a refutation is checked exhaustively and a
+    witness is checked least.  An extended problem's slice decision is
+    checked against the (m, k) grid with m three past the last slice it
+    poses and k to the largest exponent bound of those slices, which covers
+    every witness of the slices posed and checks some of those left out.
     """
     failures: list[str] = []
-    res = solve_problem(problem, bound)
+    res = solve(problem)
     if isinstance(problem, MatchingProblem):
-        bound = exponent_bound(problem)
-    elif isinstance(res, Solvable):
-        bound = max(bound, res.witness.m + res.witness.k)
-    oracle = brute_force_check(problem, bound)
+        oracle = brute_force_check(problem, exponent_bound(problem))
+    else:
+        max_m = max(slice_decision(problem)[1]) + 3
+        bound = max(
+            exponent_bound(MatchingProblem(extended_subject(problem, m), problem.lhs, problem.mu))
+            for m in range(max_m + 1)
+        )
+        oracle = brute_force_check(problem, bound, max_m)
     if isinstance(res, Solvable):
         w = res.witness
         if not reverify_witness(problem, w):
             failures.append(f"witness does not re-verify: {w} for {problem}")
         if oracle is None:
             failures.append(f"solver found {w} but oracle found nothing: {problem}")
-        elif (w.n, w.m, w.k) != (oracle.n, oracle.m, oracle.k):
+        elif w != oracle:
             failures.append(
                 f"witness mismatch: solver {w}, oracle {oracle}: {problem}"
             )
@@ -417,27 +462,29 @@ def solver_oracle_failures(problem, bound: int = 32) -> list[str]:
             )
     else:
         assert isinstance(res, Unknown)
-        if isinstance(problem, MatchingProblem) and "limit" not in res.note:
-            failures.append(f"matching problem unknown ({res.note}): {problem}")
-        if oracle is not None and "limit" not in res.note:
-            failures.append(
-                f"solver gave up ({res.note}) but oracle found {oracle}: {problem}"
-            )
+        if "limit" not in res.note:
+            failures.append(f"solver unknown ({res.note}): {problem}")
     return failures
 
 
-def monotonicity_failures(problem, low: int = 8, high: int = 32) -> list[str]:
-    """Raising the bound may settle Unknown but never flips a definite answer."""
+def monotonicity_failures(problem, low: int = 8, high: int = 100_000) -> list[str]:
+    """Raising the size limit may settle Unknown but never flips a definite answer."""
     failures: list[str] = []
-    res_low = solve_problem(problem, low)
-    res_high = solve_problem(problem, high)
+    limit = problems.MAX_TERM_SIZE
+    try:
+        problems.MAX_TERM_SIZE = low
+        res_low = solve(problem)
+        problems.MAX_TERM_SIZE = high
+        res_high = solve(problem)
+    finally:
+        problems.MAX_TERM_SIZE = limit
     if isinstance(res_low, Solvable) and not isinstance(res_high, Solvable):
         failures.append(f"Solvable at {low} but not at {high}: {problem}")
     if isinstance(res_low, Unsolvable) and not isinstance(res_high, Unsolvable):
         failures.append(f"Unsolvable at {low} but not at {high}: {problem}")
     if isinstance(res_low, Solvable) and isinstance(res_high, Solvable):
         if res_low.witness != res_high.witness:
-            failures.append(f"witness changed between bounds: {problem}")
+            failures.append(f"witness changed between limits: {problem}")
     return failures
 
 
@@ -550,7 +597,7 @@ PARALLEL_COHERENCE = (
 
 
 def coherence_failures(
-    trs: Trs, loop, names=SEQUENTIAL_COHERENCE, bound: int = 24, levels: int = 4
+    trs: Trs, loop, names=SEQUENTIAL_COHERENCE, levels: int = 4
 ) -> list[str]:
     """Check one loop's verdicts against concrete replay and the verdict laws.
 
@@ -564,7 +611,7 @@ def coherence_failures(
     verdicts = {}
     for name in names:
         spec = StrategySpec(name)
-        v = decide_loop(trs, loop, spec, bound)
+        v = decide_loop(trs, loop, spec)
         verdicts[name] = v.answer
         checks = concrete_checks(spec)
         if v.answer == "yes":
@@ -598,12 +645,7 @@ def coherence_failures(
     ):
         if name not in verdicts:
             continue
-        enc = decide_loop(
-            trs,
-            loop,
-            StrategySpec("forbidden", encoding(trs.lhss())),
-            bound,
-        )
+        enc = decide_loop(trs, loop, StrategySpec("forbidden", encoding(trs.lhss())))
         if enc.answer != verdicts[name]:
             failures.append(
                 f"{name} verdict {verdicts[name]} differs from its encoding"

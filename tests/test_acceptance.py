@@ -110,11 +110,6 @@ def test_c04_shifted_blocker_at_exponent_nine(shift, shift_loop):
     verdict = decide_loop(shift, shift_loop, StrategySpec("leftmost"))
     assert verdict.answer == "no"
     assert verdict.evidence.result.witness.n == 9
-    # The witness sits past a configured bound of 4, which only extended
-    # problems read: the matching problem's own exponent bound still finds it.
-    shallow = decide_loop(shift, shift_loop, StrategySpec("leftmost"), 4)
-    assert shallow.answer == "no"
-    assert shallow.evidence.result.witness.n == 9
 
 
 def test_c05_parallel_certificates(
@@ -174,9 +169,9 @@ def test_c08_solver_agrees_with_brute_force():
         if kind == "MatchingProblem" and problem.pattern is genlib.IDENTITY_PATTERN:
             kind = "identity"
         kinds[kind] += 1
-        failures.extend(genlib.solver_oracle_failures(problem, bound=32))
+        failures.extend(genlib.solver_oracle_failures(problem))
     assert failures == []
-    assert set(kinds) == {"MatchingProblem", "identity", "ExtendedMatchingProblem"}
+    assert set(kinds) == {"MatchingProblem", "identity", "Extended"}
 
 
 def test_c09_decider_verdicts_cohere_with_concrete_replay(corpus):

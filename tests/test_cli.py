@@ -11,6 +11,7 @@ import sys
 
 import genlib
 import loopcert.cli
+from loopcert import problems
 from loopcert import (
     InternalError,
     StrategySpec,
@@ -69,12 +70,16 @@ def test_no_exits_one(capsys, data_dir):
     assert out.startswith("NO: not a loop under strategy outermost")
 
 
-def test_unknown_exits_two(capsys, stalled_files):
+def test_unknown_exits_two(capsys, monkeypatch, stalled_files):
+    # The size limit is the one cause of unknown: stalled's slices
+    # s^(m+1)(f(y,y)), m = 0..2, have 4, 5 and 6 nodes, past a limit of 5.
     trs, loop = stalled_files
+    monkeypatch.setattr(problems, "MAX_TERM_SIZE", 5)
     code, out, err = check(capsys, trs.parent, trs.name, loop.name, "outermost")
     assert (code, err) == (EXIT_UNKNOWN, "")
     assert out.startswith("UNKNOWN: undecided for strategy outermost")
-    assert "    stopped: exponent bound 64 reached\n" in out
+    assert "    problem: s(s(s(f(y,y)))) matches s(s(b)) under {x/y}\n" in out
+    assert "    stopped: state size limit reached\n" in out
 
 
 def write_open_loop(tmp_path, depth):
@@ -484,45 +489,29 @@ def test_internal_error_exits_four_with_a_traceback(capsys, data_dir, monkeypatc
 # Options
 
 
-def test_bound_flag_reaches_the_solver(capsys, data_dir, stalled_files):
-    trs, loop = stalled_files
-    code, out, _ = check(
-        capsys, trs.parent, trs.name, loop.name, "outermost",
-        "--bound", "4", "--format", "json",
-    )
-    assert code == EXIT_UNKNOWN
-    doc = json.loads(out)
-    assert doc["verdict"] == "unknown"
-    assert doc["bound"] == 4
-    assert [p["stopped"] for p in doc["open_problems"]] == ["exponent bound 4 reached"]
-
-    # Matching problems carry their own exponent bound: --bound 4 still
-    # finds shift's witness at 9.
-    for extra in (("--bound", "4"), ()):
-        code, out, _ = check(
-            capsys, data_dir, "shift.trs", "shift_loop.json", "leftmost",
-            "--format", "json", *extra,
-        )
-        assert code == EXIT_NO
-        assert json.loads(out)["evidence"]["witness"] == {"n": 9}
-
-
-def test_bound_caps_the_context_exponent_only(capsys, tmp_path):
-    # The pattern sits below s^3 and f over g^8: the least witness is
-    # m = 2, k = 5, past --bound 4 in m + k but not in m.
-    trs, loop = tmp_path / "pump.trs", tmp_path / "pump.json"
-    patterns = tmp_path / "patterns.txt"
-    trs.write_text("(VAR x y) (RULES f(x) -> s(f(g(x))))\n")
-    loop.write_text(json.dumps({
+def test_bound_flag_changes_no_output_byte(capsys, data_dir, tmp_path, stalled_files):
+    # --bound is still read as a count, and changes nothing: no problem needs
+    # a bound.  Stalled answers yes; shift's witness is n = 9, past 4; the
+    # pump's least witness is m = 2, k = 5, past 4 in m + k.
+    pump, patterns = tmp_path / "pump.trs", tmp_path / "patterns.txt"
+    pump.write_text("(VAR x y) (RULES f(x) -> s(f(g(x))))\n")
+    (tmp_path / "pump.json").write_text(json.dumps({
         "start": "f(x)", "steps": [[{"pos": [], "rule": 0}]],
         "context": "s([])", "subst": {"x": "g(x)"},
     }))
     patterns.write_text("s(s(s(f(" + "g(" * 8 + "y" + ")" * 8 + ")))) @ eps : b\n")
-    code, out, _ = check(
-        capsys, tmp_path, trs.name, loop.name, f"forbidden:{patterns}",
-        "--bound", "4",
-    )
-    assert code == EXIT_NO
+    stalled, stalled_loop = stalled_files
+    cases = [
+        (stalled.parent, stalled.name, stalled_loop.name, "outermost", EXIT_YES),
+        (data_dir, "shift.trs", "shift_loop.json", "leftmost", EXIT_NO),
+        (tmp_path, pump.name, "pump.json", f"forbidden:{patterns}", EXIT_NO),
+    ]
+    for where, trs, loop, strategy, want in cases:
+        for fmt in ("text", "json"):
+            plain = check(capsys, where, trs, loop, strategy, "--format", fmt)
+            assert plain[0] == want
+            assert check(capsys, where, trs, loop, strategy, "--format", fmt, "--bound", "4") == plain
+    _, out, _ = check(capsys, tmp_path, pump.name, "pump.json", f"forbidden:{patterns}")
     assert "  witness: m=2, k=5, sigma={y/x}\n" in out
     assert "concrete violation at unrolling level 8, step 1" in out
 

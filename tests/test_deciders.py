@@ -53,7 +53,6 @@ from loopcert import (
     parse_trs,
     positions,
     render_verdict,
-    solve_matching,
     solve_position_equation,
     solve_problem,
     step_problems,
@@ -320,12 +319,7 @@ def test_shift_loop_needs_exponent_nine(shift, shift_loop):
     verdict = decide_loop(shift, shift_loop, StrategySpec("leftmost"))
     assert verdict.answer == "no"
     assert verdict.evidence.result.witness.n == 9
-
-    # The configured bound is for extended problems; this one is matching.
-    low = decide_loop(shift, shift_loop, StrategySpec("leftmost"), 4)
-    assert low.answer == "no"
-    assert low.evidence.result.witness.n == 9
-    assert low.open_problems == ()
+    assert verdict.open_problems == ()
 
 
 def test_confirmation_stops_where_terms_outgrow_the_size_limit(monkeypatch):
@@ -508,7 +502,7 @@ def test_h_problems_match_direct_evaluation():
 
         loop = one_step_loop(t, q, c, mu)
         instances = step_problems(loop, NO_RULES, StrategySpec("forbidden", (pattern,)))
-        results = [solve_matching(inst.problem) for inst in instances]
+        results = [solve_problem(inst.problem) for inst in instances]
         if any(isinstance(r, Unknown) for r in results):
             continue
         compared += 1
@@ -579,7 +573,7 @@ def verdict_summary(trs, loop, spec, rho=EMPTY_SUBSTITUTION):
         sigma = w.sigma and Substitution(
             {rho.apply(v(x)).name: rho.apply(u) for x, u in w.sigma.items()}
         )
-        out += [place(verdict.evidence.instance), w.n, w.m, w.k, sigma]
+        out += [place(verdict.evidence.instance), verdict.evidence.instance.m, w.n, sigma]
         out += [verdict.evidence.level, verdict.evidence.violation_step]
     return out
 
@@ -712,9 +706,9 @@ def test_each_distinct_problem_is_solved_once_per_decision(
     solved = []
     solve = deciders.solve_problem
 
-    def counting(problem, bound):
+    def counting(problem):
         solved.append(problem)
-        return solve(problem, bound)
+        return solve(problem)
 
     monkeypatch.setattr(deciders, "solve_problem", counting)
     verdict = decide_loop(factorial, factorial_loop, spec)
@@ -726,18 +720,16 @@ def test_each_distinct_problem_is_solved_once_per_decision(
 def test_each_key_gets_one_problem_object_and_one_solve(
     monkeypatch, corpus, stream, stream_patterns
 ):
-    # C and mu are fixed per decision, so (subject, lhs, D's hole position)
-    # fixes a problem: one object per key, solved once, however many steps
-    # and rows reach it.
+    # mu is fixed per decision, so (subject, lhs) fixes a problem, an
+    # extended problem's slices included: one object per key, solved once,
+    # however many steps and rows reach it.
     def key(problem):
-        if problem.__class__ is problems.MatchingProblem:
-            return problem.subject, problem.pattern, None
-        return problem.t, problem.lhs, problem.d.hole_pos
+        return problem.subject, problem.pattern
 
     generate, solve = deciders.step_problems, deciders.solve_problem
     seen, solved = [], []
     monkeypatch.setattr(deciders, "step_problems", lambda *a: seen.append(generate(*a)) or seen[-1])
-    monkeypatch.setattr(deciders, "solve_problem", lambda p, b: solved.append(p) or solve(p, b))
+    monkeypatch.setattr(deciders, "solve_problem", lambda p: solved.append(p) or solve(p))
     decisions = 0
     for trs, loop in corpus:
         specs = [StrategySpec(name) for name in STRATEGIES if name != "forbidden"]
@@ -776,7 +768,7 @@ def test_found_loops_decide_as_pinned(data_dir):
             for strategy in FOUND_LOOP_STRATEGIES:
                 verdict = decide_loop(trs, loop, StrategySpec(strategy))
                 digest.update(render_verdict(verdict, "json").encode() + b"\n")
-    want = "dd90b8f4a625a2413e603cd7e80079a290b0889639f5a90ab485a912ac77c530"
+    want = "b5ee415407c557bd4c1ca621c8d378a9210d10f5feddb9831f850801ba1c8d10"
     assert digest.hexdigest() == want
 
 

@@ -44,5 +44,5 @@ def resolves(dotted: str) -> bool:
 
 def test_readme_library_names_are_attributes_of_loopcert():
     names = documented_names(library_section())
-    assert {"decide_loop", "solve_matching", "apply_context_substitution"} <= set(names)
+    assert {"decide_loop", "solve_problem", "apply_context_substitution"} <= set(names)
     assert [name for name in names if not resolves(name)] == []

@@ -585,7 +585,7 @@ def test_no_verdict_text_block(collapse, collapse_loop):
     verdict = decide_loop(collapse, collapse_loop, StrategySpec("leftmost"))
     assert render_verdict(verdict, "text") == (
         "NO: not a loop under strategy leftmost\n"
-        "  checked 8 problems: 7 unsolvable, 1 solvable, 0 unknown (bound 64)\n"
+        "  checked 8 problems: 7 unsolvable, 1 solvable, 0 unknown\n"
         "  evidence at step 1, family left-context, position 1, rule 1\n"
         "  problem: g(x,y) matches g(x,x) under {x/y, y/z}\n"
         "  witness: n=2, sigma={x/z}\n"
@@ -596,9 +596,7 @@ def test_no_verdict_text_block(collapse, collapse_loop):
 def test_no_verdict_json_document(collapse, collapse_loop):
     verdict = decide_loop(collapse, collapse_loop, StrategySpec("leftmost"))
     doc = json.loads(render_verdict(verdict, "json"))
-    assert sorted(doc) == [
-        "bound", "evidence", "open_problems", "problems", "strategy", "verdict"
-    ]
+    assert sorted(doc) == ["evidence", "open_problems", "problems", "strategy", "verdict"]
     assert doc["verdict"] == "no"
     assert doc["strategy"] == "leftmost"
     assert doc["problems"] == {
@@ -615,28 +613,28 @@ def test_no_verdict_json_document(collapse, collapse_loop):
 
 
 def test_unknown_verdict_rendering(stalled, stalled_loop, monkeypatch):
+    # Stalled's slices s^(m+1)(f(y,y)), m = 0..2, are all refuted; under a
+    # size limit of 5 the last one, 6 nodes, is open instead.
     spec = StrategySpec("outermost")
+    assert decide_loop(stalled, stalled_loop, spec).answer == "yes"
+    monkeypatch.setattr(problems, "MAX_TERM_SIZE", 5)
     verdict = decide_loop(stalled, stalled_loop, spec)
     doc = json.loads(render_verdict(verdict, "json"))
     assert doc["verdict"] == "unknown"
     assert doc["evidence"] is None
     [open_problem] = doc["open_problems"]
-    assert open_problem["stopped"] == "exponent bound 64 reached"
-    assert open_problem["problem"]["type"] == "extended"
+    assert open_problem["stopped"] == "state size limit reached"
+    assert open_problem["problem"]["pairs"] == [
+        {"subject": "s(s(s(f(y,y))))", "pattern": "s(s(b))"}
+    ]
     assert render_verdict(verdict, "text") == (
         "UNKNOWN: undecided for strategy outermost\n"
-        "  checked 2 problems: 1 unsolvable, 0 solvable, 1 unknown (bound 64)\n"
+        "  checked 4 problems: 3 unsolvable, 0 solvable, 1 unknown\n"
         "  open at step 1, family pattern-below-context, position eps,"
         " pattern s(s(b)) @ eps : b, n0 0\n"
-        "    problem: s([])[f(y,y)(s([]),{x/y})^m] mu^k matches s(s(b))\n"
-        "    stopped: exponent bound 64 reached\n"
+        "    problem: s(s(s(f(y,y)))) matches s(s(b)) under {x/y}\n"
+        "    stopped: state size limit reached\n"
     )
-    # Each open problem says which limit stopped it.
-    monkeypatch.setattr(problems, "MAX_TERM_SIZE", 5)
-    capped = decide_loop(stalled, stalled_loop, spec)
-    assert "    stopped: state size limit reached\n" in render_verdict(capped, "text")
-    [open_problem] = json.loads(render_verdict(capped, "json"))["open_problems"]
-    assert open_problem["stopped"] == "state size limit reached"
 
 
 def test_verdict_rendering_is_deterministic(collapse, collapse_loop):
@@ -645,14 +643,6 @@ def test_verdict_rendering_is_deterministic(collapse, collapse_loop):
         return render_verdict(verdict, "json"), render_verdict(verdict, "text")
 
     assert render_once() == render_once()
-
-
-def test_bound_appears_in_the_document(stalled, stalled_loop):
-    verdict = decide_loop(stalled, stalled_loop, StrategySpec("outermost"), 4)
-    doc = json.loads(render_verdict(verdict, "json"))
-    assert doc["bound"] == 4
-    assert doc["verdict"] == "unknown"
-    assert doc["open_problems"][0]["stopped"] == "exponent bound 4 reached"
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Matching problems, identity constraints encoded as them, and extended ones.
+"""Matching problems, identity constraints encoded as them, and extended
+problems decided as their slices.
 
 Ordering matters here: the brute-force oracle is pinned first, then the
 layered solver against the same inputs, then the two against each other on
@@ -11,14 +12,13 @@ import random
 import pytest
 
 import genlib
-from genlib import brute_force_check, identity_problem
+from genlib import Extended, brute_force_check, identity_problem, slice_decision
 from loopcert import problems
 from loopcert.errors import InternalError, LoopcertError
 from loopcert import (
     Application,
     Context,
     EMPTY_SUBSTITUTION,
-    ExtendedMatchingProblem,
     HOLE,
     MatchingProblem,
     Solvable,
@@ -31,8 +31,7 @@ from loopcert import (
     apply_substitution,
     exponent_bound,
     parse_term,
-    solve_extended,
-    solve_matching,
+    extended_slices,
     solve_problem,
     variable_closure,
 )
@@ -96,7 +95,7 @@ def test_oracle_false_never_matches_any_lhs(factorial):
 
 
 def test_solve_matching_swap(swap_problem):
-    result = solve_matching(swap_problem)
+    result = solve_problem(swap_problem)
     assert isinstance(result, Solvable)
     assert result.witness.n == 2
     assert result.witness.sigma == Substitution({"x": v("z")})
@@ -105,11 +104,11 @@ def test_solve_matching_swap(swap_problem):
     assert twin is not swap_problem and twin == swap_problem
     assert hash(twin) == hash(swap_problem) and len({twin, swap_problem}) == 1
     assert twin != MatchingProblem(swap_problem.subject, swap_problem.subject, swap_problem.mu)
-    assert solve_matching(twin) == result and hash(solve_matching(twin)) == hash(result)
+    assert solve_problem(twin) == result and hash(solve_problem(twin)) == hash(result)
 
 
 def test_solve_matching_rotate(rotate_problem):
-    result = solve_matching(rotate_problem)
+    result = solve_problem(rotate_problem)
     assert isinstance(result, Solvable)
     assert result.witness.n == 9
     assert result.witness.sigma == EMPTY_SUBSTITUTION
@@ -117,7 +116,7 @@ def test_solve_matching_rotate(rotate_problem):
 
 def test_solve_matching_false_vs_all_lhss(factorial):
     for problem in false_problems(factorial):
-        assert isinstance(solve_matching(problem), Unsolvable)
+        assert isinstance(solve_problem(problem), Unsolvable)
 
 
 def test_solve_matching_stream_head(stream):
@@ -126,7 +125,7 @@ def test_solve_matching_stream_head(stream):
         parse_term("cons(x,cons(y,inf(z)))", stream),
         Substitution({"x": app("s", v("x"))}),
     )
-    result = solve_matching(problem)
+    result = solve_problem(problem)
     assert isinstance(result, Solvable)
     assert result.witness.n == 0
     assert result.witness.sigma == Substitution(
@@ -136,7 +135,7 @@ def test_solve_matching_stream_head(stream):
 
 def test_solve_matching_witness_reverifies(swap_problem, rotate_problem):
     for problem in (swap_problem, rotate_problem):
-        w = solve_matching(problem).witness
+        w = solve_problem(problem).witness
         assert apply_substitution(problem.subject, problem.mu, w.n) == w.sigma.apply(
             problem.pattern
         )
@@ -147,7 +146,7 @@ def test_failed_witness_recheck_is_an_internal_error(monkeypatch, swap_problem):
     # solver, never reported as bad input.
     monkeypatch.setattr(problems, "match_pattern", lambda pattern, subject: None)
     with pytest.raises(InternalError, match="failed recheck") as caught:
-        solve_matching(swap_problem)
+        solve_problem(swap_problem)
     assert not isinstance(caught.value, LoopcertError)
 
 
@@ -157,7 +156,7 @@ def test_root_clash_certificate(factorial):
         parse_term("eq(x,y)", factorial),
         Substitution({"x": app("s", v("x"))}),
     )
-    result = solve_matching(problem)
+    result = solve_problem(problem)
     assert isinstance(result, Unsolvable)
     assert result.reason is UnsolvableReason.ROOT_CLASH
 
@@ -168,7 +167,7 @@ def test_variable_orbit_certificate():
     problem = MatchingProblem(
         v("x"), app("f", v("y")), Substitution({"x": v("y"), "y": v("x")})
     )
-    result = solve_matching(problem)
+    result = solve_problem(problem)
     assert isinstance(result, Unsolvable)
     assert result.reason is UnsolvableReason.VARIABLE_ORBIT
 
@@ -182,7 +181,7 @@ def test_exponent_bound_certificate():
         Substitution({"x": app("s", v("x")), "y": app("s", v("y"))}),
     )
     assert exponent_bound(problem) == 4
-    result = solve_matching(problem)
+    result = solve_problem(problem)
     assert isinstance(result, Unsolvable)
     assert result.reason is UnsolvableReason.EXPONENT_BOUND
     assert brute_force_check(problem, 32) is None
@@ -204,13 +203,7 @@ def test_least_witness_can_sit_at_the_exponent_bound():
     # and a constant pattern has d = 0.
     chain = Substitution({"x": v("y"), "y": app("a")})
     problem = MatchingProblem(v("x"), app("a"), chain)
-    assert solve_matching(problem).witness.n == 2 == exponent_bound(problem)
-
-
-def test_matching_ignores_the_configured_bound(rotate_problem):
-    # The configured bound is for extended problems only.
-    for bound in (0, 4, 128):
-        assert solve_problem(rotate_problem, bound).witness.n == 9
+    assert solve_problem(problem).witness.n == 2 == exponent_bound(problem)
 
 
 def test_matching_honest_unknown(monkeypatch):
@@ -230,9 +223,9 @@ def test_matching_honest_unknown(monkeypatch):
     )
     oracle = brute_force_check(problem, exponent_bound(problem))
     assert oracle.n == 4
-    assert solve_matching(problem).witness == oracle
+    assert solve_problem(problem).witness == oracle
     monkeypatch.setattr(problems, "MAX_TERM_SIZE", 10)
-    result = solve_matching(problem)
+    result = solve_problem(problem)
     assert result == Unknown("state size limit reached")
 
 
@@ -247,10 +240,10 @@ def test_matching_size_guard_reports_its_limit(monkeypatch):
             "x": app("d", v("x"), v("x")), "y": v("z"), "z": app("d", v("y"), v("y")),
         }),
     )
-    assert solve_matching(problem) == Unsolvable(UnsolvableReason.EXPONENT_BOUND)
+    assert solve_problem(problem) == Unsolvable(UnsolvableReason.EXPONENT_BOUND)
     assert brute_force_check(problem, exponent_bound(problem) + 8) is None
     monkeypatch.setattr(problems, "MAX_TERM_SIZE", 10)
-    result = solve_matching(problem)
+    result = solve_problem(problem)
     assert isinstance(result, Unknown)
     assert "limit" in result.note
 
@@ -268,7 +261,7 @@ def test_equal_identity_pairs_are_kept_once(monkeypatch):
     assert brute_force_check(problem, exponent_bound(problem) + 8) is None
     for cap in (10, 100_000):
         monkeypatch.setattr(problems, "MAX_TERM_SIZE", cap)
-        result = solve_matching(problem)
+        result = solve_problem(problem)
         assert result == Unsolvable(UnsolvableReason.EXPONENT_BOUND)
 
 
@@ -277,74 +270,78 @@ def test_equal_identity_pairs_are_kept_once(monkeypatch):
 
 
 def test_solve_identity_examples():
-    assert solve_matching(
+    assert solve_problem(
         identity_problem(v("x"), v("y"), Substitution({"x": v("y")}))
     ).witness.n == 1
 
     diverging = identity_problem(
         v("x"), v("y"), Substitution({"x": app("f", v("x")), "y": app("f", v("y"))})
     )
-    assert isinstance(solve_matching(diverging), Unsolvable)
+    assert isinstance(solve_problem(diverging), Unsolvable)
     assert brute_force_check(diverging, 32) is None
 
-    assert solve_matching(
+    assert solve_problem(
         identity_problem(app("a"), app("a"), Substitution({"x": v("y")}))
     ).witness.n == 0
 
 
 # ---------------------------------------------------------------------------
-# Extended matching problems
+# Extended problems, decided as their slices
 
 
 def test_solve_extended_plug_once():
-    problem = ExtendedMatchingProblem(
+    problem = Extended(
         d=Context.from_term(app("f", HOLE)),
         lhs=app("f", app("f", v("x"))),
         c=Context.from_term(app("f", HOLE)),
         t=app("a"),
         mu=EMPTY_SUBSTITUTION,
     )
-    result = solve_extended(problem)
-    assert isinstance(result, Solvable)
-    assert (result.witness.m, result.witness.k) == (1, 0)
-    assert result.witness.sigma == Substitution({"x": app("a")})
+    w, results = slice_decision(problem)
+    assert (w.m, w.k) == (1, 0)
+    assert w.sigma == Substitution({"x": app("a")})
+    # l follows the hole path f, f down to x at depth 2, and |h| = |p| = 1,
+    # so j = 2; x occurs once, so slices 0..j decide.
+    assert len(results) == 3
 
 
 def test_solve_extended_root_clash():
-    problem = ExtendedMatchingProblem(
+    # Every slice has D's root g where l has f, so slice 0 alone decides.
+    problem = Extended(
         d=Context.from_term(app("g", HOLE)),
         lhs=app("f", v("x")),
         c=Context.from_term(app("f", HOLE)),
         t=app("a"),
         mu=EMPTY_SUBSTITUTION,
     )
-    result = solve_extended(problem)
-    assert isinstance(result, Unsolvable)
-    assert result.reason is UnsolvableReason.ROOT_CLASH
+    w, results = slice_decision(problem)
+    assert w is None
+    assert results == {0: Unsolvable(UnsolvableReason.ROOT_CLASH)}
 
 
 def test_solve_extended_times_never_reaches_inf(factorial, factorial_loop):
     d = Context.from_term(parse_term("times([],s(x))", factorial, allow_hole=True))
-    problem = ExtendedMatchingProblem(
+    problem = Extended(
         d=d,
         lhs=app("inf", v("x")),
         c=factorial_loop.certificate.context,
         t=factorial_loop.terms[0],
         mu=factorial_loop.certificate.subst,
     )
-    assert isinstance(solve_extended(problem), Unsolvable)
+    w, results = slice_decision(problem)
+    assert w is None and all(isinstance(r, Unsolvable) for r in results.values())
     assert brute_force_check(problem, 32) is None
 
 
 def test_solve_extended_witness_reverifies():
-    problem = ExtendedMatchingProblem(
+    problem = Extended(
         d=Context.from_term(app("f", HOLE)),
         lhs=app("f", app("f", v("x"))),
         c=Context.from_term(app("f", HOLE)),
         t=app("a"),
         mu=EMPTY_SUBSTITUTION,
     )
-    w = solve_extended(problem).witness
+    w, _ = slice_decision(problem)
     tower = apply_context_substitution(problem.t, problem.c, problem.mu, w.m)
     assert apply_substitution(problem.d.plug(tower), problem.mu, w.k) == (
         w.sigma.apply(problem.lhs)
@@ -352,64 +349,108 @@ def test_solve_extended_witness_reverifies():
 
 
 def test_solve_extended_scan_catches_rigid_clashes():
-    # The rigid part of D never changes under mu, so a clash there settles
-    # the problem without any enumeration.
-    problem = ExtendedMatchingProblem(
+    # The rigid part of D never changes under mu, so every slice clashes
+    # there, b against c; l follows the hole path to y at depth 1, which
+    # occurs once, so the slices stop at j = 1.
+    problem = Extended(
         d=Context.from_term(app("f", HOLE, app("b"))),
         lhs=app("f", v("y"), app("c")),
         c=Context.from_term(app("f", HOLE, v("x"))),
         t=v("x"),
         mu=Substitution({"x": app("f", v("x"), v("x"))}),
     )
-    result = solve_extended(problem)
-    assert isinstance(result, Unsolvable)
-    assert result.reason is UnsolvableReason.ROOT_CLASH
+    w, results = slice_decision(problem)
+    assert w is None
+    assert results == dict.fromkeys((0, 1), Unsolvable(UnsolvableReason.ROOT_CLASH))
 
 
 def test_solve_extended_size_guard_reports_its_limit(monkeypatch):
-    # Every root the scan can see is compatible, so enumeration runs; the
-    # duplicating mu then blows the tower past the budget and the solver
-    # must stop with an explicit limit note instead of grinding on.
-    problem = ExtendedMatchingProblem(
-        d=Context.from_term(app("f", HOLE, app("c"))),
-        lhs=app("f", app("f", v("y"), app("c")), app("c")),
+    # l follows the hole path f, f down to y at depth 2, so j = 2: slices
+    # 0..2 have 3, 7 and 15 nodes, as the duplicating mu blows up the tower.
+    # Past a limit of 10 the last slice must say Unknown, not refute, and
+    # no later tower is built.
+    problem = Extended(
+        d=Context.from_term(app("f", HOLE, v("x"))),
+        lhs=app("f", app("f", v("y"), app("c")), v("z")),
         c=Context.from_term(app("f", HOLE, v("x"))),
         t=v("x"),
         mu=Substitution({"x": app("f", v("x"), v("x"))}),
     )
-    monkeypatch.setattr(problems, "MAX_TERM_SIZE", 500)
-    result = solve_extended(problem, 64)
-    assert isinstance(result, Unknown)
-    assert "limit" in result.note
-    assert brute_force_check(problem, 10) is None
+    w, results = slice_decision(problem)
+    assert w is None and sorted(results) == [0, 1, 2]
+    tower = [problem.t]
+    monkeypatch.setattr(problems, "MAX_TERM_SIZE", 10)
+    slices = extended_slices(problem.d, problem.lhs, problem.c, tower, problem.mu)
+    assert [(m, s._size) for m, s in slices] == [(0, 3), (1, 7), (2, 15)]
+    assert len(tower) == 3
+    w, results = slice_decision(problem)
+    assert w is None and results[2] == Unknown("state size limit reached")
+    assert isinstance(results[0], Unsolvable) and isinstance(results[1], Unsolvable)
 
 
 def test_solve_extended_decides_k_past_the_bound():
-    # bound caps m only: slice m = 1 is f(g(x)) mu^k against f(g^5(y)),
-    # which the matching solver settles at k = 4 although m + k = 5 > 4.
+    # Slice m = 1 is f(g(x)) mu^k against f(g^5(y)), which the matching
+    # solver settles at k = 4, with D the hole.
     g5 = v("y")
     for _ in range(5):
         g5 = app("g", g5)
-    problem = ExtendedMatchingProblem(
+    problem = Extended(
         d=Context.from_term(HOLE),
         lhs=app("f", g5),
         c=Context.from_term(app("f", HOLE)),
         t=v("x"),
         mu=Substitution({"x": app("g", v("x"))}),
     )
-    result = solve_extended(problem, 4)
-    assert isinstance(result, Solvable)
-    w = result.witness
+    w, _ = slice_decision(problem)
     assert (w.m, w.k, w.sigma) == (1, 4, Substitution({"y": v("x")}))
     assert w == brute_force_check(problem, 8)
     assert genlib.reverify_witness(problem, w)
 
 
+def test_nonlinear_slice_past_j_is_posed():
+    # D[T_m] = g(s^4(y), s^(2m)(y)) against g(x, x): l follows the hole
+    # path to x at depth 1, so j = 1, but x also sits beside the filler,
+    # over w = s^4(y).  Only slice 2 is solvable, so slices 0..j alone would
+    # refute the problem; the sizes |s^(2m)(y) mu| = |w mu| = 6 pick m = 2
+    # without building a slice.
+    problem = Extended(
+        d=Context.from_term(app("g", app("s", app("s", app("s", app("s", v("y"))))), HOLE)),
+        lhs=app("g", v("x"), v("x")),
+        c=Context.from_term(app("s", HOLE)),
+        t=v("y"),
+        mu=Substitution({"y": app("s", v("y"))}),
+    )
+    w, results = slice_decision(problem)
+    assert sorted(results) == [0, 1, 2]
+    assert [isinstance(r, Solvable) for r in results.values()] == [False, False, True]
+    assert (w.m, w.k) == (2, 0)
+    assert w == brute_force_check(problem, 8, 12)
+
+
+def test_slice_decision_agrees_with_brute_force_past_the_last_slice():
+    # Linear and nonlinear left-hand sides over four seeds: answer and least
+    # (m + k, m) agree with the (m, k) grid, which reaches three slices past
+    # the last one posed and every slice's exponent bound.
+    kinds = {"linear": 0, "nonlinear": 0, "solvable": 0}
+    failures = []
+    for seed in (11, 12, 13, 41):
+        rng = random.Random(seed)
+        for _ in range(120):
+            problem = genlib.random_extended_problem(rng)
+            names = [u.name for _, u in genlib.subterms(problem.lhs) if isinstance(u, Variable)]
+            kinds["nonlinear" if len(names) > len(set(names)) else "linear"] += 1
+            kinds["solvable"] += slice_decision(problem)[0] is not None
+            failures.extend(genlib.solver_oracle_failures(problem))
+    assert failures == []
+    assert min(kinds.values()) >= 20, kinds
+
+
 # ---------------------------------------------------------------------------
-# Dispatch and randomized agreement
+# One solver and randomized agreement
 
 
 def test_solve_problem_dispatch(swap_problem):
+    # One problem kind, one solver: extended problems reach it as slices.
     assert solve_problem(swap_problem).witness.n == 2
     assert (
         solve_problem(
@@ -417,14 +458,12 @@ def test_solve_problem_dispatch(swap_problem):
         ).witness.n
         == 0
     )
-    extended = ExtendedMatchingProblem(
-        d=Context.from_term(app("g", HOLE)),
-        lhs=app("f", v("x")),
-        c=Context.from_term(app("f", HOLE)),
-        t=app("a"),
-        mu=EMPTY_SUBSTITUTION,
+    d, c = Context.from_term(app("g", HOLE)), Context.from_term(app("f", HOLE))
+    _, subject = extended_slices(d, app("f", v("x")), c, [app("a")], EMPTY_SUBSTITUTION)[0]
+    assert isinstance(
+        solve_problem(MatchingProblem(subject, app("f", v("x")), EMPTY_SUBSTITUTION)),
+        Unsolvable,
     )
-    assert isinstance(solve_problem(extended), Unsolvable)
 
 
 def test_solver_agrees_with_oracle_randomized():
@@ -467,7 +506,7 @@ def test_size_limit_answers_agree_with_oracle(monkeypatch):
         oracle = brute_force_check(problem, bound)
         for cap in (2, 5, 12):
             monkeypatch.setattr(problems, "MAX_TERM_SIZE", cap)
-            result = solve_problem(problem, bound)
+            result = solve_problem(problem)
             if isinstance(result, Solvable):
                 assert genlib.reverify_witness(problem, result.witness), problem
                 assert result.witness == oracle, problem
@@ -479,6 +518,7 @@ def test_size_limit_answers_agree_with_oracle(monkeypatch):
 
 
 def test_raising_bounds_never_flips_answers():
+    # The one bound left to raise is the size limit.
     rng = random.Random(43)
     failures = []
     for _ in range(80):
