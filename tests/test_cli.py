@@ -489,29 +489,53 @@ def test_internal_error_exits_four_with_a_traceback(capsys, data_dir, monkeypatc
 # Options
 
 
-def test_bound_flag_changes_no_output_byte(capsys, data_dir, tmp_path, stalled_files):
-    # --bound is still read as a count, and changes nothing: no problem needs
-    # a bound.  Stalled answers yes; shift's witness is n = 9, past 4; the
-    # pump's least witness is m = 2, k = 5, past 4 in m + k.
-    pump, patterns = tmp_path / "pump.trs", tmp_path / "patterns.txt"
-    pump.write_text("(VAR x y) (RULES f(x) -> s(f(g(x))))\n")
-    (tmp_path / "pump.json").write_text(json.dumps({
-        "start": "f(x)", "steps": [[{"pos": [], "rule": 0}]],
-        "context": "s([])", "subst": {"x": "g(x)"},
-    }))
-    patterns.write_text("s(s(s(f(" + "g(" * 8 + "y" + ")" * 8 + ")))) @ eps : b\n")
+def test_bound_flag_reaches_the_solver(capsys, data_dir, stalled_files):
+    # --bound is still read as a count, but no solver takes a bound any more:
+    # every problem is decided exactly, so --bound 4 changes no output byte.
+    # Stalled answers yes; shift's witness is n = 9, past 4.
     stalled, stalled_loop = stalled_files
     cases = [
         (stalled.parent, stalled.name, stalled_loop.name, "outermost", EXIT_YES),
         (data_dir, "shift.trs", "shift_loop.json", "leftmost", EXIT_NO),
-        (tmp_path, pump.name, "pump.json", f"forbidden:{patterns}", EXIT_NO),
     ]
     for where, trs, loop, strategy, want in cases:
         for fmt in ("text", "json"):
             plain = check(capsys, where, trs, loop, strategy, "--format", fmt)
             assert plain[0] == want
             assert check(capsys, where, trs, loop, strategy, "--format", fmt, "--bound", "4") == plain
-    _, out, _ = check(capsys, tmp_path, pump.name, "pump.json", f"forbidden:{patterns}")
+    code, out, _ = check(
+        capsys, data_dir, "shift.trs", "shift_loop.json", "leftmost",
+        "--format", "json", "--bound", "4",
+    )
+    assert code == EXIT_NO
+    doc = json.loads(out)
+    assert "bound" not in doc
+    assert doc["evidence"]["witness"] == {"n": 9}
+
+
+def test_bound_caps_the_context_exponent_only(capsys, tmp_path):
+    # The pattern sits below s^3 and f over g^8: the least witness is
+    # m = 2, k = 5, past 4 in m + k.  The context exponent m is capped by
+    # the proven slice cap, not by --bound, which changes no output byte.
+    trs, loop = tmp_path / "pump.trs", tmp_path / "pump.json"
+    patterns = tmp_path / "patterns.txt"
+    trs.write_text("(VAR x y) (RULES f(x) -> s(f(g(x))))\n")
+    loop.write_text(json.dumps({
+        "start": "f(x)", "steps": [[{"pos": [], "rule": 0}]],
+        "context": "s([])", "subst": {"x": "g(x)"},
+    }))
+    patterns.write_text("s(s(s(f(" + "g(" * 8 + "y" + ")" * 8 + ")))) @ eps : b\n")
+    strategy = f"forbidden:{patterns}"
+    for fmt in ("text", "json"):
+        plain = check(capsys, tmp_path, trs.name, loop.name, strategy, "--format", fmt)
+        assert plain[0] == EXIT_NO
+        assert check(
+            capsys, tmp_path, trs.name, loop.name, strategy, "--format", fmt, "--bound", "4"
+        ) == plain
+    code, out, _ = check(
+        capsys, tmp_path, trs.name, loop.name, strategy, "--bound", "4",
+    )
+    assert code == EXIT_NO
     assert "  witness: m=2, k=5, sigma={y/x}\n" in out
     assert "concrete violation at unrolling level 8, step 1" in out
 

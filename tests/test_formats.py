@@ -645,6 +645,17 @@ def test_verdict_rendering_is_deterministic(collapse, collapse_loop):
     assert render_once() == render_once()
 
 
+def test_bound_appears_in_the_document(stalled, stalled_loop):
+    # The document no longer carries a bound: stalled, once unknown at
+    # "exponent bound 4 reached", is decided, and neither form names a bound.
+    verdict = decide_loop(stalled, stalled_loop, StrategySpec("outermost"))
+    doc = json.loads(render_verdict(verdict, "json"))
+    assert sorted(doc) == ["evidence", "open_problems", "problems", "strategy", "verdict"]
+    assert doc["verdict"] == "yes"
+    assert doc["open_problems"] == []
+    assert "bound" not in render_verdict(verdict, "text")
+
+
 # ---------------------------------------------------------------------------
 # The canonical JSON writer
 
