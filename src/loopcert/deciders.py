@@ -390,8 +390,9 @@ def decide_loop(trs: Trs, loop: ValidatedLoop, spec: StrategySpec) -> Verdict:
     counts = (len(results), n_unsolvable, len(solvable), len(unknown))
     if solvable:
         inst, res = solvable[0]
-        # A slice m's witness n is its extended problem's (m, k = n).
-        levels = (inst.m or 0) + res.witness.n + len(loop.certificate.steps) + 4
+        # A slice m's witness n is its extended problem's (m, k = n); a
+        # pattern family's violation sits n0 levels further out.
+        levels = (inst.n0 or 0) + (inst.m or 0) + res.witness.n + len(loop.certificate.steps) + 4
         level, vstep = _confirm_violation(trs, loop, spec, levels) or (None, None)
         return Verdict("no", spec.label, Evidence(inst, res, level, vstep), (), *counts)
     if unknown:

@@ -342,8 +342,10 @@ def extended_slices(
         out.append(slice_at(m))
         if term_size(out[-1][1]) > MAX_TERM_SIZE:
             return out
+    if x.__class__ is Application:  # l clashes with every slice m >= j at s'
+        return out
     q = next((q for q, u in subterms(lhs) if u is x and q != at), None)
-    exposed = _exposed(out[j][1], q, mu) if x.__class__ is Variable and q is not None else None
+    exposed = _exposed(out[j][1], q, mu) if q is not None else None
     if exposed is None:
         return out
     w, e = exposed

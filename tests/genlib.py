@@ -596,13 +596,29 @@ PARALLEL_COHERENCE = (
 )
 
 
+def _outgrows_before_cap(loop, evidence) -> bool:
+    """Whether some unrolling level up to the replay cap of decide_loop
+    holds a term over MAX_TERM_SIZE, the one reason a no may go out with
+    no confirmed violation."""
+    inst = evidence.instance
+    cap = (inst.n0 or 0) + (inst.m or 0) + evidence.result.witness.n
+    cap += len(loop.certificate.steps) + 4
+    unrolled = None
+    for n in range(cap + 1):
+        unrolled = unroll_loop(loop, n, below=unrolled)
+        if any(term_size(t) > problems.MAX_TERM_SIZE for t in unrolled.terms):
+            return True
+    return False
+
+
 def coherence_failures(
     trs: Trs, loop, names=SEQUENTIAL_COHERENCE, levels: int = 4
 ) -> list[str]:
     """Check one loop's verdicts against concrete replay and the verdict laws.
 
     A yes must survive strategy_allows on every step of every unrolling up
-    to the level cap; a confirmed no must fail exactly where it says; the
+    to the level cap; a no must be confirmed unless replay meets the size
+    limit first, and must fail exactly where it says it does; the
     encoding strategies must agree with their forbidden-pattern forms; and
     the combined strategies must be the conjunction of their parts when all
     three verdicts are definite.
@@ -627,7 +643,13 @@ def coherence_failures(
                             f"{name}: yes, but level {n} step {j + 1} violates"
                             f" the strategy (loop {loop.certificate.start})"
                         )
-        elif v.answer == "no" and v.evidence.level is not None:
+        elif v.answer == "no" and v.evidence.level is None:
+            if not _outgrows_before_cap(loop, v.evidence):
+                failures.append(
+                    f"{name}: no, but replay confirms no violation up to its level cap"
+                    f" (loop {loop.certificate.start})"
+                )
+        elif v.answer == "no":
             n, j = v.evidence.level, v.evidence.violation_step
             unrolled = unroll_loop(loop, n)
             qs = [q for q, _ in unrolled.certificate.steps[j - 1]]

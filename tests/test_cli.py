@@ -180,6 +180,26 @@ def test_a_violation_past_the_replay_depth_exits_one(capsys, tmp_path):
     assert evidence["confirmed"] == {"level": 3, "step": 1}
 
 
+def test_a_pattern_violation_past_its_n0_is_confirmed(capsys, tmp_path):
+    # The pattern sits n0 = 8 levels out, past the cap a replay of
+    # witness n = 0 plus the step count alone would give.
+    trs, loop = tmp_path / "s.trs", tmp_path / "s.json"
+    patterns = tmp_path / "patterns.txt"
+    trs.write_text("(VAR x) (RULES f(x) -> s(f(x)))\n")
+    loop.write_text(json.dumps({
+        "start": "f(x)", "steps": [[{"pos": [], "rule": 0}]], "context": "s([])", "subst": {},
+    }))
+    patterns.write_text("s(" * 8 + "f(x)" + ")" * 8 + " @ 1.1.1.1.1.1.1.1 : h\n")
+    strategy = f"forbidden:{patterns}"
+    code, out, err = check(capsys, tmp_path, trs.name, loop.name, strategy)
+    assert (code, err) == (EXIT_NO, "")
+    assert "n0 8" in out and "  witness: n=0, sigma={}\n" in out
+    assert "concrete violation at unrolling level 8, step 1" in out
+    code, out, _ = check(capsys, tmp_path, trs.name, loop.name, strategy, "--format", "json")
+    assert code == EXIT_NO
+    assert json.loads(out)["evidence"]["confirmed"] == {"level": 8, "step": 1}
+
+
 def test_find_keeps_deep_terms_that_max_size_allows(capsys, tmp_path):
     # Every rewritten term is hashed into the visited set.
     trs_file = tmp_path / "deep.trs"

@@ -344,6 +344,8 @@ def test_confirmation_stops_where_terms_outgrow_the_size_limit(monkeypatch):
     assert capped.answer == "no"
     assert capped.evidence.result.witness.n == 14
     assert capped.evidence.level is None
+    # The one unconfirmed no that the coherence judge accepts.
+    assert genlib.coherence_failures(trs, loop, ("leftmost",)) == []
 
 
 def test_confirmation_pumps_each_level_once(monkeypatch, shift, shift_loop):

@@ -30,7 +30,8 @@ import tempfile
 from pathlib import Path
 
 from genlib import golden_find_systems, render_trs
-from loopcert import Context
+from loopcert import Context, StrategySpec, decide_loop, find_loops, parse_trs, validate_loop
+from loopcert import formats
 from loopcert.cli import main
 from loopcert.deciders import STRATEGIES
 
@@ -99,6 +100,34 @@ def test_deciding_the_pinned_table_hashes_no_context(monkeypatch):
     monkeypatch.setattr(Context, "__hash__", unhashable)
     monkeypatch.chdir(DATA)
     assert current_table() == json.loads(GOLDEN.read_text())
+
+
+def test_verdict_documents_hold_only_json_types(monkeypatch):
+    # json.dumps renders a bool or a float without complaint.  Every verdict
+    # document of the pinned table and of found loops holds only strs, ints,
+    # None, lists and dicts with str keys.
+    docs = []
+    real = formats.verdict_to_document
+    monkeypatch.setattr(formats, "verdict_to_document", lambda v: docs.append(real(v)) or docs[-1])
+    monkeypatch.chdir(DATA)
+    golden = current_table()
+    for name, depth in (("factorial.trs", 6), ("collapse.trs", 8)):
+        trs = parse_trs(Path(name).read_text())
+        for cert in find_loops(trs, depth=depth):
+            loop = validate_loop(trs, cert)
+            for strategy in ("leftmost", "innermost", "outermost", "max-parallel"):
+                docs.append(real(decide_loop(trs, loop, StrategySpec(strategy))))
+    assert len(docs) == sum(row["exit"] != 3 for row in golden.values()) + 4 * (93 + 34)
+    stack = docs[:]
+    while stack:
+        v = stack.pop()
+        if type(v) is list:
+            stack += v
+        elif type(v) is dict:
+            assert all(type(k) is str for k in v), v
+            stack += v.values()
+        else:
+            assert v is None or type(v) in (str, int), repr(v)
 
 
 def find_cases(tmp: Path):
