@@ -47,7 +47,6 @@ from .terms import (
     Position,
     Substitution,
     Term,
-    are_parallel,
     replace_at,
     subterm_at,
     subterms,
@@ -258,16 +257,19 @@ def find_loops(
                         continue
                     visited.add(s2)
                     path2 = path + (one,)
-                    spine = []
+                    spine = []  # the nodes of s2 strictly above q
                     v = s2
-                    for k, i in enumerate(q):
-                        spine.append((q[:k], v))
+                    for i in q:
+                        spine.append(v)
                         v = v.args[i - 1]
                     inside = instances_in.get(c)
                     if inside is None:
                         inside = instances_in[c] = instances(subterms(c))
-                    hits2 = [h for h in hits if are_parallel(h[0], q)]
-                    hits2 += instances(spine)
+                    n_q = len(q)  # r is parallel to q exactly when r[:|q|] != q[:|r|]
+                    hits2 = [h for h in hits if h[0][:n_q] != q[: len(h[0])]]
+                    hits2 += instances(
+                        (q[:k], u) for k, u in enumerate(spine) if root is None or u.symbol == root
+                    )
                     hits2 += [(q + p, mu) for p, mu in inside]
                     hits2.sort(key=itemgetter(0))
                     for p, mu in hits2:
@@ -276,12 +278,12 @@ def find_loops(
                         found.append(cert)
                     if expand:
                         # Sorting is stable, so each position keeps rule order.
-                        redexes2 = [r for r in redexes if are_parallel(r[0], q)]
+                        redexes2 = [r for r in redexes if r[0][:n_q] != q[: len(r[0])]]
                         inner = redexes_in.get(c)
                         if inner is None:
                             inner = redexes_in[c] = redex_positions(c, trs)
                         redexes2 += [(q + p, i) for p, i in inner]
-                        for p, u in spine:
+                        for k, u in enumerate(spine):
                             rules = rules_at.get(u)
                             if rules is None:
                                 rules = rules_at[u] = tuple(
@@ -289,9 +291,10 @@ def find_loops(
                                     for i, rule in by_root.get(u.symbol, ())
                                     if match_pattern(rule.lhs, u) is not None
                                 )
-                            redexes2 += [(p, i) for i in rules]
+                            if rules:
+                                redexes2 += [(q[:k], i) for i in rules]
                         redexes2.sort(key=itemgetter(0))
-                        asleep2 = {r: e for r, e in tried if are_parallel(r[0], q)}
+                        asleep2 = {r: e for r, e in tried if r[0][:n_q] != q[: len(r[0])]}
                         nxt.append((s2, path2, redexes2, hits2, asleep2, n2))
             frontier = nxt
     return tuple(found)

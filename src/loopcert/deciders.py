@@ -247,10 +247,16 @@ def _cross(
         if (u, at) in crossed:
             continue
         crossed.add((u, at))
+        # D is never the hole, so every slice has D's root: an lhs without
+        # D's root symbol and arity clashes with each, and slice 0 decides it.
+        first, top = None, d and d.term
         for lhs, ri, pat in lhss:
-            subjects = [(None, u)] if d is None else extended_slices(
-                d, lhs, c_mu, towers.setdefault(u, [u]), mu
-            )
+            if d is None:
+                subjects = [(None, u)]
+            elif getattr(lhs, "symbol", None) == top.symbol and len(lhs.args) == len(top.args):
+                subjects = extended_slices(d, lhs, c_mu, towers.setdefault(u, [u]), mu)
+            else:
+                subjects = first = first or [(0, d.plug(u))]
             for m, s in subjects:
                 key = (s, lhs)
                 if key in posed:

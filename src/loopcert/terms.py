@@ -339,10 +339,14 @@ class Context:
 
     def plugs_to(self, t: Term, u: Term) -> bool:
         """Whether self.plug(t) is u, walking the hole position of the term
-        and u together instead of building the plugged term."""
+        and u together instead of building the plugged term.  Below a node
+        where the two walks meet one object, as they do from the root for
+        every certificate find emits (Context(u, p)), only u|p is left to
+        compare: terms are hash-consed, so u[p <- t] is u exactly when t is
+        u|p."""
         term = self.term
         for i in self.hole_pos:
-            if (
+            if term is not u and (
                 u.__class__ is not Application
                 or u.symbol != term.symbol
                 or len(u.args) != len(term.args)

@@ -82,6 +82,30 @@ def test_unknown_exits_two(capsys, monkeypatch, stalled_files):
     assert "    stopped: state size limit reached\n" in out
 
 
+def test_an_open_slice_past_the_size_limit_prints_abbreviated(capsys, tmp_path):
+    # Slice 16 of s^17(y) against f(x) -> s(f(d(x,x))) holds d(x,x) 2^16 times
+    # over: its 131,088 nodes once printed as 328 KB.  Both formats now print
+    # its root and node count, and the exit code stays unknown.
+    (tmp_path / "pump.trs").write_text("(VAR x y)\n(RULES\n  f(x) -> s(f(d(x,x)))\n)\n")
+    (tmp_path / "pump.json").write_text(json.dumps({
+        "start": "f(x)",
+        "steps": [[{"pos": [], "rule": 0}]],
+        "context": "s([])",
+        "subst": {"x": "d(x,x)"},
+    }))
+    (tmp_path / "pattern.txt").write_text("s(" * 17 + "y" + ")" * 17 + " @ eps : b\n")
+    strategy = f"forbidden:{tmp_path / 'pattern.txt'}"
+    code, out, err = check(capsys, tmp_path, "pump.trs", "pump.json", strategy)
+    assert (code, err) == (EXIT_UNKNOWN, "")
+    assert len(out.encode()) < 4096
+    assert "    problem: <s(...): 131088 nodes> matches s(s(" in out
+    code, out, err = check(capsys, tmp_path, "pump.trs", "pump.json", strategy, "--format", "json")
+    assert (code, err) == (EXIT_UNKNOWN, "")
+    assert len(out.encode()) < 4096
+    [pair] = json.loads(out)["open_problems"][0]["problem"]["pairs"]
+    assert pair["subject"] == "<s(...): 131088 nodes>"
+
+
 def write_open_loop(tmp_path, depth):
     """A loop whose substitution binds x to s^depth(x); under leftmost its one
     hard problem, g(x,y) against g(w,w) at position 1, nests about depth

@@ -16,6 +16,7 @@ from loopcert import (
     PositionOutOfTerm,
     Rule,
     RuleIndexOutOfRange,
+    Substitution,
     Trs,
     apply_context_substitution,
     find_loops,
@@ -203,6 +204,25 @@ def test_find_loops_builds_no_term_that_cannot_reach_its_start(factorial, monkey
     assert built == []
     certs = find_loops(factorial, 10)
     assert (len(built), len(certs)) == (1632, 1472)
+
+
+def test_find_loops_rejects_a_certificate_whose_closing_fails(factorial, monkeypatch):
+    # Each certificate find emits closes at its own last term, where plugs_to
+    # only compares one subterm; a start match with one image changed must
+    # still fail the closing check.
+    start = parse_term("fact(x,y)", factorial)
+    real = loopcert.cli.match_pattern
+
+    def match_pattern(pattern, subject):
+        mu = real(pattern, subject)
+        if pattern is not start or mu is None:
+            return mu
+        return Substitution({**dict(mu.items()), "x": app("s", mu.apply(v("x")))})
+
+    assert find_loops(factorial, 6, start=start)
+    monkeypatch.setattr(loopcert.cli, "match_pattern", match_pattern)
+    with pytest.raises(ClosingMismatch):
+        find_loops(factorial, 6, start=start)
 
 
 def test_find_loops_stops_at_an_empty_frontier(factorial):
